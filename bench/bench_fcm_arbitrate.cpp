@@ -9,13 +9,16 @@
 // sweeps the degraded path over active-grant counts M with the suspension
 // count k held fixed: the GrantStore indexes active grants by
 // (priority, seq), so victim selection costs O(k log M) — latency must
-// track k, not M.
+// track k, not M. A queue-depth sweep times one release, promotion and
+// re-request against Q parked entries: the promotion pass stops once the
+// host falls below beta, so only the queue's membership scans grow with Q.
 //
 // Micro: arbitrate+release round-trip cost vs group size.
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <future>
 #include <new>
@@ -284,6 +287,57 @@ void degraded_sweep_scenario() {
       dmps::bench::record_fingerprint(scenario, tracer.fingerprint(),
                                       /*deterministic=*/true);
     }
+  }
+}
+
+void queue_depth_sweep_scenario() {
+  // One host of capacity 1.0 held by four 0.25 grants, with Q more 0.25
+  // requests parked in one queueing group. A cycle releases the oldest
+  // holder, whose freed 0.25 promotes the queue head and drops the host
+  // straight back below beta, then re-requests that holder at the tail.
+  // Every entry behind the head would now Abort-Arbitrate, so the
+  // promotion pass stops there: what cost grows with Q is only the linear
+  // membership scans in QueueingPolicy::decide and cancel.
+  dmps::bench::table_header(
+      "ALG-FCM: queue promotion vs parked entries Q (one cycle = release "
+      "the oldest holder, promote the head, re-request at the tail)",
+      "parked_Q | cycles | ns_per_cycle | ns_per_parked");
+  constexpr int kHolders = 4;
+  constexpr int kCycles = 256;
+  for (const int q : {16, 256, 4096}) {
+    Cluster cluster(q + kHolders);
+    cluster.registry.set_policy(cluster.group, PolicyKind::kQueueing);
+    std::deque<MemberId> holders;
+    for (const MemberId m : cluster.members) {
+      const auto d = cluster.service.request(cluster.request(m, 0.25));
+      if (holders.size() < kHolders) {
+        holders.push_back(m);
+      } else if (d.outcome != Outcome::kQueued) {
+        std::fprintf(stderr, "queue sweep: request %u not parked: %s\n",
+                     m.value(), d.reason.c_str());
+        std::abort();
+      }
+    }
+    const auto cycle = [&cluster, &holders] {
+      const MemberId oldest = holders.front();
+      holders.pop_front();
+      const auto rel = cluster.service.release(oldest, cluster.group);
+      if (rel.promoted.size() != 1 ||
+          cluster.service.request(cluster.request(oldest, 0.25)).outcome !=
+              Outcome::kQueued) {
+        std::fprintf(stderr, "queue sweep: cycle did not promote one head\n");
+        std::abort();
+      }
+      holders.push_back(rel.promoted[0].holder.member);
+    };
+    for (int i = 0; i < kHolders; ++i) cycle();  // warm-up, untimed
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kCycles; ++i) cycle();
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count() /
+                      kCycles;
+    dmps::bench::row("%8d | %6d | %12.0f | %13.2f", q, kCycles, ns, ns / q);
   }
 }
 
@@ -1167,6 +1221,7 @@ int main(int argc, char** argv) {
   regime_scenario();
   throughput_scenario();
   degraded_sweep_scenario();
+  queue_depth_sweep_scenario();
   sharded_sweep_scenario();
   parallel_strong_scaling_scenario();
   batched_submission_scenario();

@@ -114,7 +114,9 @@ class QueueingPolicy : public ArbitrationPolicy {
   /// blocked head does not starve smaller entries behind it). Promotions
   /// run the full three-regime rule, so they may themselves Media-Suspend;
   /// the caller (FloorService's sweep) loops passes to a fixpoint so
-  /// capacity a promotion frees on overshoot is never stranded.
+  /// capacity a promotion frees on overshoot is never stranded. The pass
+  /// stops as soon as the host is below beta: from there every remaining
+  /// entry would Abort-Arbitrate without touching the host.
   void promote_host(GrantStore::HostView& host, ReleaseResult& out);
 
   std::size_t queued(GroupId group) const;

@@ -170,6 +170,13 @@ void QueueingPolicy::promote_host(GrantStore::HostView& host,
   // against other hosts in those queues are skipped in place. An entry
   // that still does not fit keeps its place; the walk continues so a
   // smaller request behind it is not starved.
+  //
+  // The pass ends once the host is below beta. Regime 3 then refuses every
+  // entry before touching the host, and only a promotion lowers its
+  // availability, so the rest of the walk would decide Abort-Arbitrate for
+  // each entry, change nothing and throw the decisions away.
+  const double beta = base_.thresholds().beta;
+  if (host.availability() < beta) return;
   const auto groups = host_index_.find(host.host().value());
   if (groups == host_index_.end()) return;
   // Promotions mutate the index; walk a snapshot of the group ids (small:
@@ -183,7 +190,8 @@ void QueueingPolicy::promote_host(GrantStore::HostView& host,
     const auto it = queues_.find(group_id);
     if (it == queues_.end()) continue;
     auto& queue = it->second;
-    for (auto parked = queue.begin(); parked != queue.end();) {
+    bool starved = false;
+    for (auto parked = queue.begin(); parked != queue.end() && !starved;) {
       if (parked->request.host != host.host()) {
         ++parked;
         continue;
@@ -203,8 +211,10 @@ void QueueingPolicy::promote_host(GrantStore::HostView& host,
       index_remove(parked->request.host, parked->request.group);
       parked = queue.erase(parked);
       --total_queued_;
+      starved = host.availability() < beta;
     }
     if (queue.empty()) queues_.erase(it);
+    if (starved) return;
   }
 }
 

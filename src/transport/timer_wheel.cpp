@@ -6,7 +6,8 @@ namespace dmps::transport {
 
 TimerWheel::TimerWheel(util::Duration tick, std::size_t slots)
     : tick_(tick.raw_nanos() > 0 ? tick : util::Duration::millis(1)),
-      slots_(slots > 0 ? slots : 1) {}
+      slots_(slots > 0 ? slots : 1),
+      slot_listed_(slots_.size(), false) {}
 
 std::uint64_t TimerWheel::schedule_at(util::TimePoint due,
                                       std::function<void()> cb) {
@@ -20,14 +21,19 @@ std::uint64_t TimerWheel::schedule_at(util::TimePoint due,
   if (due_tick < cursor_) due_tick = cursor_;
 
   const std::uint64_t id = next_id_++;
-  slots_[due_tick % slots_.size()].push_back(Entry{id, due_tick, std::move(cb)});
+  const std::size_t slot = due_tick % slots_.size();
+  if (!slot_listed_[slot]) {
+    slot_listed_[slot] = true;
+    listed_.push_back(slot);
+  }
+  slots_[slot].push_back(Entry{id, due_tick, std::move(cb)});
   live_.insert(id);
   return id;
 }
 
 bool TimerWheel::cancel(std::uint64_t id) {
   // The slot entry stays behind as a tombstone; the next pass over its slot
-  // sweeps it. O(1) either way.
+  // sweeps it, or advance() drops it once nothing is armed. O(1) either way.
   return live_.erase(id) > 0;
 }
 
@@ -39,7 +45,7 @@ void TimerWheel::advance(util::TimePoint now) {
   while (cursor_ <= target) {
     if (live_.empty()) {  // nothing armed: jump the cursor over the gap
       cursor_ = target + 1;
-      return;
+      break;
     }
     const std::uint64_t tick = cursor_++;
     std::vector<Entry>& slot = slots_[tick % slots_.size()];
@@ -63,6 +69,17 @@ void TimerWheel::advance(util::TimePoint now) {
       entry.cb();
     }
   }
+  // A jump skips slots, so their tombstones would stay until the cursor
+  // walks them with some timer live, which may never happen.
+  if (live_.empty()) drop_tombstones();
+}
+
+void TimerWheel::drop_tombstones() {
+  for (const std::size_t slot : listed_) {
+    slots_[slot].clear();
+    slot_listed_[slot] = false;
+  }
+  listed_.clear();
 }
 
 }  // namespace dmps::transport

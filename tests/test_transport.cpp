@@ -264,6 +264,29 @@ TEST(TimerWheel, CallbacksMayRescheduleAndPastDeadlinesFire) {
   EXPECT_EQ(late, 1);
 }
 
+TEST(TimerWheel, CancelledTimersAreDroppedOnceNothingIsArmed) {
+  // The retransmit-timer pattern on an otherwise idle wheel: arm 100 ms
+  // out, cancel before it fires, let time pass. With nothing armed the
+  // cursor jumps over the slots holding the cancelled entries, so the
+  // wheel must drop them itself. Every stored entry keeps its callback,
+  // and the shared token it captured, alive: the token's use count, less
+  // its own reference, is the number of entries still stored.
+  transport::TimerWheel wheel;
+  const auto token = std::make_shared<int>(0);
+  TimePoint now = TimePoint::zero();
+  for (int i = 0; i < 200'000; ++i) {
+    const auto id =
+        wheel.schedule_at(now + Duration::millis(100), [token] { (void)token; });
+    wheel.advance(now);
+    ASSERT_TRUE(wheel.cancel(id));
+    now = now + Duration::millis(1);
+    wheel.advance(now);
+    ASSERT_LE(token.use_count(), 2) << "after cycle " << i;
+  }
+  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 // ------------------------------------------------------- SimTransport seam
 
 TEST(SimTransport, ForwardsTheEndpointContract) {

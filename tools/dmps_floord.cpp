@@ -52,7 +52,16 @@ struct Options {
   std::string metrics_out;  // empty = stdout only
 };
 
+constexpr const char* kUsage =
+    "usage: dmps_floord [--port 4711] [--shards 1] [--hosts 4] [--groups 4]\n"
+    "                   [--members 64] [--capacity 4.0]\n"
+    "                   [--policy three_regime|queueing] [--metrics-out PATH]\n";
+
 Options parse(int argc, char** argv) {
+  tools::check_flags(argc, argv, "dmps_floord",
+                     {"--port", "--shards", "--hosts", "--groups", "--members",
+                      "--capacity", "--policy", "--metrics-out"},
+                     kUsage);
   Options opt;
   opt.port = static_cast<std::uint16_t>(
       tools::flag_long(argc, argv, "--port", opt.port));

@@ -116,9 +116,20 @@ struct LoadRun {
   }
 };
 
+constexpr const char* kUsage =
+    "usage: dmps_loadgen [--host 127.0.0.1] [--port 4711] [--agents 32]\n"
+    "                    [--duration 2] [--grace 2] [--hold-ms 10]\n"
+    "                    [--hosts 4] [--groups 4] [--shards 1]\n"
+    "                    [--name wire_loadgen] [--spawn PATH/dmps_floord]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  tools::check_flags(argc, argv, "dmps_loadgen",
+                     {"--host", "--port", "--agents", "--duration", "--grace",
+                      "--hold-ms", "--hosts", "--groups", "--shards", "--name",
+                      "--spawn"},
+                     kUsage);
   LoadRun run;
   Options& opt = run.opt;
   opt.host = tools::flag_string(argc, argv, "--host", opt.host.c_str());

@@ -25,9 +25,48 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 
 namespace dmps::tools {
+
+/// Refuse a command line that holds anything but the `known` flags, each
+/// taking one value (`--name value` or `--name=value`). `--help` prints
+/// `usage` on stdout and exits 0. An unknown flag, a stray argument or a
+/// flag whose value is missing prints the offender and `usage` on stderr
+/// and exits 2. Call it first in main, so a typo never starts a run.
+inline void check_flags(int argc, char** argv, const char* program,
+                        std::initializer_list<const char*> known,
+                        const char* usage) {
+  const auto refuse = [&](const char* what, const char* arg) {
+    std::fprintf(stderr, "%s: %s '%s'\n%s", program, what, arg, usage);
+    std::exit(2);
+  };
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--help") == 0) {
+      std::fputs(usage, stdout);
+      std::exit(0);
+    }
+    const char* eq = std::strchr(arg, '=');
+    const std::size_t len =
+        eq != nullptr ? static_cast<std::size_t>(eq - arg) : std::strlen(arg);
+    bool is_known = false;
+    for (const char* name : known) {
+      is_known |= std::strlen(name) == len && std::strncmp(arg, name, len) == 0;
+    }
+    if (std::strncmp(arg, "--", 2) != 0 || !is_known) {
+      refuse("unknown flag", arg);
+    }
+    if (eq != nullptr) {
+      if (eq[1] == '\0') refuse("missing value for", arg);
+    } else if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      refuse("missing value for", arg);
+    } else {
+      ++i;  // the value
+    }
+  }
+}
 
 /// `--name value` or `--name=value`; nullptr when absent.
 inline const char* flag_value(int argc, char** argv, const char* name) {
