@@ -20,14 +20,12 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <future>
 #include <new>
 #include <string>
 #include <thread>
 
 #include "bench_common.hpp"
 #include "clock/drift_clock.hpp"
-#include "floor/parallel_sharded_service.hpp"
 #include "floor/service.hpp"
 #include "floor/sharded_service.hpp"
 #include "obs/registry.hpp"
@@ -476,20 +474,20 @@ struct ScalingWorld {
     return r;
   }
 
-  /// Seat the resident population on `service` (any facade exposing
-  /// add_host + a synchronous per-shard request path).
-  template <typename AddHost, typename Request>
-  void populate(AddHost&& add_host, Request&& request) {
+  /// Seat the resident population on `service` (inline, before any
+  /// start()).
+  void populate(ShardedFloorService& service) {
     const double fat_qos = 0.4 / kFat;
     const double tiny_qos = 0.4 / kTiny;
     for (int h = 0; h < kShards; ++h) {
-      add_host(hosts[static_cast<std::size_t>(h)], Resource{1.0, 1.0, 1.0});
+      service.add_host(hosts[static_cast<std::size_t>(h)],
+                       Resource{1.0, 1.0, 1.0});
     }
     for (int h = 0; h < kShards; ++h) {
       const auto& members = preload[static_cast<std::size_t>(h)];
       for (int i = 0; i < kFat + kTiny; ++i) {
         const bool is_fat = i < kFat;
-        const auto d = request(make_request(
+        const auto d = service.request(make_request(
             members[static_cast<std::size_t>(i)],
             hosts[static_cast<std::size_t>(h)], is_fat ? fat_qos : tiny_qos));
         if (d.outcome != Outcome::kGranted &&
@@ -505,11 +503,11 @@ struct ScalingWorld {
 void parallel_strong_scaling_scenario() {
   // The ROADMAP scale item, measured: shards execute on real threads. Same
   // total request load in every row — kShards shards x kPairsPerShard
-  // degraded probe+release pairs — first on the single-threaded
-  // ShardedFloorService (the baseline the speedup column divides by), then
-  // on ParallelShardedFloorService with 1..16 worker threads. The producer
-  // pipelines each shard's probe and release into the shard's mailbox
-  // (per-shard FIFO makes that safe); completions are counted by callback.
+  // degraded probe+release pairs — first on an inline ShardedFloorService
+  // (the baseline the speedup column divides by), then on one started with
+  // 1..16 worker threads. The producer pipelines each shard's probe and
+  // release into the shard's mailbox (per-shard FIFO makes that safe);
+  // completions are counted by callback.
   dmps::bench::table_header(
       "ALG-FCM: parallel shard execution, strong scaling (16 shards, fixed "
       "total degraded-arbitration load, workers = threads owning the shards)",
@@ -525,9 +523,7 @@ void parallel_strong_scaling_scenario() {
     ScalingWorld world;
     ShardedFloorService service{world.registry, world.clock,
                                 Thresholds{0.25, 0.05}};
-    world.populate(
-        [&](HostId host, Resource capacity) { service.add_host(host, capacity); },
-        [&](const FloorRequest& r) { return service.request(r); });
+    world.populate(service);
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < ScalingWorld::kPairsPerShard; ++i) {
       for (int h = 0; h < ScalingWorld::kShards; ++h) {
@@ -553,15 +549,10 @@ void parallel_strong_scaling_scenario() {
 
   for (const std::size_t workers : {1u, 2u, 4u, 8u, 16u}) {
     ScalingWorld world;
-    ParallelShardedFloorService::Options options;
-    options.workers = workers;
-    ParallelShardedFloorService service{world.registry, world.clock,
-                                        Thresholds{0.25, 0.05}, options};
-    // Populate through the shards directly (setup phase, pre-start).
-    world.populate(
-        [&](HostId host, Resource capacity) { service.add_host(host, capacity); },
-        [&](const FloorRequest& r) { return service.shard(r.host)->request(r); });
-    service.start();
+    ShardedFloorService service{world.registry, world.clock,
+                                Thresholds{0.25, 0.05}};
+    world.populate(service);  // inline, then hand the shards to workers
+    service.start(workers);
 
     std::atomic<long> degraded{0};
     std::atomic<long> other{0};
@@ -623,366 +614,13 @@ void parallel_strong_scaling_scenario() {
                      "parallel", workers, total_pairs, wall_ms,
                      total_pairs / (wall_ms / 1000.0), speedup, hw);
   }
-
-  // Same load through the batched submission path: one producer ships each
-  // round as a request_batch of kShards probes plus a pipelined
-  // release_batch (release_on-shaped items make that safe), so every shard
-  // sees one mailbox entry per direction per round instead of
-  // kPairsPerShard individual pushes.
-  for (const std::size_t workers : {1u, 2u, 4u, 8u, 16u}) {
-    ScalingWorld world;
-    ParallelShardedFloorService::Options options;
-    options.workers = workers;
-    ParallelShardedFloorService service{world.registry, world.clock,
-                                        Thresholds{0.25, 0.05}, options};
-    world.populate(
-        [&](HostId host, Resource capacity) { service.add_host(host, capacity); },
-        [&](const FloorRequest& r) { return service.shard(r.host)->request(r); });
-    service.start();
-
-    std::atomic<long> degraded{0};
-    std::atomic<long> other{0};
-    std::atomic<long> released{0};
-    const auto on_decisions = [&](const std::vector<FloorRequest>&,
-                                  std::vector<Decision>& decisions) {
-      for (const Decision& d : decisions) {
-        if (d.outcome == Outcome::kGrantedDegraded) {
-          degraded.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          other.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    };
-    const auto on_releases = [&](const std::vector<HostRelease>&,
-                                 std::vector<ReleaseResult>& results) {
-      released.fetch_add(static_cast<long>(results.size()),
-                         std::memory_order_relaxed);
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < ScalingWorld::kPairsPerShard; ++i) {
-      auto probes = service.take_request_buffer();
-      for (std::size_t h = 0; h < ScalingWorld::kShards; ++h) {
-        probes.push_back(
-            world.make_request(world.probers[h], world.hosts[h], probe_qos));
-      }
-      service.request_batch(std::move(probes), on_decisions);
-      auto releases = service.take_release_buffer();
-      for (std::size_t h = 0; h < ScalingWorld::kShards; ++h) {
-        releases.push_back(
-            HostRelease{world.hosts[h], world.probers[h], world.group});
-      }
-      service.release_batch(std::move(releases), on_releases);
-    }
-    service.drain();
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    if (degraded.load() != total_pairs || other.load() != 0 ||
-        released.load() != total_pairs || service.suspended_grants() != 0) {
-      std::fprintf(stderr,
-                   "batch scaling invariant violated at workers=%zu "
-                   "(degraded=%ld other=%ld released=%ld suspended=%zu)\n",
-                   workers, degraded.load(), other.load(), released.load(),
-                   service.suspended_grants());
-      std::abort();
-    }
-    service.stop();
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2f", seq_wall_ms / wall_ms);
-    dmps::bench::row("%-9s | %7zu | %11d | %7.1f | %13.0f | %14s | %10u",
-                     "batch", workers, total_pairs, wall_ms,
-                     total_pairs / (wall_ms / 1000.0), speedup, hw);
-  }
-}
-
-/// The submission-overhead world: kSubShards shards with effectively
-/// infinite capacity, so every op is a plain grant or release and the
-/// arbitration itself is as cheap as it gets — what remains is the cost of
-/// getting ops to the workers, which is exactly what batching attacks.
-struct SubmissionWorld {
-  static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kPerShard = 64;  // members (= ops) per shard
-
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
-  GroupRegistry registry;
-  GroupId group;
-  std::vector<HostId> hosts;
-  std::vector<std::vector<MemberId>> members;  // per shard
-
-  SubmissionWorld() {
-    GroupRegistry::Batch batch(registry);
-    const auto chair = registry.add_member("chair", 3, HostId{1});
-    group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-    for (std::size_t h = 0; h < kShards; ++h) {
-      hosts.push_back(HostId{static_cast<std::uint32_t>(h + 1)});
-      members.emplace_back();
-      for (std::size_t i = 0; i < kPerShard; ++i) {
-        const auto member = registry.add_member(
-            "s" + std::to_string(h) + "_" + std::to_string(i),
-            1 + static_cast<int>(i % 3), hosts.back());
-        (void)registry.join(member, group);
-        members.back().push_back(member);
-      }
-    }
-  }
-
-  FloorRequest make_request(std::size_t h, std::size_t i) const {
-    FloorRequest r;
-    r.group = group;
-    r.member = members[h][i];
-    r.host = hosts[h];
-    r.qos = media::QosRequirement{0.001, 0.001, 0.001};
-    return r;
-  }
-};
-
-void batched_submission_scenario() {
-  // The batching headline number: the same plain-grant request+release
-  // stream submitted three ways at each worker count — per-op with
-  // futures (the result-returning API: one promise allocation and one
-  // futex wait per op), per-op with callbacks (the expert pipelining
-  // path: still two mailbox pushes and two callback invocations per
-  // pair), and through request_batch/release_batch (one mailbox entry
-  // per shard per direction per round, one callback per batch, arena
-  // buffers). batch_gain = this row's ns_per_pair / the batch row's at
-  // the same worker count — how many times fewer ns/op the batched path
-  // takes than that submission style. The sequential facade's batch
-  // surface rides along for parity (workers column 0).
-  dmps::bench::table_header(
-      "ALG-FCM: batched vs per-op submission (16 shards, plain-grant "
-      "request+release pairs, 1024 ops per batch round, best of 3 "
-      "interleaved runs, batch_gain = row ns / batch ns)",
-      "mode      | workers | pairs_total | wall_ms | ns_per_pair | batch_gain");
-#ifdef DMPS_SANITIZED
-  const int rounds = 60;
-#else
-  const int rounds = 1000;
-#endif
-  const long total_pairs = static_cast<long>(rounds) *
-                           SubmissionWorld::kShards *
-                           SubmissionWorld::kPerShard;
-
-  const auto report = [&](const char* mode, std::size_t workers,
-                          double wall_ms, double gain) {
-    const double ns_per_pair = wall_ms * 1e6 / static_cast<double>(total_pairs);
-    char gain_cell[32];
-    if (gain > 0) {
-      std::snprintf(gain_cell, sizeof(gain_cell), "%.2f", gain);
-    } else {
-      std::snprintf(gain_cell, sizeof(gain_cell), "-");
-    }
-    dmps::bench::row("%-9s | %7zu | %11ld | %7.1f | %11.0f | %10s", mode,
-                     workers, total_pairs, wall_ms, ns_per_pair, gain_cell);
-    return ns_per_pair;
-  };
-
-  const auto check = [](long granted, long other, long released,
-                        long expected) {
-    if (granted != expected || other != 0 || released != expected) {
-      std::fprintf(stderr,
-                   "submission invariant violated "
-                   "(granted=%ld other=%ld released=%ld expected=%ld)\n",
-                   granted, other, released, expected);
-      std::abort();
-    }
-  };
-
-  // Sequential facade first: same batch shape, no threads involved.
-  {
-    SubmissionWorld world;
-    ShardedFloorService service{world.registry, world.clock,
-                                Thresholds{0.25, 0.05}};
-    for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-      service.add_host(world.hosts[h], Resource{1e9, 1e9, 1e9});
-    }
-    long granted = 0, other = 0, released = 0;
-    double seq_single_wall = 0.0;
-
-    auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-        for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-          const Decision d = service.request(world.make_request(h, i));
-          d.outcome == Outcome::kGranted ? ++granted : ++other;
-          released += service
-                          .release_on(world.hosts[h], world.members[h][i],
-                                      world.group)
-                          .released
-                          ? 1
-                          : 0;
-        }
-      }
-    }
-    seq_single_wall = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    check(granted, other, released, total_pairs);
-
-    granted = other = released = 0;
-    std::vector<FloorRequest> requests;
-    std::vector<Decision> decisions;
-    std::vector<HostRelease> releases;
-    std::vector<ReleaseResult> results;
-    t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      requests.clear();
-      releases.clear();
-      for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-        for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-          requests.push_back(world.make_request(h, i));
-          releases.push_back(
-              HostRelease{world.hosts[h], world.members[h][i], world.group});
-        }
-      }
-      service.request_batch(requests, decisions);
-      for (const Decision& d : decisions) {
-        d.outcome == Outcome::kGranted ? ++granted : ++other;
-      }
-      service.release_batch(releases, results);
-      for (const ReleaseResult& result : results) {
-        released += result.released ? 1 : 0;
-      }
-    }
-    const double seq_batch_wall = std::chrono::duration<double, std::milli>(
-                                      std::chrono::steady_clock::now() - t0)
-                                      .count();
-    check(granted, other, released, total_pairs);
-    report("seq", 0, seq_single_wall,
-           seq_batch_wall > 0 ? seq_single_wall / seq_batch_wall : 0.0);
-    report("seq-batch", 0, seq_batch_wall, 0.0);
-  }
-
-  enum class SubmitMode { kFuture, kSingleton, kBatch };
-  for (const std::size_t workers : {1u, 4u}) {
-    std::atomic<long> granted{0};
-    std::atomic<long> other{0};
-    std::atomic<long> released{0};
-    const auto reset = [&] { granted = other = released = 0; };
-
-    const auto run = [&](SubmitMode mode) -> double {
-      SubmissionWorld world;
-      ParallelShardedFloorService::Options options;
-      options.workers = workers;
-      ParallelShardedFloorService service{world.registry, world.clock,
-                                          Thresholds{0.25, 0.05}, options};
-      for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-        service.add_host(world.hosts[h], Resource{1e9, 1e9, 1e9});
-      }
-      service.start();
-      const auto on_decision = [&](const Decision& d) {
-        if (d.outcome == Outcome::kGranted) {
-          granted.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          other.fetch_add(1, std::memory_order_relaxed);
-        }
-      };
-      const auto on_release = [&](const ReleaseResult& result) {
-        if (result.released) released.fetch_add(1, std::memory_order_relaxed);
-      };
-      const auto on_decisions = [&](const std::vector<FloorRequest>&,
-                                    std::vector<Decision>& decisions) {
-        for (const Decision& d : decisions) on_decision(d);
-      };
-      const auto on_releases = [&](const std::vector<HostRelease>&,
-                                   std::vector<ReleaseResult>& results) {
-        for (const ReleaseResult& result : results) on_release(result);
-      };
-
-      // The future mode keeps a round's worth of ops in flight, then
-      // settles — a per-op window would serialize producer and worker.
-      std::vector<std::future<Decision>> pending_decisions;
-      std::vector<std::future<ReleaseResult>> pending_releases;
-      pending_decisions.reserve(SubmissionWorld::kShards *
-                                SubmissionWorld::kPerShard);
-      pending_releases.reserve(SubmissionWorld::kShards *
-                               SubmissionWorld::kPerShard);
-
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < rounds; ++r) {
-        switch (mode) {
-          case SubmitMode::kBatch: {
-            auto requests = service.take_request_buffer();
-            auto releases = service.take_release_buffer();
-            for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-              for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-                requests.push_back(world.make_request(h, i));
-                releases.push_back(HostRelease{
-                    world.hosts[h], world.members[h][i], world.group});
-              }
-            }
-            service.request_batch(std::move(requests), on_decisions);
-            service.release_batch(std::move(releases), on_releases);
-            break;
-          }
-          case SubmitMode::kSingleton: {
-            for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-              for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-                service.request(world.make_request(h, i), on_decision);
-                service.release_on(world.hosts[h], world.members[h][i],
-                                   world.group, on_release);
-              }
-            }
-            break;
-          }
-          case SubmitMode::kFuture: {
-            for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-              for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-                pending_decisions.push_back(
-                    service.request(world.make_request(h, i)));
-                pending_releases.push_back(service.release_on(
-                    world.hosts[h], world.members[h][i], world.group));
-              }
-            }
-            for (std::future<Decision>& pending : pending_decisions) {
-              on_decision(pending.get());
-            }
-            for (std::future<ReleaseResult>& pending : pending_releases) {
-              on_release(pending.get());
-            }
-            pending_decisions.clear();
-            pending_releases.clear();
-            break;
-          }
-        }
-      }
-      service.drain();
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-      check(granted.load(), other.load(), released.load(), total_pairs);
-      service.stop();
-      return wall_ms;
-    };
-
-    // Best of 3, modes interleaved within each attempt: submission
-    // overhead is tens of ns per pair, well inside scheduler noise on a
-    // loaded machine, and back-to-back sampling keeps one mode from
-    // eating a noisy phase the others missed.
-    double future_wall = 0.0, single_wall = 0.0, batch_wall = 0.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      const auto sample = [&](SubmitMode mode, double& best) {
-        reset();
-        const double wall = run(mode);
-        if (attempt == 0 || wall < best) best = wall;
-      };
-      sample(SubmitMode::kFuture, future_wall);
-      sample(SubmitMode::kSingleton, single_wall);
-      sample(SubmitMode::kBatch, batch_wall);
-    }
-    report("future", workers, future_wall,
-           batch_wall > 0 ? future_wall / batch_wall : 0.0);
-    report("singleton", workers, single_wall,
-           batch_wall > 0 ? single_wall / batch_wall : 0.0);
-    report("batch", workers, batch_wall, 0.0);
-  }
 }
 
 void million_member_scenario(const std::string& trace_out) {
   // The memory-diet acceptance run: a whole conference population — one
   // million member stations by default — spread over 64 host shards folded
-  // onto a handful of workers, driven through the batched pipeline twice.
+  // onto a handful of workers, driven twice through per-op callbacks
+  // (request + release_on, pipelined into the shard mailboxes).
   // Pass 1 is first-touch: it builds every holder-index entry, route entry
   // and pooled index node (that is where the RSS goes). Pass 2 replays the
   // identical stream against the warm structures and must execute with
@@ -999,20 +637,20 @@ void million_member_scenario(const std::string& trace_out) {
     if (parsed > 0) member_count = static_cast<std::size_t>(parsed);
   }
   constexpr std::size_t kShards = 64;
-  constexpr std::size_t kBatch = 4096;
-  // Drain every few batch-pairs: bounds outstanding grants (~kBatch x
-  // kDrainEvery) so peak RSS reflects the member population, not an
-  // unbounded grant backlog racing ahead of its releases.
-  constexpr std::size_t kDrainEvery = 8;
+  // Drain every kDrainEvery members: bounds outstanding grants so peak RSS
+  // reflects the member population, not an unbounded grant backlog racing
+  // ahead of its releases.
+  constexpr std::size_t kDrainEvery = 32768;
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t workers = std::min<std::size_t>(hw > 0 ? hw : 1, 8);
 
   dmps::bench::table_header(
-      "ALG-FCM: million-station memory diet (batched request+release over "
+      "ALG-FCM: million-station memory diet (per-op request+release over "
       "64 shards, two passes: cold first-touch, then warm steady state "
       "which must not allocate on the worker hot loop)",
-      "members | shards | workers | batch | pass1_wall_ms | pass2_wall_ms | "
-      "pass2_us_per_op | hot_loop_allocs | peak_rss_mb | alloc_probe");
+      "members | shards | workers | drain_every | pass1_wall_ms | "
+      "pass2_wall_ms | pass2_us_per_op | hot_loop_allocs | peak_rss_mb | "
+      "alloc_probe");
 
   sim::Simulator sim;
   clk::TrueClock clock{sim};
@@ -1027,17 +665,13 @@ void million_member_scenario(const std::string& trace_out) {
   // dmps-lint: obs-register-begin — per-sweep setup, before workers spawn.
   obs::FloorInstruments instruments(metrics);
   // dmps-lint: obs-register-end
-  ParallelShardedFloorService::Options options;
-  options.workers = workers;
   obs::TraceHub trace(workers, 4096);
   for (std::size_t w = 0; w < trace.size(); ++w) {
     trace.tracer(w).set_actor_mask(0xFFFu);
     trace.tracer(w).reserve_actors(4096);
   }
-  options.instruments = &instruments;
-  options.trace = &trace;
-  ParallelShardedFloorService service{registry, clock,
-                                      Thresholds{0.25, 0.05}, options};
+  ShardedFloorService service{registry, clock, Thresholds{0.25, 0.05}};
+  service.set_observability(&instruments, nullptr);
   std::vector<HostId> hosts;
   for (std::size_t h = 0; h < kShards; ++h) {
     hosts.push_back(HostId{static_cast<std::uint32_t>(h + 1)});
@@ -1062,47 +696,35 @@ void million_member_scenario(const std::string& trace_out) {
   // freeze so a lazy registration inside the probed loop throws instead of
   // silently allocating.
   metrics.freeze();
-  service.start();
+  service.start(workers, &trace);
 
   std::atomic<long> granted{0};
   std::atomic<long> other{0};
   std::atomic<long> released{0};
-  const auto on_decisions = [&](const std::vector<FloorRequest>&,
-                                std::vector<Decision>& decisions) {
-    for (const Decision& d : decisions) {
-      if (d.outcome == Outcome::kGranted) {
-        granted.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        other.fetch_add(1, std::memory_order_relaxed);
-      }
+  // Two captured references at most: std::function keeps such completions
+  // inline, so submitting an op allocates nothing either.
+  const auto on_decision = [&granted, &other](const Decision& d) {
+    if (d.outcome == Outcome::kGranted) {
+      granted.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      other.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  const auto on_releases = [&](const std::vector<HostRelease>&,
-                               std::vector<ReleaseResult>& results) {
-    for (const ReleaseResult& result : results) {
-      if (result.released) released.fetch_add(1, std::memory_order_relaxed);
-    }
+  const auto on_release = [&released](const ReleaseResult& result) {
+    if (result.released) released.fetch_add(1, std::memory_order_relaxed);
   };
 
   const auto run_pass = [&]() -> double {
     const auto t0 = std::chrono::steady_clock::now();
-    std::size_t issued = 0;
-    for (std::size_t offset = 0; offset < member_count; offset += kBatch) {
-      const std::size_t end = std::min(offset + kBatch, member_count);
-      auto requests = service.take_request_buffer();
-      auto releases = service.take_release_buffer();
-      for (std::size_t i = offset; i < end; ++i) {
-        FloorRequest r;
-        r.group = group;
-        r.member = members[i];
-        r.host = hosts[i % kShards];
-        r.qos = media::QosRequirement{0.001, 0.001, 0.001};
-        requests.push_back(r);
-        releases.push_back(HostRelease{r.host, r.member, group});
-      }
-      service.request_batch(std::move(requests), on_decisions);
-      service.release_batch(std::move(releases), on_releases);
-      if (++issued % kDrainEvery == 0) service.drain();
+    for (std::size_t i = 0; i < member_count; ++i) {
+      FloorRequest r;
+      r.group = group;
+      r.member = members[i];
+      r.host = hosts[i % kShards];
+      r.qos = media::QosRequirement{0.001, 0.001, 0.001};
+      service.request(r, on_decision);
+      service.release_on(r.host, r.member, group, on_release);
+      if ((i + 1) % kDrainEvery == 0) service.drain();
     }
     service.drain();
     return std::chrono::duration<double, std::milli>(
@@ -1155,9 +777,10 @@ void million_member_scenario(const std::string& trace_out) {
   const double us_per_op =
       pass2_ms * 1000.0 / (2.0 * static_cast<double>(member_count));
   dmps::bench::row(
-      "%7zu | %6zu | %7zu | %5zu | %13.1f | %13.1f | %15.3f | %15llu | "
+      "%7zu | %6zu | %7zu | %11zu | %13.1f | %13.1f | %15.3f | %15llu | "
       "%11llu | %11s",
-      member_count, kShards, workers, kBatch, pass1_ms, pass2_ms, us_per_op,
+      member_count, kShards, workers, kDrainEvery, pass1_ms, pass2_ms,
+      us_per_op,
       static_cast<unsigned long long>(hot_allocs),
       static_cast<unsigned long long>(dmps::bench::peak_rss_kb() / 1024),
       probe_active ? "on" : "off");
@@ -1224,7 +847,6 @@ int main(int argc, char** argv) {
   queue_depth_sweep_scenario();
   sharded_sweep_scenario();
   parallel_strong_scaling_scenario();
-  batched_submission_scenario();
   million_member_scenario(trace_out);
   return dmps::bench::run_micro(argc, argv, "bench_fcm_arbitrate");
 }

@@ -27,14 +27,19 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
                std::function construction, no mutation of
                std::unordered_map members. These are the alloc-probed
                paths; one stray node allocation regresses the
-               million-station sweep.
+               million-station sweep. The region names are declared in
+               DESIGN.md's ```dmps-hot-regions fenced block: a listed
+               region with no marker left (a deleted or moved file took
+               it along) and a marker naming an unlisted region are both
+               configuration errors.
 
 Escapes (use sparingly, justify in a comment):
   // dmps-lint: allow(<rule>)        trailing on the offending line
   // dmps-lint: allow-next(<rule>)   on the line before it
 
 Exit status: 0 clean, 1 violations (each printed as file:line: [rule] msg),
-2 configuration trouble (missing DAG block, unbalanced markers).
+2 configuration trouble (missing DAG or hot-regions block, unbalanced
+markers, hot regions that disagree with their block).
 """
 
 import argparse
@@ -419,7 +424,31 @@ def collect_umap_members(root):
     return names
 
 
+def parse_hot_regions(design_path):
+    """The ```dmps-hot-regions block: region names, whitespace-separated.
+    Returns the set of names, or None when the block is missing."""
+    try:
+        text = design_path.read_text()
+    except OSError:
+        return None
+    m = re.search(r"```dmps-hot-regions\n(.*?)```", text, re.S)
+    if not m:
+        return None
+    names = set()
+    for raw in m.group(1).splitlines():
+        names.update(raw.split("#", 1)[0].split())
+    return names
+
+
 def check_hot(root, violations, config_errors):
+    declared = parse_hot_regions(root / "DESIGN.md")
+    if declared is None:
+        config_errors.append(
+            "DESIGN.md: no ```dmps-hot-regions fenced block found — the hot "
+            "check needs the alloc-probed region names declared there "
+            "(see §10.3)")
+        declared = set()
+    seen = set()
     umap_members = collect_umap_members(root)
     mutate_re = None
     if umap_members:
@@ -441,6 +470,13 @@ def check_hot(root, violations, config_errors):
                             f"{rel}:{idx + 1}: nested hot-begin (inside "
                             f"'{region[0]}' from line {region[1]})")
                     region = (m.group("arg") or "?", idx + 1)
+                    seen.add(region[0])
+                    if region[0] not in declared:
+                        config_errors.append(
+                            f"{rel}:{idx + 1}: hot-begin('{region[0]}') names "
+                            "a region not listed in DESIGN.md's "
+                            "dmps-hot-regions block — list it there or fix "
+                            "the name")
                     continue
                 if kind == "hot-end":
                     if not region:
@@ -478,6 +514,11 @@ def check_hot(root, violations, config_errors):
             config_errors.append(
                 f"{rel}: hot-begin('{region[0]}') at line {region[1]} "
                 "never closed")
+    for name in sorted(declared - seen):
+        config_errors.append(
+            f"DESIGN.md: hot region '{name}' is listed in the "
+            "dmps-hot-regions block but no hot-begin marker names it — the "
+            "code it guarded moved or was deleted without its marker")
 
 
 # --------------------------------------------------------------------- main

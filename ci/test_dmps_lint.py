@@ -23,6 +23,20 @@ obs: util
 floor: util obs
 fproto: util obs floor
 ```
+```dmps-hot-regions
+drain
+route
+```
+"""
+
+# Marks both declared hot regions, so a tree without any other hot code
+# satisfies the region list.
+REGIONS_CPP = """// dmps-lint: hot-begin(drain)
+void drain_loop() {}
+// dmps-lint: hot-end
+// dmps-lint: hot-begin(route)
+void route_map() {}
+// dmps-lint: hot-end
 """
 
 CODEC_HPP = """#pragma once
@@ -92,6 +106,7 @@ def make_repo(root):
     write(root, "src/fproto/codec.cpp", CODEC_CPP)
     write(root, "tests/test_transport.cpp", TEST_TRANSPORT)
     write(root, "docs/WIRE.md", WIRE_MD)
+    write(root, "src/floor/regions.cpp", REGIONS_CPP)
 
 
 class LintCase(unittest.TestCase):
@@ -325,6 +340,33 @@ class HotRegions(LintCase):
               "// dmps-lint: hot-end\n")
         status, out, err = self.run_lint(self.root, ["hot"])
         self.assertEqual(status, 0, msg=out + err)
+
+    def test_listed_region_without_marker_is_config_error(self):
+        # The file holding 'route' lost its marker (as a deleted or moved
+        # file would take it along): the declared region is now unguarded.
+        write(self.root, "src/floor/regions.cpp",
+              "// dmps-lint: hot-begin(drain)\n"
+              "void drain_loop() {}\n"
+              "// dmps-lint: hot-end\n")
+        status, _, err = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 2)
+        self.assertIn("hot region 'route' is listed", err)
+
+    def test_unlisted_region_marker_is_config_error(self):
+        write(self.root, "src/floor/hot.cpp",
+              "// dmps-lint: hot-begin(stray)\n"
+              "void stray() {}\n"
+              "// dmps-lint: hot-end\n")
+        status, _, err = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 2)
+        self.assertIn("hot-begin('stray') names a region not listed", err)
+
+    def test_missing_hot_regions_block_is_config_error(self):
+        write(self.root, "DESIGN.md",
+              DESIGN_WITH_DAG.split("```dmps-hot-regions")[0])
+        status, _, err = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 2)
+        self.assertIn("no ```dmps-hot-regions fenced block", err)
 
     def test_unbalanced_hot_begin_is_config_error(self):
         write(self.root, "src/floor/hot.cpp",

@@ -7,8 +7,8 @@
 // the chosen ArbitrationPolicy against the GrantStore it owns. Servers
 // (fproto::FloorServer), sessions and benches consume exactly this
 // interface and never see grant slots or policy internals; it is also the
-// per-shard surface ShardedFloorService and ParallelShardedFloorService
-// federate (one FloorService per host station).
+// per-shard surface ShardedFloorService federates (one FloorService per
+// host station, inline or on a shard worker thread).
 //
 // Conference state is read through immutable GroupSnapshots only. The
 // explicit `const GroupSnapshot&` overloads are the core: every request /

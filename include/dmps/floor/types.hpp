@@ -53,16 +53,6 @@ struct FloorRequest {
   media::QosRequirement qos;
 };
 
-/// One coalesced, shard-scoped release: drop everything `member` holds in
-/// `group` on `host`. These are release_on-shaped on purpose — the caller
-/// names the shard, so a release batch can be pipelined behind the request
-/// batch that granted there (per-shard FIFO) without awaiting decisions.
-struct HostRelease {
-  HostId host;
-  MemberId member;
-  GroupId group;
-};
-
 enum class Outcome {
   kGranted,
   kGrantedDegraded,
@@ -131,9 +121,9 @@ class FloorControl {
 };
 
 /// Fold one shard's release result into an accumulated one — the single
-/// merge rule every sharded facade (sequential or parallel) must share, so
-/// a new ReleaseResult field cannot be dropped by one facade and kept by
-/// the other.
+/// merge rule ShardedFloorService applies under both of its executors, so
+/// a new ReleaseResult field cannot be dropped by one and kept by the
+/// other.
 inline void merge_release_results(ReleaseResult& into, ReleaseResult&& from) {
   into.released |= from.released;
   into.resumed.insert(into.resumed.end(), from.resumed.begin(),

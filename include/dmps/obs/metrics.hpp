@@ -1,15 +1,15 @@
 #pragma once
 // dmps::obs metric instruments: Counter, Gauge, Histogram.
 //
-// Design constraints (DESIGN.md §7): the instrumented hot path — the
-// parallel floor workers inside their alloc-probed drain loop — must stay
+// Design constraints (DESIGN.md §7): the instrumented hot path — the floor
+// service's shard workers inside their alloc-probed drain loop — must stay
 // steady-state allocation-free and nearly contention-free. So every
 // instrument here is a fixed-size block of atomics:
 //
 //   Counter / Gauge — 16 cache-line-padded int64 cells, striped by a
 //     per-thread lane id, written with one relaxed fetch_add. value() sums
 //     the stripes (quiescent- or approximate-read semantics, like every
-//     aggregate in the parallel service).
+//     aggregate of a started ShardedFloorService).
 //   Histogram — 32 power-of-two buckets plus sum and count, all relaxed
 //     atomics. Exact under concurrency (fetch_add loses nothing); callers
 //     that need to bound the per-op cost sample before recording (the
@@ -71,9 +71,9 @@ class Counter {
 
 /// A level that moves both ways through deltas (queue depth, in-flight
 /// count). Absolute levels that live in component state (GrantStore
-/// occupancy, mailbox size) are better served by a registry callback gauge
-/// — see MetricsRegistry::gauge_callback — read at snapshot time instead
-/// of being pushed on every transition.
+/// occupancy) are better served by a registry callback gauge — see
+/// MetricsRegistry::gauge_callback — read at snapshot time instead of
+/// being pushed on every transition.
 class Gauge {
  public:
   static constexpr std::size_t kStripes = 16;

@@ -9,8 +9,8 @@
 // several components can share one logical counter by agreeing on its
 // name. Callback gauges register a std::function read at snapshot time —
 // the pull-style instrument for levels that already live in component
-// state (GrantStore occupancy, mailbox depth, network totals), costing the
-// hot path nothing.
+// state (GrantStore occupancy, network totals), costing the hot path
+// nothing.
 //
 // The pre-registration rule (DESIGN.md §7): register every instrument
 // before spawning workers, then freeze(). A frozen registry refuses new
@@ -98,9 +98,10 @@ class MetricsRegistry {
   std::vector<CallbackGauge> callbacks_ DMPS_GUARDED_BY(mu_);
 };
 
-/// The floor-control layer's instruments (FloorService and both sharded
-/// facades write these). One pack per registry; names are stable API — the
-/// session stats migration and the bench JSON read them back by name.
+/// The floor-control layer's instruments (FloorService and the
+/// ShardedFloorService around it write these). One pack per registry;
+/// names are stable API — the session stats migration and the bench JSON
+/// read them back by name.
 struct FloorInstruments {
   Counter& requests;           // floor.requests
   Counter& granted;            // floor.granted

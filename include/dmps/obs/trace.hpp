@@ -3,8 +3,8 @@
 //
 // TraceRing — a bounded single-writer ring of typed TraceEvents. Overflow
 // overwrites the OLDEST events (the newest window is what a post-mortem
-// wants) and counts drops. One ring belongs to one thread; the parallel
-// floor path gives each worker its own ring through a TraceHub.
+// wants) and counts drops. One ring belongs to one thread; a started
+// ShardedFloorService gives each worker its own ring through a TraceHub.
 //
 // Tracer — one ring plus an online fingerprint accumulator and an optional
 // time source (sim-time for sessions, unset = 0 for pure-throughput
@@ -21,8 +21,8 @@
 // chained mix. Timestamps and floats never enter the hash (ids, kinds,
 // args and integer values only), so the fingerprint is bit-identical
 // across compilers and across runs of any deterministic scenario.
-// Mailbox enqueue/drain events are trace-only (kFingerprintMask): their
-// cadence depends on thread timing even when the decisions don't.
+// Mailbox drain events are trace-only (kFingerprintMask): their cadence
+// depends on thread timing even when the decisions don't.
 //
 // TraceHub — N tracers (one per worker) plus merged-fingerprint and
 // Chrome trace-event export ({"traceEvents":[...]}, loadable in
@@ -55,7 +55,6 @@ enum class Ev : std::uint8_t {
   kRetransmit,      // fproto retransmission (client op or server notify)
   kDupDrop,         // duplicate/stale message suppressed
   kReplayHit,       // server answered a duplicate from its stored reply
-  kMailboxEnqueue,  // op accepted into a shard mailbox (trace-only)
   kMailboxDrain,    // worker drained a backlog (value = size; trace-only)
   kCount,
 };
@@ -63,10 +62,9 @@ enum class Ev : std::uint8_t {
 std::string_view to_string(Ev kind);
 
 /// Events folded into the fingerprint. Mailbox cadence is thread-timing-
-/// dependent even in deterministic scenarios, so those two stay trace-only.
+/// dependent even in deterministic scenarios, so drains stay trace-only.
 constexpr std::uint32_t kFingerprintMask =
     ((1u << static_cast<unsigned>(Ev::kCount)) - 1u) &
-    ~(1u << static_cast<unsigned>(Ev::kMailboxEnqueue)) &
     ~(1u << static_cast<unsigned>(Ev::kMailboxDrain));
 
 struct TraceEvent {

@@ -1,7 +1,7 @@
 #pragma once
 // MpscMailbox: a bounded multi-producer / single-consumer mailbox.
 //
-// The handoff primitive of the parallel floor-control path: any number of
+// The handoff primitive of the started floor-control path: any number of
 // producer threads push operations, one worker thread drains and executes
 // them in arrival order. The bound is backpressure, not a drop policy —
 // push() blocks while the mailbox is full, so a burst of producers cannot
@@ -10,27 +10,17 @@
 // never touches the heap — the mailbox itself contributes zero per-op
 // allocations to the worker pipeline.
 //
-// Bulk interface. push_all() hands over a whole run of items in one lock
-// episode and at most one consumer wakeup per episode (it only splits into
-// several episodes when the batch is larger than the free space, blocking
-// between them); pop_all() moves the entire backlog out in one lock
-// episode, so a worker wakes once per burst instead of once per item.
+// The consumer drains in bulk: pop_all() moves the entire backlog out in
+// one lock episode, so a worker wakes once per burst instead of once per
+// item. FIFO contract: the consumer sees every producer's items in that
+// producer's push order.
 //
-// FIFO contract (unchanged from the per-item interface): the consumer sees
-// every producer's items in that producer's push order, whether they
-// arrived via push(), push_all(), pop() or pop_all(). Items from a single
-// push_all() call are additionally contiguous unless the call had to block
-// on a full mailbox — then another producer's items may land between its
-// episodes (per-producer order still holds).
-//
-// Shutdown and quiescence (unchanged):
-//   close()      — producers get false/0 from then on; the consumer drains
-//                  what was already accepted, then pop() returns nullopt
-//                  and pop_all() returns 0.
+// Shutdown and quiescence:
+//   close()      — producers get false from then on; the consumer drains
+//                  what was already accepted, then pop_all() returns 0.
 //   mark_done(n) — the consumer reports n previously dequeued items fully
 //                  processed; dequeuing alone only proves they left the
-//                  queue. pop() pairs with mark_done(), pop_all() with
-//                  mark_done(n).
+//                  queue.
 //   wait_idle()  — blocks until the queue is empty AND every dequeued item
 //                  was mark_done()'d. Because the wait happens under the
 //                  same mutex the consumer signals through, everything the
@@ -44,7 +34,6 @@
 // the clang CI leg proves the discipline at compile time (DESIGN.md §10).
 
 #include <cstddef>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -76,52 +65,6 @@ class MpscMailbox {
     return true;
   }
 
-  /// Producer: enqueue only if there is room right now (same no-move-on-
-  /// failure guarantee as push).
-  bool try_push(T&& item) {
-    MutexLock lock(mu_);
-    if (closed_ || count_ >= capacity_) return false;
-    slot(count_) = std::move(item);
-    ++count_;
-    if (count_ == 1) not_empty_.notify_one();
-    return true;
-  }
-
-  /// Producer: enqueue items[0..count) in order, blocking for space as
-  /// needed. Returns how many items were accepted — less than `count` only
-  /// once the mailbox is closed, and the unaccepted tail items[accepted..)
-  /// is left untouched so the caller can refuse each one individually.
-  std::size_t push_all(T* items, std::size_t count) {
-    std::size_t accepted = 0;
-    MutexLock lock(mu_);
-    while (accepted < count) {
-      while (!closed_ && count_ >= capacity_) not_full_.wait(mu_, lock);
-      if (closed_) break;
-      const bool was_empty = (count_ == 0);
-      while (accepted < count && count_ < capacity_) {
-        slot(count_) = std::move(items[accepted]);
-        ++accepted;
-        ++count_;
-      }
-      if (was_empty) not_empty_.notify_one();
-    }
-    return accepted;
-  }
-
-  /// Consumer: dequeue the oldest item, blocking while empty. Returns
-  /// nullopt once the mailbox is closed and drained.
-  std::optional<T> pop() {
-    MutexLock lock(mu_);
-    while (!closed_ && count_ == 0) not_empty_.wait(mu_, lock);
-    if (count_ == 0) return std::nullopt;
-    std::optional<T> item(std::move(ring_[head_]));
-    head_ = (head_ + 1) % capacity_;
-    --count_;
-    ++in_flight_;
-    not_full_.notify_one();
-    return item;
-  }
-
   /// Consumer: move the whole backlog (at most capacity() items) onto the
   /// end of `out`, blocking while empty. Returns the number of items
   /// appended; 0 means closed and drained. The items count as in flight
@@ -144,7 +87,7 @@ class MpscMailbox {
   }
 
   /// Consumer: n previously dequeued items are fully processed.
-  void mark_done(std::size_t n = 1) {
+  void mark_done(std::size_t n) {
     MutexLock lock(mu_);
     in_flight_ -= n;
     if (in_flight_ == 0 && count_ == 0) idle_.notify_all();
@@ -166,14 +109,6 @@ class MpscMailbox {
   }
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const {
-    MutexLock lock(mu_);
-    return count_;
-  }
-  bool closed() const {
-    MutexLock lock(mu_);
-    return closed_;
-  }
 
  private:
   /// The ring slot `logical` positions past the oldest item.
@@ -182,7 +117,7 @@ class MpscMailbox {
   }
 
   const std::size_t capacity_;
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar not_full_;
   CondVar not_empty_;
   CondVar idle_;

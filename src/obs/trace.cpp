@@ -21,7 +21,6 @@ std::string_view to_string(Ev kind) {
     case Ev::kRetransmit: return "retransmit";
     case Ev::kDupDrop: return "dup_drop";
     case Ev::kReplayHit: return "replay_hit";
-    case Ev::kMailboxEnqueue: return "mailbox_enqueue";
     case Ev::kMailboxDrain: return "mailbox_drain";
     case Ev::kCount: break;
   }

@@ -528,100 +528,113 @@ TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
   // members re-request while parked, release, and leave and rejoin groups.
   // The expected hash was recorded before the promotion pass learned to
   // stop once its host is below beta: that early exit must change nothing.
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
-  GroupRegistry registry;
-  const Thresholds thresholds{0.25, 0.05};
-  FloorService single{registry, clock, thresholds};
-  ShardedFloorService sharded{registry, clock, thresholds};
-  constexpr std::uint32_t kHosts = 4;
-  constexpr std::uint32_t kGroups = 4;
-  constexpr std::uint32_t kMembers = 48;
-  for (std::uint32_t h = 1; h <= kHosts; ++h) {
-    single.add_host(HostId{h}, Resource{1.0, 1.0, 1.0});
-    sharded.add_host(HostId{h}, Resource{1.0, 1.0, 1.0});
-  }
-  std::vector<GroupId> groups;
-  std::vector<MemberId> members;
-  {
-    GroupRegistry::Batch batch(registry);
-    const MemberId chair = registry.add_member("chair", 3, HostId{1});
-    for (std::uint32_t g = 0; g < kGroups; ++g) {
-      groups.push_back(registry.create_group(
-          "g" + std::to_string(g), FcmMode::kFreeAccess, chair,
-          g + 1 < kGroups ? PolicyKind::kQueueing : PolicyKind::kThreeRegime));
+  // The stream runs twice, on a fresh registry each time: once with the
+  // sharded service inline, once started on 2 workers. Both executors must
+  // reproduce the hash — the started run goes through the waiting calls,
+  // merges multi-host releases in route order, and sees the registry's
+  // leave/join between its ops.
+  const auto run = [](std::size_t workers) {
+    sim::Simulator sim;
+    clk::TrueClock clock{sim};
+    GroupRegistry registry;
+    const Thresholds thresholds{0.25, 0.05};
+    FloorService single{registry, clock, thresholds};
+    ShardedFloorService sharded{registry, clock, thresholds};
+    constexpr std::uint32_t kHosts = 4;
+    constexpr std::uint32_t kGroups = 4;
+    constexpr std::uint32_t kMembers = 48;
+    for (std::uint32_t h = 1; h <= kHosts; ++h) {
+      single.add_host(HostId{h}, Resource{1.0, 1.0, 1.0});
+      sharded.add_host(HostId{h}, Resource{1.0, 1.0, 1.0});
     }
+    if (workers > 0) sharded.start(workers);
+    std::vector<GroupId> groups;
+    std::vector<MemberId> members;
+    {
+      GroupRegistry::Batch batch(registry);
+      const MemberId chair = registry.add_member("chair", 3, HostId{1});
+      for (std::uint32_t g = 0; g < kGroups; ++g) {
+        groups.push_back(registry.create_group(
+            "g" + std::to_string(g), FcmMode::kFreeAccess, chair,
+            g + 1 < kGroups ? PolicyKind::kQueueing : PolicyKind::kThreeRegime));
+      }
+      for (std::uint32_t i = 0; i < kMembers; ++i) {
+        members.push_back(registry.add_member("m" + std::to_string(i),
+                                              1 + static_cast<int>(i % 3),
+                                              HostId{1 + i % kHosts}));
+        registry.join(members.back(), groups[i % kGroups]);
+        registry.join(members.back(), groups[(i + 1) % kGroups]);
+      }
+    }
+
+    StreamHash hash;
+    RegimeTally tally;
+    const auto fold_decisions = [&](const FloorRequest& r) {
+      for (const Decision& d : {single.request(r), sharded.request(r)}) {
+        hash.decision(d);
+        tally.decision(d);
+      }
+    };
+    const auto fold_releases = [&](MemberId m, GroupId g) {
+      for (const ReleaseResult& r :
+           {single.release(m, g), sharded.release(m, g)}) {
+        hash.result(r);
+        tally.result(r);
+      }
+    };
+
+    const double sizes[] = {0.05, 0.1, 0.15, 0.25, 0.3, 0.45, 0.7};
+    util::Rng rng(12);
+    for (int op = 0; op < 4000; ++op) {
+      const std::uint32_t i = static_cast<std::uint32_t>(rng.index(kMembers));
+      const MemberId member = members[i];
+      const GroupId group = groups[(i + (rng.chance(0.5) ? 1 : 0)) % kGroups];
+      if (!registry.in_group(member, group)) {  // left earlier: come back
+        hash.u64(registry.join(member, group) ? 1 : 0);
+        continue;
+      }
+      const double roll = rng.uniform();
+      if (roll < 0.55) {
+        FloorRequest r;
+        r.group = group;
+        r.member = member;
+        r.host = rng.chance(0.8)
+                     ? HostId{1 + i % kHosts}
+                     : HostId{1 + static_cast<std::uint32_t>(rng.index(kHosts))};
+        const double q = sizes[rng.index(std::size(sizes))];
+        r.qos = media::QosRequirement{q, q, q};
+        fold_decisions(r);
+      } else if (roll < 0.93) {
+        fold_releases(member, group);
+      } else {  // leave: everything held or parked in the group goes first
+        fold_releases(member, group);
+        hash.u64(registry.leave(member, group) ? 1 : 0);
+      }
+    }
+    // Drain: once every member has released everywhere, nothing is left
+    // held, suspended or parked on either facade.
     for (std::uint32_t i = 0; i < kMembers; ++i) {
-      members.push_back(registry.add_member("m" + std::to_string(i),
-                                            1 + static_cast<int>(i % 3),
-                                            HostId{1 + i % kHosts}));
-      registry.join(members.back(), groups[i % kGroups]);
-      registry.join(members.back(), groups[(i + 1) % kGroups]);
+      for (std::uint32_t k = 0; k < 2; ++k) {
+        fold_releases(members[i], groups[(i + k) % kGroups]);
+      }
     }
-  }
+    sharded.drain();
+    EXPECT_EQ(sharded.worker_count(), workers);
+    EXPECT_EQ(single.active_grants() + single.suspended_grants(), 0u);
+    EXPECT_EQ(sharded.active_grants() + sharded.suspended_grants(), 0u);
+    EXPECT_EQ(single.queued_requests() + sharded.queued_requests(), 0u);
 
-  StreamHash hash;
-  RegimeTally tally;
-  const auto fold_decisions = [&](const FloorRequest& r) {
-    for (const Decision& d : {single.request(r), sharded.request(r)}) {
-      hash.decision(d);
-      tally.decision(d);
-    }
+    EXPECT_GT(tally.aborted, 0u);
+    EXPECT_GT(tally.degraded, 0u);
+    EXPECT_GT(tally.denied, 0u);
+    EXPECT_GT(tally.queued, 0u);
+    EXPECT_GT(tally.promoted, 0u);
+    EXPECT_GT(tally.suspending_promotions, 0u);
+    EXPECT_GT(tally.dequeued, 0u);
+    return hash.value;
   };
-  const auto fold_releases = [&](MemberId m, GroupId g) {
-    for (const ReleaseResult& r : {single.release(m, g), sharded.release(m, g)}) {
-      hash.result(r);
-      tally.result(r);
-    }
-  };
-
-  const double sizes[] = {0.05, 0.1, 0.15, 0.25, 0.3, 0.45, 0.7};
-  util::Rng rng(12);
-  for (int op = 0; op < 4000; ++op) {
-    const std::uint32_t i = static_cast<std::uint32_t>(rng.index(kMembers));
-    const MemberId member = members[i];
-    const GroupId group = groups[(i + (rng.chance(0.5) ? 1 : 0)) % kGroups];
-    if (!registry.in_group(member, group)) {  // left earlier: come back
-      hash.u64(registry.join(member, group) ? 1 : 0);
-      continue;
-    }
-    const double roll = rng.uniform();
-    if (roll < 0.55) {
-      FloorRequest r;
-      r.group = group;
-      r.member = member;
-      r.host = rng.chance(0.8)
-                   ? HostId{1 + i % kHosts}
-                   : HostId{1 + static_cast<std::uint32_t>(rng.index(kHosts))};
-      const double q = sizes[rng.index(std::size(sizes))];
-      r.qos = media::QosRequirement{q, q, q};
-      fold_decisions(r);
-    } else if (roll < 0.93) {
-      fold_releases(member, group);
-    } else {  // leave: everything held or parked in the group goes first
-      fold_releases(member, group);
-      hash.u64(registry.leave(member, group) ? 1 : 0);
-    }
-  }
-  // Drain: once every member has released everywhere, nothing is left
-  // held, suspended or parked on either facade.
-  for (std::uint32_t i = 0; i < kMembers; ++i) {
-    for (std::uint32_t k = 0; k < 2; ++k) {
-      fold_releases(members[i], groups[(i + k) % kGroups]);
-    }
-  }
-  EXPECT_EQ(single.active_grants() + single.suspended_grants(), 0u);
-  EXPECT_EQ(sharded.active_grants() + sharded.suspended_grants(), 0u);
-  EXPECT_EQ(single.queued_requests() + sharded.queued_requests(), 0u);
-
-  EXPECT_GT(tally.aborted, 0u);
-  EXPECT_GT(tally.degraded, 0u);
-  EXPECT_GT(tally.denied, 0u);
-  EXPECT_GT(tally.queued, 0u);
-  EXPECT_GT(tally.promoted, 0u);
-  EXPECT_GT(tally.suspending_promotions, 0u);
-  EXPECT_GT(tally.dequeued, 0u);
-  EXPECT_EQ(hash.value, 0xd2e145c311fe088fULL);
+  EXPECT_EQ(run(0), 0xd2e145c311fe088fULL) << "inline executor";
+  EXPECT_EQ(run(2), 0xd2e145c311fe088fULL) << "started on 2 workers";
 }
 
 TEST(GroupRegistry, JoinLeaveChairRules) {

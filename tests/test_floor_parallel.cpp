@@ -1,8 +1,8 @@
-// ParallelShardedFloorService: shards on real threads.
+// ShardedFloorService started on worker threads: shards on real threads.
 //
 // Three layers of coverage:
-//   1. Parity — the parallel facade must reach the same decisions as the
-//      sequential sharded path for the basic request/release/cancel flows.
+//   1. Parity — the started service must reach the same decisions as the
+//      inline executor for the basic request/release/cancel flows.
 //   2. Linearization — per-shard mailbox FIFO must preserve the queueing
 //      policy's arrival-order contract for (group, host).
 //   3. Stress — many producer threads hammering interleaved request /
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "clock/drift_clock.hpp"
-#include "floor/parallel_sharded_service.hpp"
+#include "floor/sharded_service.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/sanitizers.hpp"
@@ -49,7 +49,7 @@ struct ParallelFixture : ::testing::Test {
   sim::Simulator sim;
   clk::TrueClock clock{sim};
   GroupRegistry registry;
-  ParallelShardedFloorService service{registry, clock, Thresholds{0.25, 0.05}};
+  ShardedFloorService service{registry, clock, Thresholds{0.25, 0.05}};
   GroupId group;
   MemberId chair;
   std::vector<HostId> hosts;
@@ -73,16 +73,16 @@ struct ParallelFixture : ::testing::Test {
 
 TEST_F(ParallelFixture, GrantAndReleaseRoundTripViaFutures) {
   const auto m = add_joined("m", 1, hosts[0]);
-  service.start();
+  service.start(kHosts);
 
-  auto granted = service.request(make_request(group, m, hosts[0], 0.4)).get();
+  auto granted = service.request(make_request(group, m, hosts[0], 0.4));
   EXPECT_EQ(granted.outcome, Outcome::kGranted);
 
-  auto released = service.release(m, group).get();
+  auto released = service.release(m, group);
   EXPECT_TRUE(released.released);
 
   // Releasing again finds nothing (the route was consumed).
-  auto again = service.release(m, group).get();
+  auto again = service.release(m, group);
   EXPECT_FALSE(again.released);
 
   service.drain();
@@ -91,26 +91,25 @@ TEST_F(ParallelFixture, GrantAndReleaseRoundTripViaFutures) {
 
 TEST_F(ParallelFixture, UnknownHostIsRefusedWithoutEnqueueing) {
   const auto m = add_joined("m", 1, hosts[0]);
-  service.start();
-  auto decision =
-      service.request(make_request(group, m, HostId{999}, 0.1)).get();
+  service.start(kHosts);
+  auto decision = service.request(make_request(group, m, HostId{999}, 0.1));
   EXPECT_EQ(decision.outcome, Outcome::kDenied);
   EXPECT_EQ(decision.reason, "unknown host station");
 }
 
 TEST_F(ParallelFixture, CrossShardReleaseFansOutAndMerges) {
   const auto m = add_joined("m", 1, hosts[0]);
-  service.start();
+  service.start(kHosts);
 
   // One member holding on three different shards.
   for (int h = 0; h < 3; ++h) {
-    auto d = service.request(make_request(group, m, hosts[h], 0.3)).get();
+    auto d = service.request(make_request(group, m, hosts[h], 0.3));
     ASSERT_EQ(d.outcome, Outcome::kGranted);
   }
   service.drain();
   EXPECT_EQ(service.active_grants(), 3u);
 
-  auto released = service.release(m, group).get();
+  auto released = service.release(m, group);
   EXPECT_TRUE(released.released);
   service.drain();
   EXPECT_EQ(service.active_grants(), 0u);
@@ -119,18 +118,16 @@ TEST_F(ParallelFixture, CrossShardReleaseFansOutAndMerges) {
 TEST_F(ParallelFixture, MediaSuspendAndResumeAcrossOneShard) {
   const auto junior = add_joined("junior", 1, hosts[0]);
   const auto senior = add_joined("senior", 3, hosts[0]);
-  service.start();
+  service.start(kHosts);
 
-  ASSERT_EQ(
-      service.request(make_request(group, junior, hosts[0], 0.8)).get().outcome,
-      Outcome::kGranted);
-  auto seized =
-      service.request(make_request(group, senior, hosts[0], 0.9)).get();
+  ASSERT_EQ(service.request(make_request(group, junior, hosts[0], 0.8)).outcome,
+            Outcome::kGranted);
+  auto seized = service.request(make_request(group, senior, hosts[0], 0.9));
   EXPECT_EQ(seized.outcome, Outcome::kGrantedDegraded);
   ASSERT_EQ(seized.suspended.size(), 1u);
   EXPECT_EQ(seized.suspended[0].member, junior);
 
-  auto released = service.release(senior, group).get();
+  auto released = service.release(senior, group);
   EXPECT_TRUE(released.released);
   ASSERT_EQ(released.resumed.size(), 1u);
   EXPECT_EQ(released.resumed[0].member, junior);
@@ -150,7 +147,7 @@ TEST_F(ParallelFixture, PerShardFifoKeepsQueueArrivalOrder) {
   for (int i = 0; i < 6; ++i) {
     waiters.push_back(add_joined("w" + std::to_string(i), 1, hosts[0]));
   }
-  service.start();
+  service.start(kHosts);
 
   // Fill the host, then park every waiter — all pipelined, no waiting on
   // intermediate decisions (per-shard FIFO makes the order deterministic).
@@ -174,13 +171,13 @@ TEST_F(ParallelFixture, PerShardFifoKeepsQueueArrivalOrder) {
   std::vector<MemberId> promoted;
   MemberId current = holder;
   for (std::size_t round = 0; round < waiters.size(); ++round) {
-    auto result = service.release_on(hosts[0], current, group).get();
+    auto result = service.release_on(hosts[0], current, group);
     ASSERT_EQ(result.promoted.size(), 1u) << "round " << round;
     current = result.promoted[0].holder.member;
     promoted.push_back(current);
   }
   EXPECT_EQ(promoted, waiters);
-  auto last = service.release_on(hosts[0], current, group).get();
+  auto last = service.release_on(hosts[0], current, group);
   EXPECT_TRUE(last.released);
   service.drain();
   EXPECT_EQ(service.active_grants(), 0u);
@@ -210,7 +207,7 @@ TEST_F(ParallelFixture, StressInterleavedOpsWithMembershipChurn) {
           hosts[h]));
     }
   }
-  service.start();
+  service.start(kHosts);
 
   std::atomic<long> decisions{0};
   std::atomic<long> grants{0};
@@ -249,13 +246,13 @@ TEST_F(ParallelFixture, StressInterleavedOpsWithMembershipChurn) {
         const auto member = mine[p][h];
         const double qos = 0.1 + 0.2 * rng.uniform();
         auto decision =
-            service.request(make_request(group, member, hosts[h], qos)).get();
+            service.request(make_request(group, member, hosts[h], qos));
         decisions.fetch_add(1, std::memory_order_relaxed);
         switch (decision.outcome) {
           case Outcome::kGranted:
           case Outcome::kGrantedDegraded: {
             grants.fetch_add(1, std::memory_order_relaxed);
-            auto released = service.release_on(hosts[h], member, group).get();
+            auto released = service.release_on(hosts[h], member, group);
             EXPECT_TRUE(released.released);
             releases_done.fetch_add(1, std::memory_order_relaxed);
             break;
@@ -266,8 +263,8 @@ TEST_F(ParallelFixture, StressInterleavedOpsWithMembershipChurn) {
             // another producer's release sweep, so cancel (parked state
             // only) cannot assert what it dropped; the follow-up release
             // clears whichever of the two states the entry raced into.
-            if (rng.chance(0.5)) (void)service.cancel(member, group).get();
-            service.release(member, group).get();
+            if (rng.chance(0.5)) (void)service.cancel(member, group);
+            service.release(member, group);
             releases_done.fetch_add(1, std::memory_order_relaxed);
             break;
           }
@@ -298,223 +295,10 @@ TEST_F(ParallelFixture, StressInterleavedOpsWithMembershipChurn) {
   EXPECT_FALSE(service.running());
 }
 
-TEST_F(ParallelFixture, BatchAndSingletonSubmissionReachIdenticalOutcomes) {
-  // Parity for the batched pipeline: 4 producers x 8 shards drive the SAME
-  // deterministic op stream twice — once per-op with callbacks, once
-  // through request_batch/release_batch — and every per-op outcome (by
-  // producer and stream position), the release tally and the end state
-  // must match exactly. Capacity is ample so each op's outcome is
-  // interleaving-independent; a deterministic sprinkle of unknown-host ops
-  // keeps the sequences non-trivial and exercises the mixed
-  // known/unknown-slot bucketing. Runs under the TSan CI job.
-  constexpr int kProducers = 4;
-#ifdef DMPS_SANITIZED
-  constexpr int kRounds = 50;
-#else
-  constexpr int kRounds = 200;
-#endif
-  std::vector<std::vector<MemberId>> mine(kProducers);
-  {
-    GroupRegistry::Batch batch(registry);
-    for (int p = 0; p < kProducers; ++p) {
-      for (int h = 0; h < kHosts; ++h) {
-        mine[p].push_back(add_joined(
-            "b" + std::to_string(p) + "h" + std::to_string(h), 1, hosts[h]));
-      }
-    }
-  }
-  const HostId bogus{999};
-  const auto is_bogus = [](int p, int r, int h) {
-    return (p * 31 + r * 7 + h) % 5 == 0;
-  };
-  const auto qos_of = [](int p, int r, int h) {
-    return 0.05 + 0.01 * ((p + r + h) % 20);
-  };
-
-  struct RunResult {
-    std::vector<std::vector<Outcome>> outcomes;  // [producer][r * kHosts + h]
-    long released = 0;
-  };
-  const auto run = [&](bool batched) {
-    ParallelShardedFloorService::Options options;
-    options.workers = 3;  // shards fold: batches hit multi-shard buckets
-    ParallelShardedFloorService svc{registry, clock, Thresholds{0.25, 0.05},
-                                    options};
-    for (int h = 0; h < kHosts; ++h) {
-      svc.add_host(hosts[h], Resource{8.0, 8.0, 8.0});
-    }
-    svc.start();
-
-    RunResult result;
-    result.outcomes.assign(kProducers,
-                           std::vector<Outcome>(kRounds * kHosts));
-    std::atomic<long> released{0};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&, p] {
-        std::vector<Outcome>& outcomes =
-            result.outcomes[static_cast<std::size_t>(p)];
-        const auto on_release = [&](const ReleaseResult& r) {
-          if (r.released) released.fetch_add(1, std::memory_order_relaxed);
-        };
-        for (int r = 0; r < kRounds; ++r) {
-          if (batched) {
-            auto requests = svc.take_request_buffer();
-            auto releases = svc.take_release_buffer();
-            for (int h = 0; h < kHosts; ++h) {
-              const HostId host = is_bogus(p, r, h) ? bogus : hosts[h];
-              requests.push_back(make_request(
-                  group, mine[p][h], host, qos_of(p, r, h)));
-              releases.push_back(HostRelease{host, mine[p][h], group});
-            }
-            svc.request_batch(
-                std::move(requests),
-                [&outcomes, r](const std::vector<FloorRequest>&,
-                               std::vector<Decision>& decisions) {
-                  for (std::size_t k = 0; k < decisions.size(); ++k) {
-                    outcomes[static_cast<std::size_t>(r) * kHosts + k] =
-                        decisions[k].outcome;
-                  }
-                });
-            // Capture only the long-lived atomic: the completion may run
-            // on a worker after this producer thread has returned, so the
-            // producer's own stack (on_release above) must not be touched.
-            svc.release_batch(
-                std::move(releases),
-                [&released](const std::vector<HostRelease>&,
-                            std::vector<ReleaseResult>& results) {
-                  for (const ReleaseResult& rr : results) {
-                    if (rr.released) {
-                      released.fetch_add(1, std::memory_order_relaxed);
-                    }
-                  }
-                });
-          } else {
-            for (int h = 0; h < kHosts; ++h) {
-              const HostId host = is_bogus(p, r, h) ? bogus : hosts[h];
-              Outcome* slot = &outcomes[static_cast<std::size_t>(r) * kHosts +
-                                        static_cast<std::size_t>(h)];
-              svc.request(make_request(group, mine[p][h], host,
-                                       qos_of(p, r, h)),
-                          [slot](const Decision& d) { *slot = d.outcome; });
-              svc.release_on(host, mine[p][h], group, on_release);
-            }
-          }
-        }
-      });
-    }
-    for (std::thread& producer : producers) producer.join();
-    svc.drain();
-    result.released = released.load();
-    EXPECT_EQ(svc.active_grants(), 0u);
-    EXPECT_EQ(svc.suspended_grants(), 0u);
-    EXPECT_EQ(svc.queued_requests(), 0u);
-    svc.stop();
-    return result;
-  };
-
-  const RunResult singleton = run(false);
-  const RunResult batch = run(true);
-  EXPECT_EQ(singleton.released, batch.released);
-  for (int p = 0; p < kProducers; ++p) {
-    ASSERT_EQ(singleton.outcomes[static_cast<std::size_t>(p)],
-              batch.outcomes[static_cast<std::size_t>(p)])
-        << "outcome stream diverged for producer " << p;
-  }
-  // And the streams are non-trivial: both refusal and grant outcomes occur.
-  long granted = 0, denied = 0;
-  for (const Outcome outcome : batch.outcomes[0]) {
-    outcome == Outcome::kGranted ? ++granted : ++denied;
-  }
-  EXPECT_GT(granted, 0);
-  EXPECT_GT(denied, 0);
-}
-
-TEST_F(ParallelFixture, StoppedServiceRefusesBatchPerOpInsteadOfDropping) {
-  // A batch racing stop() (or issued before start) must come back the same
-  // size it went in, every slot carrying the singleton path's refusal —
-  // never silently shorter. Both the never-started and the stopped-after-
-  // running paths land on the same refuse() contract.
-  const auto m = add_joined("m", 1, hosts[0]);
-  const auto expect_refused = [&](ParallelShardedFloorService& svc) {
-    auto requests = svc.take_request_buffer();
-    for (int h = 0; h < 4; ++h) {
-      requests.push_back(make_request(group, m, hosts[h], 0.1));
-    }
-    requests.push_back(make_request(group, m, HostId{999}, 0.1));
-    bool decided = false;
-    svc.request_batch(std::move(requests),
-                      [&](const std::vector<FloorRequest>& reqs,
-                          std::vector<Decision>& decisions) {
-                        decided = true;
-                        ASSERT_EQ(decisions.size(), reqs.size());
-                        ASSERT_EQ(decisions.size(), 5u);
-                        for (int i = 0; i < 4; ++i) {
-                          EXPECT_EQ(decisions[i].outcome, Outcome::kDenied);
-                          EXPECT_EQ(decisions[i].reason,
-                                    "floor service is not running");
-                        }
-                        EXPECT_EQ(decisions[4].outcome, Outcome::kDenied);
-                        EXPECT_EQ(decisions[4].reason, "unknown host station");
-                      });
-    EXPECT_TRUE(decided);  // nothing enqueued: completion runs inline
-
-    auto releases = svc.take_release_buffer();
-    for (int h = 0; h < 4; ++h) {
-      releases.push_back(HostRelease{hosts[h], m, group});
-    }
-    bool released_back = false;
-    svc.release_batch(std::move(releases),
-                      [&](const std::vector<HostRelease>& reqs,
-                          std::vector<ReleaseResult>& results) {
-                        released_back = true;
-                        ASSERT_EQ(results.size(), reqs.size());
-                        for (const ReleaseResult& result : results) {
-                          EXPECT_FALSE(result.released);
-                        }
-                      });
-    EXPECT_TRUE(released_back);
-  };
-
-  expect_refused(service);  // never started
-
-  service.start();
-  auto d = service.request(make_request(group, m, hosts[0], 0.1)).get();
-  EXPECT_EQ(d.outcome, Outcome::kGranted);
-  EXPECT_TRUE(service.release(m, group).get().released);
-  service.stop();
-  expect_refused(service);  // stopped after running
-}
-
-TEST_F(ParallelFixture, EmptyBatchStillFiresCompletionCallback) {
-  service.start();
-  bool decided = false;
-  service.request_batch({}, [&](const std::vector<FloorRequest>& requests,
-                                std::vector<Decision>& decisions) {
-    decided = true;
-    EXPECT_TRUE(requests.empty());
-    EXPECT_TRUE(decisions.empty());
-  });
-  EXPECT_TRUE(decided);
-
-  bool released = false;
-  service.release_batch({}, [&](const std::vector<HostRelease>& releases,
-                                std::vector<ReleaseResult>& results) {
-    released = true;
-    EXPECT_TRUE(releases.empty());
-    EXPECT_TRUE(results.empty());
-  });
-  EXPECT_TRUE(released);
-  service.drain();
-}
-
 TEST_F(ParallelFixture, FewerWorkersThanShardsFoldsCorrectly) {
   // 8 shards on 2 workers: the shard -> worker fold must keep per-shard
   // FIFO and produce exactly the sequential outcomes.
-  ParallelShardedFloorService::Options options;
-  options.workers = 2;
-  ParallelShardedFloorService folded{registry, clock, Thresholds{0.25, 0.05},
-                                     options};
+  ShardedFloorService folded{registry, clock, Thresholds{0.25, 0.05}};
   std::vector<MemberId> members;
   {
     GroupRegistry::Batch batch(registry);
@@ -523,19 +307,18 @@ TEST_F(ParallelFixture, FewerWorkersThanShardsFoldsCorrectly) {
       members.push_back(add_joined("f" + std::to_string(h), 1, hosts[h]));
     }
   }
-  folded.start();
+  folded.start(2);
   EXPECT_EQ(folded.worker_count(), 2u);
   EXPECT_EQ(folded.shard_count(), static_cast<std::size_t>(kHosts));
 
   for (int h = 0; h < kHosts; ++h) {
-    auto d =
-        folded.request(make_request(group, members[h], hosts[h], 0.5)).get();
+    auto d = folded.request(make_request(group, members[h], hosts[h], 0.5));
     EXPECT_EQ(d.outcome, Outcome::kGranted);
   }
   folded.drain();
   EXPECT_EQ(folded.active_grants(), static_cast<std::size_t>(kHosts));
   for (int h = 0; h < kHosts; ++h) {
-    EXPECT_TRUE(folded.release(members[h], group).get().released);
+    EXPECT_TRUE(folded.release(members[h], group).released);
   }
   folded.drain();
   EXPECT_EQ(folded.active_grants(), 0u);
@@ -547,8 +330,8 @@ TEST_F(ParallelFixture, FewerWorkersThanShardsFoldsCorrectly) {
 // loser a no-op; under the TSan CI job this test is the proof.
 TEST_F(ParallelFixture, ConcurrentStopFromManyThreadsIsSafe) {
   const auto m = add_joined("m", 1, hosts[0]);
-  service.start();
-  ASSERT_EQ(service.request(make_request(group, m, hosts[0], 0.4)).get().outcome,
+  service.start(kHosts);
+  ASSERT_EQ(service.request(make_request(group, m, hosts[0], 0.4)).outcome,
             Outcome::kGranted);
 
   constexpr int kStoppers = 4;
@@ -565,9 +348,14 @@ TEST_F(ParallelFixture, ConcurrentStopFromManyThreadsIsSafe) {
   }
   for (auto& t : stoppers) t.join();
   EXPECT_FALSE(service.running());
-  // The service is cleanly stopped, not wedged: new ops are refused.
-  EXPECT_EQ(service.request(make_request(group, m, hosts[0], 0.2)).get().outcome,
-            Outcome::kDenied);
+  // The service is cleanly stopped, not wedged: new ops are refused, never
+  // run inline behind the stopped workers' backs.
+  const Decision refused =
+      service.request(make_request(group, m, hosts[0], 0.2));
+  EXPECT_EQ(refused.outcome, Outcome::kDenied);
+  EXPECT_EQ(refused.reason, "floor service is not running");
+  EXPECT_FALSE(service.release(m, group).released);
+  EXPECT_EQ(service.active_grants(), 1u);
 }
 
 // Regression (DESIGN.md §10): complete() used to read the fan-out's merged
@@ -577,17 +365,16 @@ TEST_F(ParallelFixture, ConcurrentStopFromManyThreadsIsSafe) {
 // checking the handoff.
 TEST_F(ParallelFixture, CrossShardReleaseMergeIsCompleteUnderRepetition) {
   const auto m = add_joined("m", 1, hosts[0]);
-  service.start();
+  service.start(kHosts);
 
   for (int iter = 0; iter < 50; ++iter) {
     for (int h = 0; h < kHosts; ++h) {
-      ASSERT_EQ(
-          service.request(make_request(group, m, hosts[h], 0.3)).get().outcome,
-          Outcome::kGranted);
+      ASSERT_EQ(service.request(make_request(group, m, hosts[h], 0.3)).outcome,
+                Outcome::kGranted);
     }
-    auto released = service.release(m, group).get();
+    auto released = service.release(m, group);
     EXPECT_TRUE(released.released) << "iteration " << iter;
-    auto again = service.release(m, group).get();
+    auto again = service.release(m, group);
     EXPECT_FALSE(again.released) << "iteration " << iter;
   }
   service.drain();

@@ -167,7 +167,7 @@ TEST(ObsTrace, FingerprintSeesDecisionsNotMailboxCadence) {
   // Mailbox events are trace-only: their cadence depends on thread timing
   // even when the decisions are deterministic.
   b.emit(obs::Ev::kMailboxDrain, 0, 0, 0, 17);
-  b.emit(obs::Ev::kMailboxEnqueue, 0, 0);
+  b.emit(obs::Ev::kMailboxDrain, 3, 0, 0, 1);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   // A changed decision arg (a different Outcome) changes the fingerprint.
   b.emit(obs::Ev::kDecide, 1, 1, 1);

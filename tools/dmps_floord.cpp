@@ -18,7 +18,8 @@
 //                  when given)
 //   SIGINT/SIGTERM graceful shutdown — stop the loop, release every
 //                  outstanding grant (sweeping freed hosts), dump final
-//                  metrics, exit 0.
+//                  metrics, check that nothing is left held, suspended or
+//                  parked, exit 0 (1 when something is).
 
 #include <signal.h>
 #include <sys/signalfd.h>
@@ -29,6 +30,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "floor/group.hpp"
@@ -63,8 +65,8 @@ Options parse(int argc, char** argv) {
                       "--capacity", "--policy", "--metrics-out"},
                      kUsage);
   Options opt;
-  opt.port = static_cast<std::uint16_t>(
-      tools::flag_long(argc, argv, "--port", opt.port));
+  // 0 stays valid: the kernel picks shard 0's port (printed at startup).
+  opt.port = tools::flag_port(argc, argv, "dmps_floord", 0, opt.port, kUsage);
   opt.topology.hosts = static_cast<int>(
       tools::flag_long(argc, argv, "--hosts", opt.topology.hosts));
   opt.topology.groups = static_cast<int>(
@@ -231,5 +233,22 @@ int main(int argc, char** argv) {
   }
   dump_metrics();
   close(signal_fd);
-  return 0;
+
+  // The drain invariant, checked rather than assumed: once every member
+  // released everywhere and every host was swept, no grant, suspension or
+  // parked request may survive. The final dump above still reaches its
+  // reader either way.
+  const std::pair<const char*, std::size_t> end_state[] = {
+      {"active_grants", service.active_grants()},
+      {"suspended_grants", service.suspended_grants()},
+      {"queued_requests", service.queued_requests()},
+  };
+  int status = 0;
+  for (const auto& [name, count] : end_state) {
+    if (count == 0) continue;
+    std::fprintf(stderr, "dmps_floord: unclean end state: %s=%zu\n", name,
+                 count);
+    status = 1;
+  }
+  return status;
 }

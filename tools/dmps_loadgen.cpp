@@ -133,8 +133,9 @@ int main(int argc, char** argv) {
   LoadRun run;
   Options& opt = run.opt;
   opt.host = tools::flag_string(argc, argv, "--host", opt.host.c_str());
-  opt.port =
-      static_cast<std::uint16_t>(tools::flag_long(argc, argv, "--port", opt.port));
+  // Port 0 is refused: agents would send to it and all end stuck, even
+  // with --spawn (the daemon's ephemeral port never reaches them).
+  opt.port = tools::flag_port(argc, argv, "dmps_loadgen", 1, opt.port, kUsage);
   opt.agents = static_cast<int>(tools::flag_long(argc, argv, "--agents", opt.agents));
   opt.duration_s = tools::flag_double(argc, argv, "--duration", opt.duration_s);
   opt.grace_s = tools::flag_double(argc, argv, "--grace", opt.grace_s);

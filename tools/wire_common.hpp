@@ -22,6 +22,8 @@
 // (exactly as it would any stranger's datagram) / agents knock on a port
 // nobody bound.
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -82,6 +84,27 @@ inline const char* flag_value(int argc, char** argv, const char* name) {
 inline long flag_long(int argc, char** argv, const char* name, long fallback) {
   const char* v = flag_value(argc, argv, name);
   return v != nullptr ? std::strtol(v, nullptr, 10) : fallback;
+}
+
+/// `--port` as a UDP port in [lowest, 65535]; `fallback` when absent. A
+/// value outside that range, or one that is not a whole number, prints the
+/// offender and `usage` on stderr and exits 2 — a plain cast would wrap it
+/// silently onto some other port.
+inline std::uint16_t flag_port(int argc, char** argv, const char* program,
+                               long lowest, std::uint16_t fallback,
+                               const char* usage) {
+  const char* v = flag_value(argc, argv, "--port");
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long port = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno != 0 || port < lowest ||
+      port > 65535) {
+    std::fprintf(stderr, "%s: --port must be in [%ld, 65535], got '%s'\n%s",
+                 program, lowest, v, usage);
+    std::exit(2);
+  }
+  return static_cast<std::uint16_t>(port);
 }
 
 inline double flag_double(int argc, char** argv, const char* name,
