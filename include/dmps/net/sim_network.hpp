@@ -94,7 +94,7 @@ class SimNetwork {
   friend class Demux;
   void attach(NodeId node, Demux* demux);
   void detach(NodeId node, Demux* demux);
-  void deliver(const Message& msg);
+  void deliver_parked(std::uint32_t slot);
 
   struct Node {
     std::string name;
@@ -106,6 +106,10 @@ class SimNetwork {
   LinkQuality default_link_;
   std::vector<Node> nodes_;
   std::unordered_map<std::uint64_t, LinkQuality> link_overrides_;  // key: from<<32|to
+  // In-flight messages wait here, so the delivery event captures only
+  // {this, slot} and std::function stores it without allocating.
+  std::vector<Message> parked_;
+  std::vector<std::uint32_t> parked_free_;
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t delivered_ = 0;

@@ -10,7 +10,7 @@
 //     per-thread lane id, written with one relaxed fetch_add. value() sums
 //     the stripes (quiescent- or approximate-read semantics, like every
 //     aggregate of a started ShardedFloorService).
-//   Histogram — 32 power-of-two buckets plus sum and count, all relaxed
+//   Histogram — 121 log-linear buckets plus sum and count, all relaxed
 //     atomics. Exact under concurrency (fetch_add loses nothing); callers
 //     that need to bound the per-op cost sample before recording (the
 //     FloorService decide path records 1-in-64).
@@ -104,14 +104,17 @@ class Gauge {
   std::array<detail::PaddedAtomic, kStripes> cells_;
 };
 
-/// Fixed power-of-two-bucket histogram for non-negative integer samples
-/// (latencies in ns/us, drain sizes). Bucket 0 holds v <= 0; bucket b >= 1
-/// holds v with floor(log2 v) == b - 1, i.e. v in [2^(b-1), 2^b); the last
-/// bucket absorbs everything larger. Exact count and sum under concurrent
-/// record() — quantiles are upper-bound estimates from the bucket edges.
+/// Fixed log-linear histogram for non-negative integer samples (latencies
+/// in ns/us, drain sizes). Bucket 0 holds v <= 0 and buckets 1..7 hold 1..7
+/// exactly; from 8 up to 2^31 each power of two [2^k, 2^(k+1)) splits into
+/// 4 equal sub-buckets, and the last bucket absorbs v >= 2^31. Exact count
+/// and sum under concurrent record(). A quantile is the middle of the bucket
+/// holding its rank: exact below 8, within 12.5% of the sample up to 2^31.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 32;
+  static constexpr std::size_t kExact = 8;  // 0..7 get a bucket each
+  static constexpr std::size_t kSubBuckets = 4;
+  static constexpr std::size_t kBuckets = kExact + kSubBuckets * (31 - 3) + 1;
 
   Histogram() = default;
   Histogram(const Histogram&) = delete;
@@ -129,19 +132,23 @@ class Histogram {
     return buckets_[index].load(std::memory_order_relaxed);
   }
 
-  /// Upper edge of bucket `index` (0 for the v <= 0 bucket).
-  static std::int64_t bucket_upper_bound(std::size_t index) {
-    return index == 0 ? 0 : std::int64_t{1} << index;
+  /// Smallest value bucket `index` holds (0 for the v <= 0 bucket).
+  static std::int64_t bucket_lower_bound(std::size_t index) {
+    if (index < kExact) return static_cast<std::int64_t>(index);
+    const std::size_t log2 = 3 + (index - kExact) / kSubBuckets;
+    const auto sub = static_cast<std::int64_t>((index - kExact) % kSubBuckets);
+    return (static_cast<std::int64_t>(kSubBuckets) + sub) << (log2 - 2);
   }
 
-  /// Upper-bound estimate of the q-quantile (q in [0, 1]) from the bucket
-  /// edges; 0 when empty.
+  /// Estimate of the q-quantile (q in [0, 1]); 0 when empty.
   std::int64_t quantile(double q) const;
 
   void reset();
 
   static std::size_t bucket_index(std::int64_t v) {
-    if (v <= 0) return 0;
+    if (v < static_cast<std::int64_t>(kExact)) {
+      return v <= 0 ? 0 : static_cast<std::size_t>(v);
+    }
 #if defined(__GNUC__) || defined(__clang__)
     const std::size_t log2 =
         63u - static_cast<std::size_t>(
@@ -150,8 +157,10 @@ class Histogram {
     std::size_t log2 = 0;
     for (std::uint64_t u = static_cast<std::uint64_t>(v); u >>= 1;) ++log2;
 #endif
-    const std::size_t index = log2 + 1;
-    return index < kBuckets ? index : kBuckets - 1;
+    if (log2 >= 31) return kBuckets - 1;
+    // The two bits below the leading one pick the sub-bucket.
+    const auto sub = static_cast<std::size_t>(v >> (log2 - 2)) & (kSubBuckets - 1);
+    return kExact + (log2 - 3) * kSubBuckets + sub;
   }
 
  private:

@@ -4,17 +4,24 @@
 // The network, the clocks and the DOCPN engine never read wall time; they
 // schedule callbacks here. That keeps every scenario exactly reproducible
 // and lets a 180-second presentation simulate in microseconds.
+//
+// The event store is a calendar queue (DESIGN §6.3). Callbacks live in a
+// slot vector with a free list; an EventId names a slot and its generation.
+// Queue entries sit in one of three places by time bucket (2^20 ns): the
+// current bucket's (time, seq) min-heap, a ring of unsorted buckets for the
+// next ~0.54 s, or a far heap beyond it. Events still run in exact
+// (time, insertion) order.
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/duration.hpp"
 
 namespace dmps::sim {
 
+/// `generation << 32 | (slot + 1)`: never 0, and an id whose event fired or
+/// was cancelled never matches again (until its slot is reused 2^32 times).
 using EventId = std::uint64_t;
 
 class Simulator {
@@ -42,33 +49,48 @@ class Simulator {
   /// processed too if they fall inside the window. No-op if until < now().
   void run_until(util::TimePoint until);
 
-  /// Run the single next pending event (advancing now() to it).
-  /// Returns false when the queue is empty.
-  bool run_next();
-
-  std::size_t pending() const { return callbacks_.size(); }
-  std::uint64_t executed() const { return executed_; }
+  std::size_t pending() const { return live_; }
 
  private:
-  struct QueueEntry {
-    util::TimePoint at;
+  static constexpr int kBucketShift = 20;  // 2^20 ns ~ 1.05 ms per bucket
+  static constexpr std::int64_t kRingBuckets = 512;
+
+  struct Slot {
+    Callback cb;
+    std::uint32_t gen = 0;  // bumped each time the slot's event ends
+    bool live = false;
+  };
+
+  // A queued event. Cancelling leaves the entry behind; it is skipped when
+  // its generation no longer matches the slot's.
+  struct Entry {
+    std::int64_t at;
     std::uint64_t seq;  // insertion order breaks ties deterministically
-    EventId id;
-    bool operator>(const QueueEntry& o) const {
-      if (at != o.at) return o.at < at;
-      return o.seq < seq;
+    std::uint32_t slot;
+    std::uint32_t gen;
+    bool operator>(const Entry& o) const {
+      return at != o.at ? at > o.at : seq > o.seq;
     }
   };
 
-  void dispatch(const QueueEntry& entry);
+  static std::int64_t bucket_of(std::int64_t at) { return at >> kBucketShift; }
+  void place(const Entry& entry);
+  bool advance();
+  void release(std::uint32_t slot);
 
   util::TimePoint now_ = util::TimePoint::zero();
-  std::uint64_t next_id_ = 1;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<QueueEntry>>
-      queue_;
-  std::unordered_map<EventId, Callback> callbacks_;
+  std::size_t live_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  // Invariant: heap_ holds every entry in buckets <= cur_, ring_ those in
+  // (cur_, cur_ + kRingBuckets), far_ the rest.
+  std::int64_t cur_ = 0;
+  std::vector<Entry> heap_;
+  std::vector<std::vector<Entry>> ring_ =
+      std::vector<std::vector<Entry>>(kRingBuckets);
+  std::size_t ring_entries_ = 0;
+  std::vector<Entry> far_;
 };
 
 }  // namespace dmps::sim

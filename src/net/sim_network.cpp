@@ -70,10 +70,23 @@ void SimNetwork::send(Message msg) {
   if (q.jitter > util::Duration::zero()) {
     delay += util::Duration::from_seconds(rng_.uniform() * q.jitter.to_seconds());
   }
-  sim_.schedule_in(delay, [this, m = std::move(msg)] { deliver(m); });
+  std::uint32_t slot = 0;
+  if (parked_free_.empty()) {
+    slot = static_cast<std::uint32_t>(parked_.size());
+    parked_.push_back(std::move(msg));
+  } else {
+    slot = parked_free_.back();
+    parked_free_.pop_back();
+    parked_[slot] = std::move(msg);
+  }
+  sim_.schedule_in(delay, [this, slot] { deliver_parked(slot); });
 }
 
-void SimNetwork::deliver(const Message& msg) {
+void SimNetwork::deliver_parked(std::uint32_t slot) {
+  // Move out first: a handler may send, which can reuse the slot or grow
+  // the pool.
+  const Message msg = std::move(parked_[slot]);
+  parked_free_.push_back(slot);
   Demux* demux = nodes_.at(msg.to.value()).demux;
   if (demux == nullptr) return;  // nobody listening: silently dropped
   ++delivered_;

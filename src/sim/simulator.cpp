@@ -1,15 +1,30 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace dmps::sim {
 
+namespace {
+constexpr std::uint64_t kSlotMask = 0xffffffffu;
+}  // namespace
+
 EventId Simulator::schedule_at(util::TimePoint at, Callback cb) {
-  const EventId id = next_id_++;
   if (at < now_) at = now_;
-  callbacks_.emplace(id, std::move(cb));
-  queue_.push(QueueEntry{at, next_seq_++, id});
-  return id;
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  s.live = true;
+  ++live_;
+  place(Entry{at.raw_nanos(), next_seq_++, slot, s.gen});
+  return (EventId{s.gen} << 32) | (EventId{slot} + 1);
 }
 
 EventId Simulator::schedule_in(util::Duration delay, Callback cb) {
@@ -18,41 +33,85 @@ EventId Simulator::schedule_in(util::Duration delay, Callback cb) {
 }
 
 bool Simulator::cancel(EventId id) {
-  // The queue entry stays behind as a tombstone; dispatch skips it when the
-  // callback lookup misses. O(1) cancel without a decrease-key heap.
-  return callbacks_.erase(id) > 0;
+  // Slot 0 is id low word 1, so a low word of 0 wraps out of range. The
+  // queue entry stays behind; its generation no longer matches the slot's.
+  const std::uint64_t index = (id & kSlotMask) - 1;
+  if (index >= slots_.size()) return false;
+  const Slot& s = slots_[index];
+  if (!s.live || s.gen != static_cast<std::uint32_t>(id >> 32)) return false;
+  release(static_cast<std::uint32_t>(index));
+  return true;
 }
 
-void Simulator::dispatch(const QueueEntry& entry) {
-  const auto it = callbacks_.find(entry.id);
-  if (it == callbacks_.end()) return;  // cancelled
-  Callback cb = std::move(it->second);
-  callbacks_.erase(it);
-  ++executed_;
-  cb();
+void Simulator::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.cb = nullptr;
+  s.live = false;
+  ++s.gen;
+  --live_;
+  free_.push_back(slot);
+}
+
+void Simulator::place(const Entry& entry) {
+  const std::int64_t bucket = bucket_of(entry.at);
+  if (bucket <= cur_) {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  } else if (bucket < cur_ + kRingBuckets) {
+    ring_[static_cast<std::size_t>(bucket & (kRingBuckets - 1))].push_back(entry);
+    ++ring_entries_;
+  } else {
+    far_.push_back(entry);
+    std::push_heap(far_.begin(), far_.end(), std::greater<>{});
+  }
+}
+
+bool Simulator::advance() {
+  // Make the next occupied bucket the current one. One pass always fills
+  // the heap; looping keeps a placement bug a wrong order, which the
+  // differential test reports, instead of a pop from an empty heap.
+  while (heap_.empty()) {
+    if (ring_entries_ > 0) {
+      std::vector<Entry>* bucket = nullptr;
+      do {
+        ++cur_;
+        bucket = &ring_[static_cast<std::size_t>(cur_ & (kRingBuckets - 1))];
+      } while (bucket->empty());
+      ring_entries_ -= bucket->size();
+      heap_.swap(*bucket);
+      std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    } else if (!far_.empty()) {
+      cur_ = bucket_of(far_.front().at);
+    } else {
+      return false;
+    }
+    // The ring now reaches further: pull in the far events it covers.
+    while (!far_.empty() && bucket_of(far_.front().at) < cur_ + kRingBuckets) {
+      std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
+      const Entry entry = far_.back();
+      far_.pop_back();
+      place(entry);
+    }
+  }
+  return true;
 }
 
 void Simulator::run_until(util::TimePoint until) {
   if (until < now_) return;
-  while (!queue_.empty() && queue_.top().at <= until) {
-    const QueueEntry entry = queue_.top();
-    queue_.pop();
-    now_ = util::max_time(now_, entry.at);
-    dispatch(entry);
+  while (!heap_.empty() || advance()) {
+    const Entry top = heap_.front();
+    if (top.at > until.raw_nanos()) break;
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
+    Slot& s = slots_[top.slot];
+    if (s.gen != top.gen) continue;  // cancelled
+    // The heap top is the earliest entry, so time never moves back.
+    now_ = util::TimePoint::from_nanos(top.at);
+    Callback cb = std::move(s.cb);
+    release(top.slot);
+    cb();
   }
   now_ = util::max_time(now_, until);
-}
-
-bool Simulator::run_next() {
-  while (!queue_.empty()) {
-    const QueueEntry entry = queue_.top();
-    queue_.pop();
-    if (callbacks_.find(entry.id) == callbacks_.end()) continue;  // tombstone
-    now_ = util::max_time(now_, entry.at);
-    dispatch(entry);
-    return true;
-  }
-  return false;
 }
 
 }  // namespace dmps::sim

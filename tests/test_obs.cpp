@@ -71,18 +71,48 @@ TEST(ObsMetrics, HistogramCountAndSumExactAcrossFourThreads) {
   EXPECT_EQ(histogram.sum(), std::int64_t{10} * kRecords);
 }
 
-TEST(ObsMetrics, HistogramBucketsArePowersOfTwo) {
+TEST(ObsMetrics, HistogramBucketsAreLogLinear) {
   obs::Histogram histogram;
   histogram.record(0);     // bucket 0 (v <= 0)
-  histogram.record(1);     // bucket 1: [1, 2)
-  histogram.record(7);     // bucket 3: [4, 8)
-  histogram.record(1024);  // bucket 11: [1024, 2048)
+  histogram.record(1);     // bucket 1: exact below 8
+  histogram.record(7);     // bucket 7
+  histogram.record(9);     // bucket 8: [8, 10), the first quarter of [8, 16)
+  histogram.record(1024);  // bucket 36: [1024, 1280)
+  histogram.record(std::int64_t{1} << 40);
   EXPECT_EQ(histogram.bucket(0), 1);
   EXPECT_EQ(histogram.bucket(1), 1);
-  EXPECT_EQ(histogram.bucket(3), 1);
-  EXPECT_EQ(histogram.bucket(11), 1);
-  // Quantile estimates report bucket upper edges.
-  EXPECT_EQ(histogram.quantile(1.0), 2048);
+  EXPECT_EQ(histogram.bucket(7), 1);
+  EXPECT_EQ(histogram.bucket(8), 1);
+  EXPECT_EQ(histogram.bucket(36), 1);
+  EXPECT_EQ(histogram.bucket(obs::Histogram::kBuckets - 1), 1);  // >= 2^31
+  EXPECT_EQ(obs::Histogram::bucket_lower_bound(36), 1024);
+  EXPECT_EQ(obs::Histogram::bucket_lower_bound(37), 1280);
+  EXPECT_EQ(obs::Histogram::bucket_lower_bound(obs::Histogram::kBuckets - 1),
+            std::int64_t{1} << 31);
+  // Every bucket starts where the previous one ends.
+  for (std::size_t b = 1; b < obs::Histogram::kBuckets; ++b) {
+    const std::int64_t lo = obs::Histogram::bucket_lower_bound(b);
+    EXPECT_EQ(obs::Histogram::bucket_index(lo), b);
+    EXPECT_EQ(obs::Histogram::bucket_index(lo - 1), b - 1);
+  }
+  // The open top bucket reports its lower edge.
+  EXPECT_EQ(histogram.quantile(1.0), std::int64_t{1} << 31);
+}
+
+TEST(ObsMetrics, HistogramQuantilesAreNearTheSamples) {
+  // Batches that all hold one datagram read p50 = 1, not 2.
+  obs::Histogram ones;
+  for (int i = 0; i < 9; ++i) ones.record(1);
+  EXPECT_EQ(ones.quantile(0.50), 1);
+  EXPECT_EQ(ones.quantile(0.99), 1);
+
+  obs::Histogram histogram;
+  for (std::int64_t v = 1; v <= 10'000; ++v) histogram.record(v);
+  for (const double q : {0.50, 0.90, 0.99}) {
+    const auto nearest_rank = static_cast<double>(q * 10'000);
+    const auto got = static_cast<double>(histogram.quantile(q));
+    EXPECT_NEAR(got, nearest_rank, 0.25 * nearest_rank) << "q = " << q;
+  }
 }
 
 TEST(ObsRegistry, FindOrCreateSharesInstrumentsByName) {
