@@ -17,7 +17,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -69,7 +68,9 @@ struct Message {
 
 class Demux;
 
-class SimNetwork {
+/// Deliveries are target events on the simulator (Simulator::post_in), so
+/// the network must outlive every later run_until of its simulator.
+class SimNetwork final : private sim::Simulator::Target {
  public:
   SimNetwork(sim::Simulator& sim, std::uint64_t seed, LinkQuality default_link);
 
@@ -77,7 +78,8 @@ class SimNetwork {
   const std::string& node_name(NodeId id) const;
   std::size_t node_count() const { return nodes_.size(); }
 
-  /// Override the link model for the ordered pair (from, to).
+  /// Override the link model for the ordered pair (from, to). Throws
+  /// std::out_of_range unless both are nodes of this network.
   void set_link(NodeId from, NodeId to, LinkQuality quality);
   const LinkQuality& link(NodeId from, NodeId to) const;
 
@@ -94,20 +96,29 @@ class SimNetwork {
   friend class Demux;
   void attach(NodeId node, Demux* demux);
   void detach(NodeId node, Demux* demux);
+  void fire(std::uint32_t slot) override;  // a parked message is due
   void deliver_parked(std::uint32_t slot);
+  std::size_t probe(std::uint64_t key) const;
 
   struct Node {
     std::string name;
     Demux* demux = nullptr;
   };
+  struct LinkSlot {
+    std::uint64_t key;  // from << 32 | to; kNoLink when empty
+    LinkQuality quality;
+  };
 
   sim::Simulator& sim_;
+  sim::Simulator::TargetId delivery_;  // this network, registered with sim_
   util::Rng rng_;
   LinkQuality default_link_;
   std::vector<Node> nodes_;
-  std::unordered_map<std::uint64_t, LinkQuality> link_overrides_;  // key: from<<32|to
-  // In-flight messages wait here, so the delivery event captures only
-  // {this, slot} and std::function stores it without allocating.
+  // Link overrides: open addressing with linear probing, a power-of-two
+  // size and at most half full, so a probe always ends at an empty slot.
+  std::vector<LinkSlot> links_;
+  std::size_t link_count_ = 0;
+  // In-flight messages wait here; a delivery event carries only the slot.
   std::vector<Message> parked_;
   std::vector<std::uint32_t> parked_free_;
   std::uint64_t sent_ = 0;

@@ -7,10 +7,15 @@
 //
 // The event store is a calendar queue (DESIGN §6.3). Callbacks live in a
 // slot vector with a free list; an EventId names a slot and its generation.
-// Queue entries sit in one of three places by time bucket (2^20 ns): the
-// current bucket's (time, seq) min-heap, a ring of unsorted buckets for the
-// next ~0.54 s, or a far heap beyond it. Events still run in exact
-// (time, insertion) order.
+// Queue entries sit in one of four places by time bucket (2^20 ns): the
+// current bucket's run, sorted once when the bucket became current; a
+// (time, seq) side heap for entries scheduled into or behind it since; a
+// ring of unsorted buckets for the next ~0.54 s; or a far heap beyond it.
+// Events still run in exact (time, insertion) order.
+//
+// Besides callbacks, an event can name a registered Target and a 32-bit
+// argument. SimNetwork delivers every message that way, so a delivery
+// takes no callback slot and no std::function.
 
 #include <cstdint>
 #include <functional>
@@ -28,6 +33,17 @@ class Simulator {
  public:
   using Callback = std::function<void()>;
 
+  /// The receiver of target events (post_in): argument-only events that
+  /// carry no callback and cannot be cancelled.
+  class Target {
+   public:
+    virtual void fire(std::uint32_t arg) = 0;
+
+   protected:
+    ~Target() = default;
+  };
+  using TargetId = std::uint32_t;
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -44,6 +60,15 @@ class Simulator {
   /// Drop a pending event. Returns false if it already ran or was cancelled.
   bool cancel(EventId id);
 
+  /// Register `target` for post_in. It must outlive every later run_until
+  /// of this simulator: its events are never cancelled.
+  TargetId add_target(Target& target);
+
+  /// Call `fire(arg)` on the registered `target` after `delay` (negative
+  /// delays clamp to "immediately"), in the same (time, insertion) order
+  /// as callbacks. Not cancellable; counted by pending() until it fires.
+  void post_in(util::Duration delay, TargetId target, std::uint32_t arg);
+
   /// Run every event with timestamp <= until, in (time, insertion) order,
   /// then advance now() to `until`. Events scheduled while running are
   /// processed too if they fall inside the window. No-op if until < now().
@@ -55,14 +80,20 @@ class Simulator {
   static constexpr int kBucketShift = 20;  // 2^20 ns ~ 1.05 ms per bucket
   static constexpr std::int64_t kRingBuckets = 512;
 
+  // Tags Entry::slot as a target id. Callback slots stay below it: 2^31
+  // pending callbacks would take ~80 GB of slots.
+  static constexpr std::uint32_t kTargetBit = std::uint32_t{1} << 31;
+
   struct Slot {
     Callback cb;
     std::uint32_t gen = 0;  // bumped each time the slot's event ends
     bool live = false;
   };
 
-  // A queued event. Cancelling leaves the entry behind; it is skipped when
-  // its generation no longer matches the slot's.
+  // A queued event: a callback slot and its generation, or kTargetBit | a
+  // target id and the target's argument. Cancelling leaves a callback
+  // entry behind; it is skipped when its generation no longer matches the
+  // slot's.
   struct Entry {
     std::int64_t at;
     std::uint64_t seq;  // insertion order breaks ties deterministically
@@ -83,9 +114,13 @@ class Simulator {
   std::size_t live_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  // Invariant: heap_ holds every entry in buckets <= cur_, ring_ those in
-  // (cur_, cur_ + kRingBuckets), far_ the rest.
+  std::vector<Target*> targets_;
+  // Invariant: run_ holds what bucket cur_ held when it became current,
+  // sorted latest first so the earliest is at the back; heap_ every entry
+  // placed since into a bucket <= cur_; ring_ those in
+  // (cur_, cur_ + kRingBuckets); far_ the rest.
   std::int64_t cur_ = 0;
+  std::vector<Entry> run_;
   std::vector<Entry> heap_;
   std::vector<std::vector<Entry>> ring_ =
       std::vector<std::vector<Entry>>(kRingBuckets);

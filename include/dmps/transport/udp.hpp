@@ -165,6 +165,12 @@ class UdpEndpoint final : public Endpoint {
   /// Intern a known peer address (idempotent per address).
   net::NodeId add_peer(const std::string& ipv4, std::uint16_t port);
 
+  /// Peers interned so far: add_peer() addresses and every new source.
+  std::size_t peer_count() const {
+    loop_.on_loop.assert_held();
+    return peers_.size();
+  }
+
   /// Push every coalesced outbound datagram to the kernel now (one or more
   /// sendmmsg calls). UdpLoop::poll() calls this at turn boundaries;
   /// callers sending outside the loop may force it to bound latency.

@@ -1,6 +1,9 @@
 #include "net/sim_network.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 namespace dmps::net {
@@ -8,6 +11,14 @@ namespace dmps::net {
 namespace {
 std::uint64_t pair_key(NodeId from, NodeId to) {
   return (static_cast<std::uint64_t>(from.value()) << 32) | to.value();
+}
+
+// The key of two invalid ids: no node pair has it.
+constexpr std::uint64_t kNoLink = ~std::uint64_t{0};
+
+// Fibonacci hashing: the product's high half mixes both node ids.
+std::size_t link_hash(std::uint64_t key) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15u) >> 32);
 }
 
 // Process-wide intern table. The library is single-threaded (everything
@@ -38,7 +49,10 @@ const std::string& msg_type_name(MsgType type) {
 }
 
 SimNetwork::SimNetwork(sim::Simulator& sim, std::uint64_t seed, LinkQuality default_link)
-    : sim_(sim), rng_(seed), default_link_(default_link) {}
+    : sim_(sim),
+      delivery_(sim.add_target(*this)),
+      rng_(seed),
+      default_link_(default_link) {}
 
 NodeId SimNetwork::add_node(std::string name) {
   nodes_.push_back(Node{std::move(name), nullptr});
@@ -50,12 +64,38 @@ const std::string& SimNetwork::node_name(NodeId id) const {
 }
 
 void SimNetwork::set_link(NodeId from, NodeId to, LinkQuality quality) {
-  link_overrides_[pair_key(from, to)] = quality;
+  if (from.value() >= nodes_.size() || to.value() >= nodes_.size()) {
+    throw std::out_of_range("SimNetwork::set_link: unknown node");
+  }
+  if (2 * (link_count_ + 1) > links_.size()) {
+    std::vector<LinkSlot> old = std::move(links_);
+    links_.assign(std::max<std::size_t>(16, 2 * old.size()), LinkSlot{kNoLink, {}});
+    for (const LinkSlot& s : old) {
+      if (s.key != kNoLink) links_[probe(s.key)] = s;
+    }
+  }
+  const std::uint64_t key = pair_key(from, to);
+  LinkSlot& slot = links_[probe(key)];
+  if (slot.key == kNoLink) {
+    slot.key = key;
+    ++link_count_;
+  }
+  slot.quality = quality;
+}
+
+// dmps-lint: hot-begin(sim-deliver) — per send: link lookup, park, post
+std::size_t SimNetwork::probe(std::uint64_t key) const {
+  // The slot holding `key`, or the empty slot that ends its probe run.
+  const std::size_t mask = links_.size() - 1;
+  std::size_t i = link_hash(key) & mask;
+  while (links_[i].key != kNoLink && links_[i].key != key) i = (i + 1) & mask;
+  return i;
 }
 
 const LinkQuality& SimNetwork::link(NodeId from, NodeId to) const {
-  const auto it = link_overrides_.find(pair_key(from, to));
-  return it != link_overrides_.end() ? it->second : default_link_;
+  if (links_.empty()) return default_link_;
+  const LinkSlot& slot = links_[probe(pair_key(from, to))];
+  return slot.key == kNoLink ? default_link_ : slot.quality;
 }
 
 void SimNetwork::send(Message msg) {
@@ -79,8 +119,10 @@ void SimNetwork::send(Message msg) {
     parked_free_.pop_back();
     parked_[slot] = std::move(msg);
   }
-  sim_.schedule_in(delay, [this, slot] { deliver_parked(slot); });
+  sim_.post_in(delay, delivery_, slot);
 }
+
+void SimNetwork::fire(std::uint32_t slot) { deliver_parked(slot); }
 
 void SimNetwork::deliver_parked(std::uint32_t slot) {
   // Move out first: a handler may send, which can reuse the slot or grow
@@ -92,6 +134,7 @@ void SimNetwork::deliver_parked(std::uint32_t slot) {
   ++delivered_;
   demux->dispatch(msg);
 }
+// dmps-lint: hot-end
 
 void SimNetwork::attach(NodeId node, Demux* demux) {
   nodes_.at(node.value()).demux = demux;

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace dmps::sim {
@@ -32,6 +33,20 @@ EventId Simulator::schedule_in(util::Duration delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
+Simulator::TargetId Simulator::add_target(Target& target) {
+  targets_.push_back(&target);
+  return static_cast<TargetId>(targets_.size() - 1);
+}
+
+// dmps-lint: hot-begin(sim-deliver) — every SimNetwork delivery
+void Simulator::post_in(util::Duration delay, TargetId target, std::uint32_t arg) {
+  assert(target < targets_.size());
+  if (delay < util::Duration::zero()) delay = util::Duration::zero();
+  ++live_;
+  place(Entry{(now_ + delay).raw_nanos(), next_seq_++, kTargetBit | target, arg});
+}
+// dmps-lint: hot-end
+
 bool Simulator::cancel(EventId id) {
   // Slot 0 is id low word 1, so a low word of 0 wraps out of range. The
   // queue entry stays behind; its generation no longer matches the slot's.
@@ -52,6 +67,7 @@ void Simulator::release(std::uint32_t slot) {
   free_.push_back(slot);
 }
 
+// dmps-lint: hot-begin(sim-deliver)
 void Simulator::place(const Entry& entry) {
   const std::int64_t bucket = bucket_of(entry.at);
   if (bucket <= cur_) {
@@ -65,12 +81,13 @@ void Simulator::place(const Entry& entry) {
     std::push_heap(far_.begin(), far_.end(), std::greater<>{});
   }
 }
+// dmps-lint: hot-end
 
 bool Simulator::advance() {
   // Make the next occupied bucket the current one. One pass always fills
-  // the heap; looping keeps a placement bug a wrong order, which the
-  // differential test reports, instead of a pop from an empty heap.
-  while (heap_.empty()) {
+  // the run or the heap; looping keeps a placement bug a wrong order, which
+  // the differential test reports, instead of a read past an empty store.
+  while (run_.empty() && heap_.empty()) {
     if (ring_entries_ > 0) {
       std::vector<Entry>* bucket = nullptr;
       do {
@@ -78,8 +95,10 @@ bool Simulator::advance() {
         bucket = &ring_[static_cast<std::size_t>(cur_ & (kRingBuckets - 1))];
       } while (bucket->empty());
       ring_entries_ -= bucket->size();
-      heap_.swap(*bucket);
-      std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      // One sort of the few entries a bucket holds (DESIGN §6.3), latest
+      // first: the run is consumed from the back.
+      run_.swap(*bucket);
+      std::sort(run_.begin(), run_.end(), std::greater<>{});
     } else if (!far_.empty()) {
       cur_ = bucket_of(far_.front().at);
     } else {
@@ -96,16 +115,30 @@ bool Simulator::advance() {
   return true;
 }
 
+// dmps-lint: hot-begin(sim-deliver)
 void Simulator::run_until(util::TimePoint until) {
   if (until < now_) return;
-  while (!heap_.empty() || advance()) {
-    const Entry top = heap_.front();
+  while (!run_.empty() || !heap_.empty() || advance()) {
+    // The earliest entry is the run's back or the side heap's top.
+    const bool from_run =
+        heap_.empty() || (!run_.empty() && heap_.front() > run_.back());
+    const Entry top = from_run ? run_.back() : heap_.front();
     if (top.at > until.raw_nanos()) break;
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
+    if (from_run) {
+      run_.pop_back();
+    } else {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      heap_.pop_back();
+    }
+    // Every queued entry is at or after now_, so time never moves back.
+    if ((top.slot & kTargetBit) != 0) {
+      now_ = util::TimePoint::from_nanos(top.at);
+      --live_;
+      targets_[top.slot & ~kTargetBit]->fire(top.gen);
+      continue;
+    }
     Slot& s = slots_[top.slot];
     if (s.gen != top.gen) continue;  // cancelled
-    // The heap top is the earliest entry, so time never moves back.
     now_ = util::TimePoint::from_nanos(top.at);
     Callback cb = std::move(s.cb);
     release(top.slot);
@@ -113,5 +146,6 @@ void Simulator::run_until(util::TimePoint until) {
   }
   now_ = util::max_time(now_, until);
 }
+// dmps-lint: hot-end
 
 }  // namespace dmps::sim

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/sim_network.hpp"
 
 namespace {
@@ -35,7 +42,9 @@ TEST_F(NetFixture, DeliversWithinLatencyPlusJitter) {
     delivered_at = sim.now().to_millis();
   }));
   network.send(net::Message{a, b, ping, {7}});
+  EXPECT_EQ(sim.pending(), 1u);  // the delivery is a pending target event
   sim.run_until(TimePoint::from_seconds(1.0));
+  EXPECT_EQ(sim.pending(), 0u);
   EXPECT_GE(delivered_at, 4.0);
   EXPECT_LE(delivered_at, 7.0);
   EXPECT_EQ(network.delivered(), 1u);
@@ -69,6 +78,53 @@ TEST_F(NetFixture, LossyLinkDropsEverythingAtLossOne) {
   network.send(net::Message{b, a, ping, {}});
   sim.run_until(TimePoint::from_seconds(2.0));
   EXPECT_EQ(got, 1);
+}
+
+TEST_F(NetFixture, LinkOverridesMatchAMapReference) {
+  // 40 nodes give 1,600 ordered pairs. A seeded stream sets 900 distinct
+  // ones, re-setting many on the way, while the table doubles from 16
+  // slots to 2,048; link() must answer what a std::map of the calls says.
+  std::vector<net::NodeId> nodes{a, b};
+  while (nodes.size() < 40) {
+    nodes.push_back(network.add_node("n" + std::to_string(nodes.size())));
+  }
+  // A quality is tagged by its latency in ns; the default link is 4 ms.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::int64_t> want;
+  const auto matches = [&] {
+    for (const net::NodeId from : nodes) {
+      for (const net::NodeId to : nodes) {
+        const auto it = want.find({from.value(), to.value()});
+        const std::int64_t expect =
+            it == want.end() ? Duration::millis(4).raw_nanos() : it->second;
+        if (network.link(from, to).latency.raw_nanos() != expect) return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(matches());  // no overrides yet: every pair is the default
+  util::Rng rng(5);
+  std::int64_t tag = 1;
+  std::size_t overwrites = 0;
+  while (want.size() < 900) {
+    const net::NodeId from = nodes[rng.index(nodes.size())];
+    const net::NodeId to = nodes[rng.index(nodes.size())];
+    overwrites += want.count({from.value(), to.value()});
+    want[{from.value(), to.value()}] = tag;
+    network.set_link(from, to,
+                     net::LinkQuality{Duration::nanos(tag), Duration::zero(), 0.0});
+    if (++tag % 50 == 0) {
+      ASSERT_TRUE(matches()) << want.size() << " overrides";
+    }
+  }
+  EXPECT_TRUE(matches());
+  EXPECT_GT(overwrites, 100u);
+}
+
+TEST_F(NetFixture, SetLinkRefusesUnknownNodes) {
+  const net::LinkQuality q{Duration::millis(1), Duration::zero(), 0.0};
+  EXPECT_THROW(network.set_link(a, net::NodeId(2), q), std::out_of_range);
+  EXPECT_THROW(network.set_link(net::NodeId(), net::NodeId(), q), std::out_of_range);
+  EXPECT_EQ(network.link(net::NodeId(), net::NodeId()).latency, Duration::millis(4));
 }
 
 TEST_F(NetFixture, MessageTypesHaveOneOwner) {

@@ -107,13 +107,93 @@ TEST(Simulator, EarlierEventAfterAWindowEndingMidBucket) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
+// Records every fire(arg) as its tag in a shared order log.
+class TagTarget final : public Simulator::Target {
+ public:
+  explicit TagTarget(std::vector<int>& order) : order_(order) {}
+  void fire(std::uint32_t arg) override { order_.push_back(static_cast<int>(arg)); }
+
+ private:
+  std::vector<int>& order_;
+};
+
+TEST(Simulator, TargetEventIntoTheRunningBucketJoinsItsRunInOrder) {
+  // Entries a target event lands among were sorted into the bucket's run
+  // before it existed; it goes to the side heap and must still interleave
+  // by time, and after the run's entry at the same instant.
+  Simulator sim;
+  std::vector<int> order;
+  TagTarget target(order);
+  const Simulator::TargetId id = sim.add_target(target);
+  const std::int64_t base = 3 * kBucket;
+  const auto at = [&](std::int64_t ns, int tag) {
+    sim.schedule_at(TimePoint::from_nanos(base + ns),
+                    [&order, tag] { order.push_back(tag); });
+  };
+  sim.schedule_at(TimePoint::from_nanos(base + 10), [&] {
+    order.push_back(1);
+    sim.post_in(Duration::nanos(5), id, 2);   // base + 15
+    sim.post_in(Duration::nanos(20), id, 4);  // base + 30, after tag 3
+    sim.post_in(Duration::nanos(-7), id, 6);  // clamps to base + 10
+  });
+  at(30, 3);
+  at(50, 5);
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run_until(TimePoint::from_nanos(base + 40));
+  EXPECT_EQ(order, (std::vector<int>{1, 6, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), TimePoint::from_nanos(base + 40));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_until(TimePoint::from_nanos(base + kBucket));
+  EXPECT_EQ(order, (std::vector<int>{1, 6, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, TargetEventBehindTheCurrentBucketAfterAMidBucketWindow) {
+  // run_until made bucket 5 current to find its next event, then stopped
+  // mid-bucket 1; target events posted now into bucket 2, and into bucket
+  // 5 ahead of and level with its sorted run, must keep (time, insertion)
+  // order.
+  Simulator sim;
+  std::vector<int> order;
+  TagTarget target(order);
+  const Simulator::TargetId id = sim.add_target(target);
+  sim.schedule_at(TimePoint::from_nanos(5 * kBucket + 100),
+                  [&] { order.push_back(3); });
+  sim.run_until(TimePoint::from_nanos(kBucket + 7));
+  EXPECT_TRUE(order.empty());
+  const auto post_at = [&](std::int64_t ns, int tag) {
+    sim.post_in(Duration::nanos(ns - sim.now().raw_nanos()), id,
+                static_cast<std::uint32_t>(tag));
+  };
+  post_at(2 * kBucket + 3, 1);
+  post_at(5 * kBucket + 50, 2);
+  post_at(5 * kBucket + 100, 4);
+  post_at(kBucket + 7 + 2 * kRing, 5);  // past the ring
+  EXPECT_EQ(sim.pending(), 5u);
+  sim.run_until(TimePoint::from_nanos(3 * kRing));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 // The binary heap + hash map store Simulator used before the calendar
 // queue, kept as the reference model for the differential test below.
 class ReferenceSimulator {
  public:
   using Callback = std::function<void()>;
+  using Target = Simulator::Target;
+  using TargetId = Simulator::TargetId;
 
   TimePoint now() const { return now_; }
+
+  // A target event is a callback nobody holds the id of.
+  TargetId add_target(Target& target) {
+    targets_.push_back(&target);
+    return static_cast<TargetId>(targets_.size() - 1);
+  }
+
+  void post_in(Duration delay, TargetId target, std::uint32_t arg) {
+    schedule_in(delay, [this, target, arg] { targets_[target]->fire(arg); });
+  }
 
   EventId schedule_at(TimePoint at, Callback cb) {
     const EventId id = next_id_++;
@@ -163,17 +243,28 @@ class ReferenceSimulator {
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
   std::unordered_map<EventId, Callback> callbacks_;
+  std::vector<Target*> targets_;
 };
 
-// One seeded random stream of schedule / cancel / run_until calls, some of
-// them made from inside callbacks. Everything observable goes to the log:
-// the fire order with now() at each fire, every cancel() result, pending()
-// after every call and now() after every window. Two stores that behave
-// alike consume the stream identically, so their logs are equal.
+// One seeded random stream of schedule / post / cancel / run_until calls,
+// some of them made from inside callbacks and target events. Everything
+// observable goes to the log: the fire order with now() at each fire, the
+// target each target event reached, every cancel() result, pending() after
+// every call and now() after every window. Two stores that behave alike
+// consume the stream identically, so their logs are equal.
 template <class Sim>
 class RandomStream {
  public:
-  explicit RandomStream(std::uint64_t seed) : rng_(seed) {}
+  explicit RandomStream(std::uint64_t seed) : rng_(seed) {
+    // Two targets, so a target event routed to the wrong one shows.
+    for (std::size_t i = 0; i < 2; ++i) {
+      sinks_[i].stream = this;
+      sinks_[i].tag = static_cast<std::int64_t>(i);
+      sinks_[i].id = sim_.add_target(sinks_[i]);
+    }
+  }
+  RandomStream(const RandomStream&) = delete;
+  RandomStream& operator=(const RandomStream&) = delete;
 
   std::vector<std::int64_t> run(int steps) {
     for (int i = 0; i < steps; ++i) step(false);
@@ -184,7 +275,17 @@ class RandomStream {
   }
 
  private:
-  enum Tag : std::int64_t { kFire = 1, kCancel, kPending, kNow };
+  enum Tag : std::int64_t { kFire = 1, kCancel, kPending, kNow, kSink };
+
+  struct Sink final : Simulator::Target {
+    RandomStream* stream = nullptr;
+    std::int64_t tag = 0;
+    typename Sim::TargetId id = 0;
+    void fire(std::uint32_t handle) override {
+      stream->put(kSink, tag);
+      stream->on_fire(handle);
+    }
+  };
 
   void put(Tag tag, std::int64_t a, std::int64_t b = 0) {
     log_.insert(log_.end(), {tag, a, b});
@@ -209,39 +310,47 @@ class RandomStream {
   void schedule() {
     const std::size_t handle = ids_.size();
     ids_.push_back(0);
-    auto cb = [this, handle] { fire(handle); };
     const std::int64_t now = sim_.now().raw_nanos();
-    EventId id = 0;
+    std::int64_t delay = 0;  // from now; negative clamps to now
+    bool absolute = false;   // schedule_at(now + delay) in place of schedule_in
     switch (below(9)) {
       case 0:
-        id = sim_.schedule_in(Duration::zero(), cb);
         break;
       case 1:  // negative delay: clamps to now
-        id = sim_.schedule_in(Duration::nanos(-1 - below(kRing)), cb);
+        delay = -1 - below(kRing);
         break;
       case 2:  // in the past, absolute: clamps to now
-        id = sim_.schedule_at(TimePoint::from_nanos(now - below(4 * kBucket)), cb);
+        delay = -below(4 * kBucket);
+        absolute = true;
         break;
       case 3:  // within the current bucket or the next
-        id = sim_.schedule_in(Duration::nanos(1 + below(kBucket - 1)), cb);
+        delay = 1 + below(kBucket - 1);
         break;
       case 4: {  // exactly on a bucket edge, a few behind to a few ahead
         const std::int64_t edge = (now / kBucket + below(8) - 2) * kBucket;
-        id = sim_.schedule_at(TimePoint::from_nanos(edge < 0 ? 0 : edge), cb);
+        delay = (edge < 0 ? 0 : edge) - now;
+        absolute = true;
         break;
       }
       case 5:  // a whole number of buckets, up to just past the ring
-        id = sim_.schedule_in(Duration::nanos(below(520) * kBucket), cb);
+        delay = below(520) * kBucket;
         break;
       case 6:
       case 7:  // anywhere in the ring
-        id = sim_.schedule_in(Duration::nanos(below(kRing)), cb);
+        delay = below(kRing);
         break;
       default:  // past the ring
-        id = sim_.schedule_in(Duration::nanos(kRing + below(3 * kRing)), cb);
+        delay = kRing + below(3 * kRing);
         break;
     }
-    ids_[handle] = id;
+    if (below(3) == 0) {  // a target event: it has no id to cancel
+      sim_.post_in(Duration::nanos(delay), sinks_[rng_.index(2)].id,
+                   static_cast<std::uint32_t>(handle));
+      return;
+    }
+    auto cb = [this, handle] { on_fire(handle); };
+    ids_[handle] = absolute ? sim_.schedule_at(TimePoint::from_nanos(now + delay), cb)
+                            : sim_.schedule_in(Duration::nanos(delay), cb);
   }
 
   void cancel() {
@@ -283,7 +392,7 @@ class RandomStream {
     put(kNow, sim_.now().raw_nanos());
   }
 
-  void fire(std::size_t handle) {
+  void on_fire(std::size_t handle) {
     put(kFire, static_cast<std::int64_t>(handle), sim_.now().raw_nanos());
     // Re-entrant calls: fewer than one new event per fire on average, so
     // the stream stays finite.
@@ -295,7 +404,8 @@ class RandomStream {
 
   dmps::util::Rng rng_;
   Sim sim_;
-  std::vector<EventId> ids_;  // by handle, in scheduling order
+  Sink sinks_[2];
+  std::vector<EventId> ids_;  // by handle, in scheduling order; 0 for posts
   std::vector<std::int64_t> log_;
 };
 

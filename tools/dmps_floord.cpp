@@ -19,7 +19,8 @@
 //   SIGINT/SIGTERM graceful shutdown — stop the loop, release every
 //                  outstanding grant (sweeping freed hosts), dump final
 //                  metrics, check that nothing is left held, suspended or
-//                  parked, exit 0 (1 when something is).
+//                  parked and that decided-request records stay within
+//                  one per registered member, exit 0 (1 when not).
 
 #include <signal.h>
 #include <sys/signalfd.h>
@@ -168,6 +169,33 @@ int main(int argc, char** argv) {
         *endpoint, registry, service, server_config));
   }
 
+  const auto decided_records = [&servers] {
+    std::size_t records = 0;
+    for (const auto& server : servers) records += server->decided_records();
+    return records;
+  };
+  // Live state, pulled only when a snapshot is written: nothing per datagram.
+  // dmps-lint: obs-register-begin — before freeze(); everything the
+  // callbacks read outlives the last dump.
+  metrics.gauge_callback("floor.active_grants", [&service] {
+    return static_cast<std::int64_t>(service.active_grants());
+  });
+  metrics.gauge_callback("floor.suspended_grants", [&service] {
+    return static_cast<std::int64_t>(service.suspended_grants());
+  });
+  metrics.gauge_callback("floor.queued_requests", [&service] {
+    return static_cast<std::int64_t>(service.queued_requests());
+  });
+  metrics.gauge_callback("wire.server.decided_records", [&decided_records] {
+    return static_cast<std::int64_t>(decided_records());
+  });
+  metrics.gauge_callback("wire.udp.peers", [&endpoints] {
+    std::size_t peers = 0;
+    for (const auto& endpoint : endpoints) peers += endpoint->peer_count();
+    return static_cast<std::int64_t>(peers);
+  });
+  // dmps-lint: obs-register-end
+
   metrics.freeze();  // setup done; hot-path registration is a bug from here
 
   const auto dump_metrics = [&] {
@@ -248,6 +276,17 @@ int main(int argc, char** argv) {
     if (count == 0) continue;
     std::fprintf(stderr, "dmps_floord: unclean end state: %s=%zu\n", name,
                  count);
+    status = 1;
+  }
+  // A member's next request ages out its older records (DESIGN §6.5a), and
+  // a member talks to one shard, so each registered member (the chair
+  // included) keeps at most one.
+  const std::size_t records = decided_records();
+  const std::size_t registered = members.size() + 1;
+  if (records > registered) {
+    std::fprintf(stderr,
+                 "dmps_floord: unclean end state: decided_records=%zu > members=%zu\n",
+                 records, registered);
     status = 1;
   }
   return status;
