@@ -20,7 +20,8 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
                sample_payloads() (tests/test_transport.cpp), and
                kMsgKindCount must equal the enumerator count. Adding a
                kind and forgetting one of the three is a silent
-               interop bug until a daemon drops the frame.
+               interop bug until a daemon drops the frame. docs/WIRE.md's
+               kind table and frame-limits table must match the code.
   hot          Inside `// dmps-lint: hot-begin(<name>)` .. `hot-end`
                regions (the worker drain loop, GrantStore mutation
                paths, the UDP rx path): no `new` expressions, no
@@ -344,19 +345,7 @@ def check_wire_schema(root, violations, config_errors):
             "tagged so this check can find it"))
         return
     doc_rows = {}
-    in_table = False
-    for lineno, line in enumerate(doc_text.splitlines(), 1):
-        if marker in line:
-            in_table = True
-            continue
-        if not in_table:
-            continue
-        stripped = line.strip()
-        if not stripped.startswith("|"):
-            if doc_rows:
-                break  # table ended
-            continue
-        cells = [c.strip() for c in stripped.strip("|").split("|")]
+    for cells, lineno in table_rows(doc_text, marker):
         if len(cells) < 4 or not cells[0].isdigit():
             continue  # header / separator row
         doc_rows[cells[1]] = (int(cells[0]), cells[2].strip("`"),
@@ -393,6 +382,91 @@ def check_wire_schema(root, violations, config_errors):
             doc_rel, doc_rows[stray][3], "wire-schema",
             f"docs/WIRE.md documents {stray} which the MsgKind enum does "
             "not declare"))
+    check_frame_limits(root, doc_rel, doc_text, violations, config_errors)
+
+
+# The frame limits docs/WIRE.md publishes, each a constant in frame.hpp.
+FRAME_LIMITS = ("kFrameVersion", "kFrameMaxLanes", "kFrameMaxBytes",
+                "kDatagramMaxBytes")
+CONSTEXPR_RE = re.compile(r"inline\s+constexpr\s+[\w:]+\s+(k\w+)\s*=\s*([^;]+);")
+INT_LITERAL_RE = re.compile(r"\b(0[xX][0-9a-fA-F]+|\d+)[uUlL]*\b")
+
+
+def header_constants(text):
+    """The integer constants a header defines, folding expressions of
+    earlier ones (`kA + kB * 8`). A constant whose expression is not plain
+    integer arithmetic is left out."""
+    values = {}
+    for name, expr in CONSTEXPR_RE.findall(strip_block(text)):
+        expr = INT_LITERAL_RE.sub(lambda m: str(int(m.group(1), 0)), expr)
+        expr = re.sub(r"\bk\w+\b",
+                      lambda m: str(values.get(m.group(0), m.group(0))), expr)
+        if re.fullmatch(r"[\d\s+*()-]+", expr):
+            values[name] = eval(expr, {"__builtins__": {}}, {})  # digits only
+    return values
+
+
+def check_frame_limits(root, doc_rel, doc_text, violations, config_errors):
+    """docs/WIRE.md's frame-limits table against the constants in
+    include/dmps/transport/frame.hpp, which the endpoints frame by."""
+    hdr = root / "include/dmps/transport/frame.hpp"
+    try:
+        constants = header_constants(hdr.read_text())
+    except OSError as e:
+        config_errors.append(f"wire-schema: cannot read {e.filename}")
+        return
+    marker = "dmps-lint: wire-frame-limits"
+    if marker not in doc_text:
+        violations.append(Violation(
+            doc_rel, 1, "wire-schema",
+            f"no '{marker}' marker in docs/WIRE.md — the frame limits "
+            "(version, lanes, frame and datagram bytes) must be tagged so "
+            "this check can find them"))
+        return
+    doc_values = {}
+    for cells, lineno in table_rows(doc_text, marker):
+        name = cells[0].strip("`")
+        value = cells[1].replace(",", "") if len(cells) > 1 else ""
+        if name in FRAME_LIMITS and value.isdigit():
+            doc_values[name] = (int(value), lineno)
+    for name in FRAME_LIMITS:
+        if name not in constants:
+            config_errors.append(
+                f"{hdr.relative_to(root)}: no integer constant {name} found")
+            continue
+        if name not in doc_values:
+            violations.append(Violation(
+                doc_rel, line_of(doc_text, marker), "wire-schema",
+                f"{name} missing from the docs/WIRE.md frame-limits table"))
+            continue
+        value, lineno = doc_values[name]
+        if value != constants[name]:
+            violations.append(Violation(
+                doc_rel, lineno, "wire-schema",
+                f"docs/WIRE.md gives {name} = {value} but frame.hpp says "
+                f"{constants[name]} — a client built from the doc would "
+                "frame datagrams the daemon drops"))
+
+
+def table_rows(text, marker):
+    """(cells, line number) for each row of the first markdown table after
+    the line holding `marker`."""
+    rows = []
+    in_table = False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if marker in line:
+            in_table = True
+            continue
+        if not in_table:
+            continue
+        stripped = line.strip()
+        if not stripped.startswith("|"):
+            if rows:
+                break  # table ended
+            continue
+        rows.append(([c.strip() for c in stripped.strip("|").split("|")],
+                     lineno))
+    return rows
 
 
 def strip_block(text):

@@ -21,6 +21,7 @@ DESIGN_WITH_DAG = """# design
 util:
 obs: util
 floor: util obs
+transport: util
 fproto: util obs floor
 ```
 ```dmps-hot-regions
@@ -72,7 +73,25 @@ std::optional<GrantMsg> decode_grant(const net::Message& msg) {
 }
 """
 
+FRAME_HPP = """#pragma once
+inline constexpr std::uint32_t kFrameMagic = 0x53504D44u;  // "DMPS" LE
+inline constexpr std::uint8_t kFrameVersion = 2;
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+inline constexpr std::size_t kFrameMaxLanes = 16;
+inline constexpr std::size_t kFrameMaxBytes =
+    kFrameHeaderBytes + kFrameMaxLanes * 8;
+inline constexpr std::size_t kDatagramMaxBytes = 1472;
+"""
+
 WIRE_MD = """# wire doc
+<!-- dmps-lint: wire-frame-limits -->
+| constant            | value | meaning |
+|---------------------|------:|---------|
+| `kFrameVersion`     |     2 | version |
+| `kFrameMaxLanes`    |    16 | lanes   |
+| `kFrameMaxBytes`    |   136 | frame   |
+| `kDatagramMaxBytes` |  1472 | datagram |
+
 <!-- dmps-lint: wire-kind-table -->
 | id | kind   | type name  | lanes | direction |
 |---:|--------|------------|------:|-----------|
@@ -104,6 +123,7 @@ def make_repo(root):
     write(root, "include/dmps/floor/c.hpp", '#include "obs/b.hpp"\n')
     write(root, "include/dmps/fproto/codec.hpp", CODEC_HPP)
     write(root, "src/fproto/codec.cpp", CODEC_CPP)
+    write(root, "include/dmps/transport/frame.hpp", FRAME_HPP)
     write(root, "tests/test_transport.cpp", TEST_TRANSPORT)
     write(root, "docs/WIRE.md", WIRE_MD)
     write(root, "src/floor/regions.cpp", REGIONS_CPP)
@@ -278,6 +298,37 @@ class WireSchema(LintCase):
     def test_matching_doc_passes(self):
         status, out, err = self.run_lint(self.root, ["wire-schema"])
         self.assertEqual(status, 0, msg=out + err)
+
+    def test_drifted_frame_constant_fails(self):
+        # The header moves, the doc does not; the folded expression
+        # (kFrameMaxBytes) drifts with the lane bound it is built from.
+        write(self.root, "include/dmps/transport/frame.hpp",
+              FRAME_HPP.replace("kFrameMaxLanes = 16", "kFrameMaxLanes = 12")
+                       .replace("kDatagramMaxBytes = 1472",
+                                "kDatagramMaxBytes = 1400"))
+        status, out, _ = self.run_lint(self.root, ["wire-schema"])
+        self.assertEqual(status, 1)
+        self.assertIn("gives kFrameMaxLanes = 16 but frame.hpp says 12", out)
+        self.assertIn("gives kFrameMaxBytes = 136 but frame.hpp says 104",
+                      out)
+        self.assertIn("gives kDatagramMaxBytes = 1472 but frame.hpp says "
+                      "1400", out)
+
+    def test_missing_frame_limits_table_fails(self):
+        write(self.root, "docs/WIRE.md",
+              WIRE_MD.replace("<!-- dmps-lint: wire-frame-limits -->\n", ""))
+        status, out, _ = self.run_lint(self.root, ["wire-schema"])
+        self.assertEqual(status, 1)
+        self.assertIn("no 'dmps-lint: wire-frame-limits' marker", out)
+
+    def test_frame_limits_row_missing_fails(self):
+        write(self.root, "docs/WIRE.md",
+              "\n".join(l for l in WIRE_MD.splitlines()
+                        if "kFrameVersion" not in l) + "\n")
+        status, out, _ = self.run_lint(self.root, ["wire-schema"])
+        self.assertEqual(status, 1)
+        self.assertIn("kFrameVersion missing from the docs/WIRE.md "
+                      "frame-limits table", out)
 
 
 class HotRegions(LintCase):

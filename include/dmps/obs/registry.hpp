@@ -143,15 +143,19 @@ struct WireInstruments {
   Counter& server_notify_retransmits;  // wire.server.notify_retransmits
   Histogram& grant_latency_us;       // wire.grant_latency_us (request->grant)
 
-  // UDP backend (transport/udp.hpp): datagram-level accounting. Malformed
-  // or unroutable datagrams are counted and dropped, never crash the loop.
-  Counter& udp_tx_datagrams;         // wire.udp.tx_datagrams
+  // UDP backend (transport/udp.hpp): datagram- and frame-level accounting.
+  // A datagram carries one or more frames; one that does not tile into
+  // frames is counted once in its drop class and dropped whole, never
+  // crashes the loop.
+  Counter& udp_tx_datagrams;         // wire.udp.tx_datagrams (sendmmsg accepted)
   Counter& udp_rx_datagrams;         // wire.udp.rx_datagrams
-  Counter& udp_drop_malformed;       // wire.udp.drop_malformed (short/bad magic/lanes)
+  Counter& udp_tx_frames;            // wire.udp.tx_frames (incl. send-filtered)
+  Counter& udp_rx_frames;            // wire.udp.rx_frames (in datagrams that passed)
+  Counter& udp_drop_malformed;       // wire.udp.drop_malformed (short/bad magic/lanes/too long)
   Counter& udp_drop_version;         // wire.udp.drop_version
-  Counter& udp_drop_unknown_kind;    // wire.udp.drop_unknown_kind
-  Counter& udp_drop_unhandled;       // wire.udp.drop_unhandled (no handler for type)
-  Counter& udp_send_failures;        // wire.udp.send_failures (sendto errors)
+  Counter& udp_drop_unknown_kind;    // wire.udp.drop_unknown_kind (per frame)
+  Counter& udp_drop_unhandled;       // wire.udp.drop_unhandled (per frame, no handler for type)
+  Counter& udp_send_failures;        // wire.udp.send_failures (refused sends, skipped datagrams)
   // Batch I/O shape: datagrams moved per recvmmsg/sendmmsg syscall. A mean
   // near 1 means the endpoint pays one syscall per datagram (idle or
   // trickle traffic); under load the daemon's rx mean should sit well

@@ -52,8 +52,10 @@ class Endpoint {
   /// arrive afterwards and are dropped unhandled).
   virtual void off(net::MsgType type) = 0;
 
-  /// Send one datagram to a peer this endpoint knows (a Message::from it
-  /// received, or an address registered with the backend).
+  /// Send one message, best effort like a datagram, to a peer this
+  /// endpoint knows (a Message::from it received, or an address registered
+  /// with the backend). UdpEndpoint may carry it in one datagram with
+  /// other messages for the same peer; per-peer order is send order.
   virtual void send(net::NodeId to, net::MsgType type, net::Payload ints) = 0;
 
   /// Schedule `cb` after `delay` on this endpoint's timeline. Never 0.

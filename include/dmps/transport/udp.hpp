@@ -20,22 +20,26 @@
 //
 // I/O is batch-first (DESIGN.md §9.3a). Receive drains up to kRxBatch
 // datagrams per recvmmsg() syscall into arrays preallocated at
-// construction; send() coalesces outbound frames into a flush buffer that
-// goes to the kernel in one sendmmsg() — when the buffer fills, or at the
-// latest at the end of the current loop turn (UdpLoop::poll() flushes
-// every endpoint after dispatching handlers and timers, and again before
-// blocking, so a datagram sent outside the loop never waits out an epoll
-// timeout). Buffered order is send order, so per-peer ordering is exactly
-// what a serial sendto() loop would produce. Batch sizes are recorded in
-// the wire.udp.rx_batch / tx_batch histograms; the steady state allocates
-// nothing (PR 6 arena discipline).
+// construction; send() appends each outbound frame to the latest pending
+// datagram for its peer while it fits in kDatagramMaxBytes, else opens a
+// new one, and the pending datagrams go to the kernel in one sendmmsg() —
+// when all kTxBatch slots are taken, or at the latest at the end of the
+// current loop turn (UdpLoop::poll() flushes every endpoint after
+// dispatching handlers and timers, and again before blocking, so a frame
+// sent outside the loop never waits out an epoll timeout). A frame only
+// ever joins its peer's latest datagram and datagrams leave in the order
+// they were opened, so per-peer ordering is exactly send order. Batch sizes
+// are recorded in the wire.udp.rx_batch / tx_batch histograms; the steady
+// state allocates nothing.
 //
-// Untrusted bytes never crash the loop: every malformed, foreign-version,
-// unknown-kind or unhandled datagram increments its own wire.udp.* drop
-// counter (obs::WireInstruments) and is discarded.
+// Untrusted bytes never crash the loop: a datagram whose frames do not tile
+// it exactly is dropped whole, before any of its frames is dispatched, and
+// counted once in its wire.udp.* drop class (obs::WireInstruments); an
+// unknown-kind or unhandled frame in a datagram that passed is counted
+// and skipped on its own.
 //
 // set_send_filter() is the deterministic loss hook for tests: a filter
-// returning false "loses" the outbound datagram after it is counted as
+// returning false "loses" the outbound frame after it is counted as
 // transmitted — the UDP analogue of SimNetwork's lossy links.
 
 #ifdef __linux__
@@ -145,10 +149,10 @@ class LoopClock final : public clk::Clock {
 class UdpEndpoint final : public Endpoint {
  public:
   /// Datagrams moved per syscall, both directions. Receive drains up to
-  /// kRxBatch frames per recvmmsg; send coalesces up to kTxBatch frames
+  /// kRxBatch datagrams per recvmmsg; send fills up to kTxBatch datagrams
   /// before a buffer-full sendmmsg (the loop flushes partial buffers at
   /// every turn boundary). 32 keeps the preallocated buffers at ~64 KiB
-  /// rx + ~6 KiB tx per endpoint while covering the daemon's observed
+  /// rx + ~47 KiB tx per endpoint while covering the daemon's observed
   /// burst sizes.
   static constexpr std::size_t kRxBatch = 32;
   static constexpr std::size_t kTxBatch = 32;
@@ -171,13 +175,14 @@ class UdpEndpoint final : public Endpoint {
     return peers_.size();
   }
 
-  /// Push every coalesced outbound datagram to the kernel now (one or more
+  /// Push every pending outbound datagram to the kernel now (one or more
   /// sendmmsg calls). UdpLoop::poll() calls this at turn boundaries;
   /// callers sending outside the loop may force it to bound latency.
   void flush();
 
-  /// Drop outbound datagrams the filter rejects — after counting them as
-  /// transmitted, so retransmit arithmetic matches a real lossy wire.
+  /// Drop outbound frames the filter rejects — after counting them as
+  /// transmitted, so retransmit arithmetic matches a real lossy wire. A
+  /// rejected frame never enters a datagram.
   void set_send_filter(std::function<bool(net::NodeId, net::MsgType)> filter) {
     loop_.on_loop.assert_held();
     send_filter_ = std::move(filter);
@@ -193,6 +198,12 @@ class UdpEndpoint final : public Endpoint {
 
  private:
   void drain_socket() DMPS_REQUIRES(loop_.on_loop);
+  /// One received datagram through walk_datagram(): a framing error is
+  /// counted once and drops it whole; otherwise each frame goes to its
+  /// handler, or is counted as unknown-kind or unhandled and skipped.
+  void dispatch_datagram(const std::uint8_t* bytes, std::size_t len,
+                         const ::sockaddr_in& from)
+      DMPS_REQUIRES(loop_.on_loop);
   net::NodeId intern_peer(std::uint32_t ip_be, std::uint16_t port_be)
       DMPS_REQUIRES(loop_.on_loop);
 
@@ -201,13 +212,17 @@ class UdpEndpoint final : public Endpoint {
   // the loop, and each public entry point asserts it.
   UdpLoop& loop_;
   WireSchema schema_;
-  std::unordered_map<net::MsgType::value_type, std::uint8_t> wire_ids_;
+  // by interned MsgType value: the kind byte, or -1 = not in the schema
+  std::vector<std::int16_t> wire_ids_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
 
+  static constexpr std::uint32_t kNoTxSlot = ~std::uint32_t{0};
   struct Peer {
     std::uint32_t ip_be = 0;    // network byte order
     std::uint16_t port_be = 0;  // network byte order
+    // The pending tx slot this peer's next frame may join, or kNoTxSlot.
+    std::uint32_t tx_slot = kNoTxSlot;
   };
   // NodeId value = index
   std::vector<Peer> peers_ DMPS_GUARDED_BY(loop_.on_loop);
@@ -223,19 +238,21 @@ class UdpEndpoint final : public Endpoint {
 
   // --- Batch I/O state, all preallocated in the ctor (steady state is
   // alloc-free). rx: recvmmsg scatters into kRxBatch fixed slots; tx: send()
-  // encodes into the next free slot and flush() hands the filled prefix to
-  // sendmmsg. The mmsghdr/iovec arrays are wired to the slot storage once,
-  // at construction — per-call work is only resetting msg_namelen (rx) and
-  // msg_iov lengths (tx).
+  // encodes each frame onto its peer's latest pending slot or the next free
+  // one, and flush() hands the filled prefix to sendmmsg. The mmsghdr/iovec
+  // arrays are wired to the slot storage once, at construction — per-call
+  // work is only resetting msg_namelen (rx) and the iovec lengths, which
+  // hold each tx datagram's length so far.
   struct RxSlot {
-    std::uint8_t bytes[2048];  // > kFrameMaxBytes: oversized datagrams are
-                               // received whole and dropped as malformed
+    // > kDatagramMaxBytes: a longer datagram arrives truncated but still
+    // longer than any valid one, and is dropped as malformed
+    std::uint8_t bytes[2048];
     ::sockaddr_in from;
   };
   struct TxSlot {
-    std::uint8_t bytes[kFrameMaxBytes];
+    std::uint8_t bytes[kDatagramMaxBytes];
     ::sockaddr_in to;
-    std::size_t len = 0;
+    std::uint32_t peer = 0;  // NodeId value of `to`
   };
   std::vector<RxSlot> rx_slots_ DMPS_GUARDED_BY(loop_.on_loop);
   std::vector<::mmsghdr> rx_msgs_ DMPS_GUARDED_BY(loop_.on_loop);

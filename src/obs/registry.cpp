@@ -199,6 +199,8 @@ WireInstruments::WireInstruments(MetricsRegistry& registry)
       grant_latency_us(registry.histogram("wire.grant_latency_us")),
       udp_tx_datagrams(registry.counter("wire.udp.tx_datagrams")),
       udp_rx_datagrams(registry.counter("wire.udp.rx_datagrams")),
+      udp_tx_frames(registry.counter("wire.udp.tx_frames")),
+      udp_rx_frames(registry.counter("wire.udp.rx_frames")),
       udp_drop_malformed(registry.counter("wire.udp.drop_malformed")),
       udp_drop_version(registry.counter("wire.udp.drop_version")),
       udp_drop_unknown_kind(registry.counter("wire.udp.drop_unknown_kind")),

@@ -38,6 +38,23 @@ std::int64_t get_i64(const std::uint8_t* in) {
   return static_cast<std::int64_t>(u);
 }
 
+/// The header checks shared by decode_frame and check_datagram; on kOk,
+/// `lanes` is the declared lane count, and the whole frame is present.
+FrameError parse_header(const std::uint8_t* data, std::size_t len,
+                        std::uint16_t& lanes) {
+  if (len < kFrameHeaderBytes) return FrameError::kShort;
+  if (get_u32(data) != kFrameMagic) return FrameError::kBadMagic;
+  if (data[4] != kFrameVersion) return FrameError::kBadVersion;
+  lanes = get_u16(data + 6);
+  // A declared body longer than the bytes present is truncated, whatever
+  // follows: the frame cannot be read, and no later boundary can be found.
+  if (lanes > kFrameMaxLanes ||
+      len - kFrameHeaderBytes < lanes * std::size_t{8}) {
+    return FrameError::kBadLaneCount;
+  }
+  return FrameError::kOk;
+}
+
 }  // namespace
 
 std::size_t encode_frame(std::uint8_t kind, const net::Payload& ints,
@@ -55,20 +72,27 @@ std::size_t encode_frame(std::uint8_t kind, const net::Payload& ints,
 }
 
 FrameError decode_frame(const std::uint8_t* data, std::size_t len, Frame& out) {
-  if (len < kFrameHeaderBytes) return FrameError::kShort;
-  if (get_u32(data) != kFrameMagic) return FrameError::kBadMagic;
-  if (data[4] != kFrameVersion) return FrameError::kBadVersion;
-  const std::uint16_t lanes = get_u16(data + 6);
-  // The declared lane count must match the bytes actually present: a
-  // truncated body is as malformed as a trailing-garbage one.
-  if (lanes > kFrameMaxLanes || len != kFrameHeaderBytes + lanes * std::size_t{8}) {
-    return FrameError::kBadLaneCount;
-  }
+  std::uint16_t lanes = 0;
+  const FrameError error = parse_header(data, len, lanes);
+  if (error != FrameError::kOk) return error;
   out.kind = data[5];
+  out.size = kFrameHeaderBytes + lanes * std::size_t{8};
   out.ints.clear();
   for (std::uint16_t i = 0; i < lanes; ++i) {
     out.ints.push_back(get_i64(data + kFrameHeaderBytes + i * std::size_t{8}));
   }
+  return FrameError::kOk;
+}
+
+FrameError check_datagram(const std::uint8_t* data, std::size_t len) {
+  if (len > kDatagramMaxBytes) return FrameError::kTooLong;
+  std::size_t offset = 0;
+  do {
+    std::uint16_t lanes = 0;
+    const FrameError error = parse_header(data + offset, len - offset, lanes);
+    if (error != FrameError::kOk) return error;
+    offset += kFrameHeaderBytes + lanes * std::size_t{8};
+  } while (offset < len);
   return FrameError::kOk;
 }
 

@@ -114,7 +114,9 @@ UdpEndpoint::UdpEndpoint(UdpLoop& loop, WireSchema schema, std::uint16_t port,
       schema_(std::move(schema)),
       wire_(obs != nullptr ? obs : &obs::WireInstruments::global()) {
   for (std::size_t i = 0; i < schema_.types.size(); ++i) {
-    wire_ids_[schema_.types[i].value()] = static_cast<std::uint8_t>(i);
+    const std::size_t index = schema_.types[i].value();
+    if (index >= wire_ids_.size()) wire_ids_.resize(index + 1, -1);
+    wire_ids_[index] = static_cast<std::int16_t>(i);
   }
 
   fd_ = socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -175,7 +177,7 @@ UdpEndpoint::UdpEndpoint(UdpLoop& loop, WireSchema schema, std::uint16_t port,
 
 UdpEndpoint::~UdpEndpoint() {
   loop_.on_loop.assert_held();
-  flush();  // don't strand coalesced datagrams buffered this turn
+  flush();  // don't strand datagrams buffered this turn
   loop_.detach(this);
   loop_.remove_fd(fd_);
   close(fd_);
@@ -221,38 +223,43 @@ void UdpEndpoint::off(net::MsgType type) {
   if (index < handlers_.size()) handlers_[index] = nullptr;
 }
 
-// dmps-lint: hot-begin(udp-tx) — per-datagram send path plus the sendmmsg
+// dmps-lint: hot-begin(udp-tx) — per-frame send path plus the sendmmsg
 // flush; encoding goes straight into the preallocated slot, no copies.
 void UdpEndpoint::send(net::NodeId to, net::MsgType type, net::Payload ints) {
   loop_.on_loop.assert_held();
-  const auto wire_id = wire_ids_.find(type.value());
-  if (wire_id == wire_ids_.end() || !to.valid() ||
-      to.value() >= peers_.size()) {
-    wire_->udp_send_failures.add();  // not in the schema / unknown peer
-    return;
+  const std::size_t index = type.value();
+  if (index >= wire_ids_.size() || wire_ids_[index] < 0 || !to.valid() ||
+      to.value() >= peers_.size() || ints.size() > kFrameMaxLanes) {
+    wire_->udp_send_failures.add();  // not in the schema / unknown peer /
+    return;                          // too many lanes for one frame
   }
-  if (tx_pending_ == kTxBatch) flush();  // buffer full: early flush
-  TxSlot& slot = tx_slots_[tx_pending_];
-  const std::size_t size =
-      encode_frame(wire_id->second, ints, slot.bytes, sizeof(slot.bytes));
-  if (size == 0) {
-    wire_->udp_send_failures.add();
-    return;
-  }
-  // The datagram is "on the wire" from here: a rejecting send filter is the
+  // The frame is "on the wire" from here: a rejecting send filter is the
   // wire eating it, indistinguishable from real loss to the caller. A
-  // filtered datagram never reaches the buffer, so it can't be flushed.
-  wire_->udp_tx_datagrams.add();
+  // filtered frame never reaches a datagram, so it can't be flushed.
+  wire_->udp_tx_frames.add();
   if (send_filter_ && !send_filter_(to, type)) return;
 
-  const Peer& peer = peers_[to.value()];
-  slot.to = {};
-  slot.to.sin_family = AF_INET;
-  slot.to.sin_addr.s_addr = peer.ip_be;
-  slot.to.sin_port = peer.port_be;
-  slot.len = size;
-  tx_iovs_[tx_pending_].iov_len = size;
-  ++tx_pending_;
+  // Join the peer's latest pending datagram if the frame fits, else open
+  // the next slot. Never an earlier datagram: that would overtake frames
+  // already sent to the peer.
+  Peer& peer = peers_[to.value()];
+  const std::size_t size = kFrameHeaderBytes + ints.size() * 8;
+  if (peer.tx_slot == kNoTxSlot ||
+      tx_iovs_[peer.tx_slot].iov_len + size > kDatagramMaxBytes) {
+    if (tx_pending_ == kTxBatch) flush();  // buffer full: early flush
+    TxSlot& slot = tx_slots_[tx_pending_];
+    slot.to = {};
+    slot.to.sin_family = AF_INET;
+    slot.to.sin_addr.s_addr = peer.ip_be;
+    slot.to.sin_port = peer.port_be;
+    slot.peer = to.value();
+    tx_iovs_[tx_pending_].iov_len = 0;
+    peer.tx_slot = static_cast<std::uint32_t>(tx_pending_++);
+  }
+  std::size_t& len = tx_iovs_[peer.tx_slot].iov_len;
+  len += encode_frame(static_cast<std::uint8_t>(wire_ids_[index]), ints,
+                      tx_slots_[peer.tx_slot].bytes + len,
+                      kDatagramMaxBytes - len);
 }
 
 void UdpEndpoint::flush() {
@@ -263,6 +270,7 @@ void UdpEndpoint::flush() {
                               static_cast<unsigned>(tx_pending_ - off), 0);
     if (sent > 0) {
       wire_->udp_tx_batch.record(sent);
+      wire_->udp_tx_datagrams.add(sent);
       off += static_cast<std::size_t>(sent);
       continue;
     }
@@ -272,6 +280,9 @@ void UdpEndpoint::flush() {
     // going so one bad peer can't strand the rest of the batch.
     wire_->udp_send_failures.add();
     ++off;
+  }
+  for (std::size_t i = 0; i < tx_pending_; ++i) {
+    peers_[tx_slots_[i].peer].tx_slot = kNoTxSlot;
   }
   tx_pending_ = 0;
 }
@@ -305,43 +316,56 @@ void UdpEndpoint::drain_socket() {
       return;
     }
     wire_->udp_rx_batch.record(n);
+    wire_->udp_rx_datagrams.add(n);
     for (int i = 0; i < n; ++i) {
-      wire_->udp_rx_datagrams.add();
-
-      Frame frame;
-      switch (decode_frame(rx_slots_[i].bytes, rx_msgs_[i].msg_len, frame)) {
-        case FrameError::kOk:
-          break;
-        case FrameError::kBadVersion:
-          wire_->udp_drop_version.add();
-          continue;
-        case FrameError::kShort:
-        case FrameError::kBadMagic:
-        case FrameError::kBadLaneCount:
-          wire_->udp_drop_malformed.add();
-          continue;
-      }
-      if (frame.kind >= schema_.types.size()) {
-        wire_->udp_drop_unknown_kind.add();
-        continue;
-      }
-      const net::MsgType type = schema_.types[frame.kind];
-      const std::size_t index = type.value();
-      if (index >= handlers_.size() || !handlers_[index]) {
-        wire_->udp_drop_unhandled.add();
-        continue;
-      }
-      net::Message msg;
-      msg.from = intern_peer(rx_slots_[i].from.sin_addr.s_addr,
-                             rx_slots_[i].from.sin_port);
-      msg.to = net::NodeId::invalid();  // "this endpoint"; handlers reply to from
-      msg.type = type;
-      msg.ints = std::move(frame.ints);
-      handlers_[index](msg);
+      dispatch_datagram(rx_slots_[i].bytes, rx_msgs_[i].msg_len,
+                        rx_slots_[i].from);
     }
     // Fewer than a full batch means the queue was empty when we asked;
     // anything that arrived since re-arms epoll.
     if (static_cast<std::size_t>(n) < kRxBatch) return;
+  }
+}
+
+void UdpEndpoint::dispatch_datagram(const std::uint8_t* bytes, std::size_t len,
+                                    const ::sockaddr_in& from) {
+  net::Message msg;
+  msg.from = net::NodeId::invalid();  // interned at the first dispatch
+  msg.to = net::NodeId::invalid();  // "this endpoint"; handlers reply to from
+  std::int64_t frames = 0;
+  const FrameError error = walk_datagram(bytes, len, [&](Frame& f) {
+    loop_.on_loop.assert_held();  // called inline, on this loop's thread
+    ++frames;
+    if (f.kind >= schema_.types.size()) {
+      wire_->udp_drop_unknown_kind.add();
+      return;
+    }
+    const net::MsgType type = schema_.types[f.kind];
+    const std::size_t index = type.value();
+    if (index >= handlers_.size() || !handlers_[index]) {
+      wire_->udp_drop_unhandled.add();
+      return;
+    }
+    if (!msg.from.valid()) {
+      msg.from = intern_peer(from.sin_addr.s_addr, from.sin_port);
+    }
+    msg.type = type;
+    msg.ints = std::move(f.ints);
+    handlers_[index](msg);
+  });
+  switch (error) {
+    case FrameError::kOk:
+      wire_->udp_rx_frames.add(frames);
+      break;
+    case FrameError::kBadVersion:
+      wire_->udp_drop_version.add();
+      break;
+    case FrameError::kShort:
+    case FrameError::kBadMagic:
+    case FrameError::kBadLaneCount:
+    case FrameError::kTooLong:
+      wire_->udp_drop_malformed.add();
+      break;
   }
 }
 // dmps-lint: hot-end

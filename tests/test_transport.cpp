@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "transport/frame.hpp"
 #include "transport/sim_transport.hpp"
 #include "transport/timer_wheel.hpp"
+#include "util/rng.hpp"
 
 #ifdef __linux__
 #include <arpa/inet.h>
@@ -83,6 +86,7 @@ TEST(Frame, RoundTripsEveryFprotoKind) {
     ASSERT_EQ(transport::decode_frame(buf, size, frame), FrameError::kOk)
         << "kind " << kind;
     EXPECT_EQ(frame.kind, kind);
+    EXPECT_EQ(frame.size, size);
     ASSERT_EQ(frame.ints.size(), payloads[kind].size());
     for (std::size_t lane = 0; lane < payloads[kind].size(); ++lane) {
       EXPECT_EQ(frame.ints[lane], payloads[kind][lane]) << "kind " << kind;
@@ -126,11 +130,28 @@ TEST(Frame, ClassifiesEveryRejection) {
     EXPECT_EQ(transport::decode_frame(bad, size, frame),
               FrameError::kBadLaneCount);
   }
-  // Body truncated relative to the declared count — and padded past it.
+  // A body shorter than the declared count is truncated. A longer buffer
+  // is the next frame's business: the head frame parses and reports its
+  // own size.
   EXPECT_EQ(transport::decode_frame(buf, size - 1, frame),
             FrameError::kBadLaneCount);
-  EXPECT_EQ(transport::decode_frame(buf, size + 1, frame),
+  ASSERT_EQ(transport::decode_frame(buf, size + 1, frame), FrameError::kOk);
+  EXPECT_EQ(frame.size, size);
+
+  // The datagram walker needs the frames to tile the datagram exactly: a
+  // truncated body, one trailing byte, an empty or an oversized datagram
+  // each fail it.
+  EXPECT_EQ(transport::check_datagram(buf, size), FrameError::kOk);
+  EXPECT_EQ(transport::check_datagram(buf, size - 1),
             FrameError::kBadLaneCount);
+  EXPECT_EQ(transport::check_datagram(buf, size + 1), FrameError::kShort);
+  EXPECT_EQ(transport::check_datagram(buf, 0), FrameError::kShort);
+  std::vector<std::uint8_t> big;  // valid frames, past the datagram limit
+  while (big.size() <= transport::kDatagramMaxBytes) {
+    big.insert(big.end(), buf, buf + size);
+  }
+  EXPECT_EQ(transport::check_datagram(big.data(), big.size()),
+            FrameError::kTooLong);
 }
 
 TEST(Frame, EncodeRefusesOversizedPayloads) {
@@ -407,6 +428,58 @@ struct UdpWorld {
   }
 };
 
+/// A plain UDP socket aimed at one local port: a foreign or hostile peer
+/// that writes datagrams byte for byte.
+class RawSender {
+ public:
+  explicit RawSender(std::uint16_t port)
+      : fd_(socket(AF_INET, SOCK_DGRAM, 0)) {
+    to_.sin_family = AF_INET;
+    to_.sin_port = htons(port);
+    to_.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  }
+  ~RawSender() {
+    if (fd_ >= 0) close(fd_);
+  }
+  RawSender(const RawSender&) = delete;
+  RawSender& operator=(const RawSender&) = delete;
+
+  bool send(const std::uint8_t* data, std::size_t len) const {
+    return fd_ >= 0 &&
+           sendto(fd_, data, len, 0, reinterpret_cast<const sockaddr*>(&to_),
+                  sizeof(to_)) == static_cast<ssize_t>(len);
+  }
+  bool send(const std::vector<std::uint8_t>& bytes) const {
+    return send(bytes.data(), bytes.size());
+  }
+
+ private:
+  int fd_;
+  sockaddr_in to_{};
+};
+
+/// One encoded frame, ready to be put in a datagram with others.
+std::vector<std::uint8_t> frame_bytes(std::uint8_t kind,
+                                      const net::Payload& ints) {
+  std::vector<std::uint8_t> out(transport::kFrameMaxBytes);
+  out.resize(transport::encode_frame(kind, ints, out.data(), out.size()));
+  return out;
+}
+
+std::vector<std::uint8_t> concat(
+    std::initializer_list<std::vector<std::uint8_t>> parts) {
+  std::vector<std::uint8_t> out;
+  for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+/// Poll `loop` until `done` or five seconds pass; returns `done()`.
+bool poll_until(transport::UdpLoop& loop, const std::function<bool()>& done) {
+  const TimePoint deadline = loop.now() + Duration::seconds(5);
+  loop.run_while([&] { return loop.now() < deadline && !done(); });
+  return done();
+}
+
 TEST(UdpTransport, FullConversationOverLoopback) {
   UdpWorld w;
   auto& s = w.add_station("a", 1);
@@ -462,16 +535,9 @@ TEST(UdpTransport, HostileDatagramsAreCountedAndDropped) {
   UdpWorld w;
   // A raw socket playing the hostile peer: none of these bytes may crash
   // the loop, and each waits in its own drop-counter bucket.
-  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_port = htons(w.server_ep.local_port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &to.sin_addr), 1);
+  const RawSender raw(w.server_ep.local_port());
   const auto blast = [&](const std::uint8_t* data, std::size_t len) {
-    ASSERT_EQ(sendto(fd, data, len, 0, reinterpret_cast<sockaddr*>(&to),
-                     sizeof(to)),
-              static_cast<ssize_t>(len));
+    ASSERT_TRUE(raw.send(data, len));
   };
 
   const std::uint8_t runt[3] = {0x44, 0x4D, 0x50};  // shorter than a header
@@ -498,7 +564,6 @@ TEST(UdpTransport, HostileDatagramsAreCountedAndDropped) {
   w.run_until([&] {
     return w.metrics.value("wire.udp.rx_datagrams") >= 5.0;
   });
-  close(fd);
 
   EXPECT_EQ(w.metrics.value("wire.udp.drop_malformed"), 2.0);
   EXPECT_EQ(w.metrics.value("wire.udp.drop_version"), 1.0);
@@ -515,16 +580,9 @@ TEST(UdpTransport, RxBatchDrainsMixedDatagramsInOneAdvance) {
   // Queue a burst — valid joins among hostile datagrams — while the loop is
   // *not* polling, then drain. recvmmsg must take the whole queue in one
   // syscall without losing a single per-class drop counter to batching.
-  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_port = htons(w.server_ep.local_port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &to.sin_addr), 1);
+  const RawSender raw(w.server_ep.local_port());
   const auto blast = [&](const std::uint8_t* data, std::size_t len) {
-    ASSERT_EQ(sendto(fd, data, len, 0, reinterpret_cast<sockaddr*>(&to),
-                     sizeof(to)),
-              static_cast<ssize_t>(len));
+    ASSERT_TRUE(raw.send(data, len));
   };
 
   // Four valid Join frames (the server handles kJoin) …
@@ -560,7 +618,6 @@ TEST(UdpTransport, RxBatchDrainsMixedDatagramsInOneAdvance) {
   // All nine datagrams are queued on the server socket before this poll, so
   // one recvmmsg drains them — one histogram sample covering the burst.
   w.loop.poll(Duration::millis(50));
-  close(fd);
 
   EXPECT_EQ(w.metrics.value("wire.udp.rx_datagrams"), 9);
   EXPECT_EQ(w.metrics.value("wire.udp.drop_malformed"), 2);
@@ -605,10 +662,417 @@ TEST(UdpTransport, TxCoalescingPreservesPerPeerOrdering) {
     EXPECT_EQ(got_b[static_cast<std::size_t>(i)], 2 * i);
     EXPECT_EQ(got_c[static_cast<std::size_t>(i)], 2 * i + 1);
   }
-  // The whole burst left in one sendmmsg: one tx batch sample of 20.
+  // The whole burst left in one sendmmsg of two datagrams, one per peer,
+  // ten frames each.
   EXPECT_EQ(wire.udp_tx_batch.count(), 1u);
-  EXPECT_EQ(wire.udp_tx_batch.sum(), 20);
+  EXPECT_EQ(wire.udp_tx_batch.sum(), 2);
+  EXPECT_EQ(metrics.value("wire.udp.tx_datagrams"), 2);
+  EXPECT_EQ(metrics.value("wire.udp.tx_frames"), 20);
+  EXPECT_EQ(metrics.value("wire.udp.rx_frames"), 20);
   EXPECT_EQ(metrics.value("wire.udp.send_failures"), 0);
+}
+
+/// One sender and any number of receivers on one loop, for the send side's
+/// coalescing rules. Every receiver records the first lane of each kQueued
+/// frame it gets; the endpoint frames any lane count, so a test sizes its
+/// frames by the lanes it sends.
+struct TxWorld {
+  transport::UdpLoop loop;
+  obs::MetricsRegistry metrics;
+  obs::WireInstruments wire{metrics};
+  transport::UdpEndpoint sender{loop, fproto::wire_schema(), 0, &wire};
+  const net::MsgType type = fproto::wire_type(MsgKind::kQueued);
+
+  struct Receiver {
+    std::unique_ptr<transport::UdpEndpoint> endpoint;
+    net::NodeId node;               // the sender's id for it
+    std::vector<std::int64_t> got;  // first lanes, in arrival order
+  };
+  std::vector<std::unique_ptr<Receiver>> receivers;
+
+  Receiver& add_receiver() {
+    auto receiver = std::make_unique<Receiver>();
+    Receiver& r = *receiver;
+    receivers.push_back(std::move(receiver));
+    r.endpoint = std::make_unique<transport::UdpEndpoint>(
+        loop, fproto::wire_schema(), 0, &wire);
+    r.node = sender.add_peer("127.0.0.1", r.endpoint->local_port());
+    EXPECT_TRUE(r.endpoint->on(
+        type, [&r](const net::Message& msg) { r.got.push_back(msg.ints[0]); }));
+    return r;
+  }
+
+  std::size_t received() const {
+    std::size_t n = 0;
+    for (const auto& r : receivers) n += r->got.size();
+    return n;
+  }
+};
+
+TEST(UdpTransport, TxSplitsABurstOverTheDatagramLimitInOrder) {
+  TxWorld w;
+  auto& r = w.add_receiver();
+  // 1-lane frames are 16 bytes, so 92 fill a 1,472-byte datagram: 200 of
+  // them to one peer take three datagrams (92 + 92 + 16).
+  constexpr std::int64_t kFrames = 200;
+  for (std::int64_t i = 0; i < kFrames; ++i) w.sender.send(r.node, w.type, {i});
+  ASSERT_TRUE(poll_until(w.loop, [&] { return w.received() >= kFrames; }));
+
+  ASSERT_EQ(r.got.size(), static_cast<std::size_t>(kFrames));
+  for (std::int64_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(r.got[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(w.metrics.value("wire.udp.tx_frames"), kFrames);
+  EXPECT_EQ(w.metrics.value("wire.udp.tx_datagrams"), 3);
+  EXPECT_EQ(w.metrics.value("wire.udp.rx_datagrams"), 3);
+  EXPECT_EQ(w.metrics.value("wire.udp.rx_frames"), kFrames);
+}
+
+TEST(UdpTransport, TxNeverAppendsToAnEarlierDatagram) {
+  TxWorld w;
+  auto& r = w.add_receiver();
+  // Ten 16-lane frames (136 bytes each) leave 112 of the first datagram's
+  // 1,472 bytes free. The eleventh 16-lane frame does not fit and opens a
+  // second datagram; the 1-lane frame after it would fit the first one's
+  // tail, but must follow into the second or it would overtake frame 10.
+  net::Payload wide;
+  for (std::size_t lane = 0; lane < transport::kFrameMaxLanes; ++lane) {
+    wide.push_back(0);
+  }
+  for (std::int64_t i = 0; i <= 10; ++i) {
+    wide[0] = i;
+    w.sender.send(r.node, w.type, wide);
+  }
+  w.sender.send(r.node, w.type, {11});
+  ASSERT_TRUE(poll_until(w.loop, [&] { return w.received() >= 12; }));
+
+  ASSERT_EQ(r.got.size(), 12u);
+  for (std::int64_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(r.got[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(w.metrics.value("wire.udp.tx_datagrams"), 2);
+  EXPECT_EQ(w.metrics.value("wire.udp.rx_frames"), 12);
+}
+
+TEST(UdpTransport, TxManyPeersInOneTurnTakeTheBufferFullFlush) {
+  TxWorld w;
+  // More peers than tx slots, two frames each in two rounds, all before
+  // the loop polls: the sends themselves must flush a full buffer, and no
+  // frame may be lost or reordered on the way.
+  constexpr std::size_t kPeers = transport::UdpEndpoint::kTxBatch + 8;
+  for (std::size_t p = 0; p < kPeers; ++p) w.add_receiver();
+  for (std::int64_t round = 0; round < 2; ++round) {
+    for (std::size_t p = 0; p < kPeers; ++p) {
+      w.sender.send(w.receivers[p]->node, w.type,
+                    {round * static_cast<std::int64_t>(kPeers) +
+                     static_cast<std::int64_t>(p)});
+    }
+  }
+  EXPECT_GE(w.wire.udp_tx_batch.count(), 1u);  // a buffer-full flush ran
+  ASSERT_TRUE(poll_until(w.loop, [&] { return w.received() >= 2 * kPeers; }));
+
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    const auto& got = w.receivers[p]->got;
+    ASSERT_EQ(got.size(), 2u) << "peer " << p;
+    EXPECT_EQ(got[0], static_cast<std::int64_t>(p));
+    EXPECT_EQ(got[1], static_cast<std::int64_t>(kPeers + p));
+  }
+  EXPECT_EQ(w.metrics.value("wire.udp.tx_frames"), 2.0 * kPeers);
+  EXPECT_EQ(w.metrics.value("wire.udp.send_failures"), 0);
+}
+
+TEST(UdpTransport, TxSendFilterEatsFramesBeforeTheyEnterADatagram) {
+  TxWorld w;
+  auto& r = w.add_receiver();
+  int offered = 0;
+  w.sender.set_send_filter(
+      [&](net::NodeId, net::MsgType) { return offered++ % 2 == 0; });
+  for (std::int64_t i = 0; i < 10; ++i) w.sender.send(r.node, w.type, {i});
+  ASSERT_TRUE(poll_until(w.loop, [&] { return w.received() >= 5; }));
+
+  EXPECT_EQ(r.got, (std::vector<std::int64_t>{0, 2, 4, 6, 8}));
+  // Eaten frames still count as sent, but the one datagram carries only
+  // the five that passed.
+  EXPECT_EQ(w.metrics.value("wire.udp.tx_frames"), 10);
+  EXPECT_EQ(w.metrics.value("wire.udp.tx_datagrams"), 1);
+  EXPECT_EQ(w.metrics.value("wire.udp.rx_frames"), 5);
+}
+
+/// A bare endpoint that records every kJoin frame it is handed.
+struct JoinSink {
+  transport::UdpLoop loop;
+  obs::MetricsRegistry metrics;
+  obs::WireInstruments wire{metrics};
+  transport::UdpEndpoint endpoint{loop, fproto::wire_schema(), 0, &wire};
+  std::vector<net::Message> got;
+
+  JoinSink() {
+    EXPECT_TRUE(endpoint.on(fproto::wire_type(MsgKind::kJoin),
+                            [this](const net::Message& msg) {
+                              got.push_back(msg);
+                            }));
+  }
+
+  static std::vector<std::uint8_t> join(std::int64_t member) {
+    return frame_bytes(static_cast<std::uint8_t>(MsgKind::kJoin),
+                       fproto::encode(fproto::JoinMsg{
+                           floorctl::MemberId{static_cast<std::uint32_t>(member)},
+                           floorctl::GroupId{0}}));
+  }
+
+  /// Send one datagram from `raw` and poll until the endpoint has read it.
+  bool deliver(const RawSender& raw, const std::vector<std::uint8_t>& bytes) {
+    const double before = metrics.value("wire.udp.rx_datagrams");
+    return raw.send(bytes) && poll_until(loop, [&] {
+             return metrics.value("wire.udp.rx_datagrams") > before;
+           });
+  }
+};
+
+TEST(UdpTransport, RxDispatchesEveryFrameAroundAnUnknownKind) {
+  JoinSink sink;
+  const RawSender raw(sink.endpoint.local_port());
+  ASSERT_TRUE(sink.deliver(
+      raw, concat({JoinSink::join(7), frame_bytes(0xEE, {1, 2}),
+                   JoinSink::join(8)})));
+
+  ASSERT_EQ(sink.got.size(), 2u);
+  EXPECT_EQ(sink.got[0].ints[0], 7);
+  EXPECT_EQ(sink.got[1].ints[0], 8);
+  EXPECT_EQ(sink.got[0].from, sink.got[1].from);
+  EXPECT_EQ(sink.endpoint.peer_count(), 1u);  // interned once
+  EXPECT_EQ(sink.metrics.value("wire.udp.drop_unknown_kind"), 1);
+  EXPECT_EQ(sink.metrics.value("wire.udp.rx_frames"), 3);
+  EXPECT_EQ(sink.metrics.value("wire.udp.drop_malformed"), 0);
+  EXPECT_EQ(sink.metrics.value("wire.udp.drop_version"), 0);
+}
+
+TEST(UdpTransport, RxDropsADatagramWholeOnAnyFramingError) {
+  JoinSink sink;
+  const RawSender raw(sink.endpoint.local_port());
+  const auto join = JoinSink::join(7);
+
+  // A good frame followed by bytes that are not one: each datagram
+  // dispatches nothing and counts one drop, in its class.
+  ASSERT_TRUE(sink.deliver(raw, concat({join, {0xAB, 0xAB, 0xAB}})));
+  EXPECT_EQ(sink.metrics.value("wire.udp.drop_malformed"), 1);
+
+  auto foreign = JoinSink::join(8);
+  foreign[4] = transport::kFrameVersion - 1;
+  ASSERT_TRUE(sink.deliver(raw, concat({join, foreign})));
+  EXPECT_EQ(sink.metrics.value("wire.udp.drop_version"), 1);
+
+  auto truncated = JoinSink::join(8);
+  truncated.pop_back();
+  ASSERT_TRUE(sink.deliver(raw, concat({join, truncated})));
+  EXPECT_EQ(sink.metrics.value("wire.udp.drop_malformed"), 2);
+
+  EXPECT_TRUE(sink.got.empty());
+  EXPECT_EQ(sink.endpoint.peer_count(), 0u);  // a dropped source is not learned
+  EXPECT_EQ(sink.metrics.value("wire.udp.rx_frames"), 0);
+
+  // The same frame alone passes.
+  ASSERT_TRUE(sink.deliver(raw, join));
+  EXPECT_EQ(sink.got.size(), 1u);
+  EXPECT_EQ(sink.metrics.value("wire.udp.rx_frames"), 1);
+}
+
+/// The fuzz oracle's reference tiling, read off WIRE.md's frame format
+/// rather than frame.cpp: how a datagram fails, or the offsets of the
+/// frames it holds.
+struct Tiling {
+  FrameError error = FrameError::kOk;
+  std::vector<std::size_t> offsets;
+};
+
+Tiling reference_tiling(const std::vector<std::uint8_t>& d) {
+  Tiling t;
+  if (d.size() > transport::kDatagramMaxBytes) {
+    t.error = FrameError::kTooLong;
+    return t;
+  }
+  std::size_t at = 0;
+  do {
+    const std::size_t left = d.size() - at;
+    if (left < 8) {
+      t.error = FrameError::kShort;
+    } else if (d[at] != 0x44 || d[at + 1] != 0x4D || d[at + 2] != 0x50 ||
+               d[at + 3] != 0x53) {
+      t.error = FrameError::kBadMagic;
+    } else if (d[at + 4] != transport::kFrameVersion) {
+      t.error = FrameError::kBadVersion;
+    } else {
+      const std::size_t lanes = d[at + 6] | (std::size_t{d[at + 7]} << 8);
+      if (lanes > transport::kFrameMaxLanes || 8 + 8 * lanes > left) {
+        t.error = FrameError::kBadLaneCount;
+      } else {
+        t.offsets.push_back(at);
+        at += 8 + 8 * lanes;
+        continue;
+      }
+    }
+    t.offsets.clear();
+    return t;
+  } while (at < d.size());
+  return t;
+}
+
+/// Builds random datagrams of valid frames and mutates them the ways a
+/// broken or hostile peer would.
+class DatagramFuzzer {
+ public:
+  explicit DatagramFuzzer(std::uint64_t seed) : rng_(seed) {}
+
+  std::vector<std::uint8_t> next() {
+    std::vector<std::size_t> offsets;
+    auto d = valid(offsets);
+    switch (rng_.index(6)) {
+      case 0:  // left whole
+        break;
+      case 1:  // truncated
+        d.resize(rng_.index(d.size()));
+        break;
+      case 2:  // one byte flipped
+        d[rng_.index(d.size())] ^= static_cast<std::uint8_t>(1 + rng_.index(255));
+        break;
+      case 3: {  // one frame's lane count rewritten
+        const std::size_t at = offsets[rng_.index(offsets.size())];
+        d[at + 6] = static_cast<std::uint8_t>(rng_.index(transport::kFrameMaxLanes + 8));
+        d[at + 7] = rng_.chance(0.1) ? static_cast<std::uint8_t>(rng_.index(256)) : 0;
+        break;
+      }
+      case 4: {  // the head of one datagram spliced onto the tail of another
+        std::vector<std::size_t> unused;
+        const auto other = valid(unused);
+        d.resize(rng_.index(d.size() + 1));
+        d.insert(d.end(), other.begin() + static_cast<std::ptrdiff_t>(
+                                              rng_.index(other.size() + 1)),
+                 other.end());
+        break;
+      }
+      default:  // bytes appended
+        for (std::size_t n = 1 + rng_.index(16); n > 0; --n) {
+          d.push_back(static_cast<std::uint8_t>(rng_.index(256)));
+        }
+        break;
+    }
+    return d;
+  }
+
+ private:
+  /// 1–40 random frames (fewer if the datagram limit comes first); kinds
+  /// run two past the schema, so unknown kinds occur too.
+  std::vector<std::uint8_t> valid(std::vector<std::size_t>& offsets) {
+    std::vector<std::uint8_t> d;
+    for (std::size_t n = 1 + rng_.index(40); n > 0; --n) {
+      net::Payload ints;
+      for (std::size_t lanes = rng_.index(transport::kFrameMaxLanes + 1);
+           lanes > 0; --lanes) {
+        ints.push_back(static_cast<std::int64_t>(rng_.next()));
+      }
+      const auto frame = frame_bytes(
+          static_cast<std::uint8_t>(rng_.index(fproto::kMsgKindCount + 2)),
+          ints);
+      if (d.size() + frame.size() > transport::kDatagramMaxBytes) break;
+      offsets.push_back(d.size());
+      d.insert(d.end(), frame.begin(), frame.end());
+    }
+    return d;
+  }
+
+  util::Rng rng_;
+};
+
+TEST(UdpTransport, FuzzedDatagramsDispatchWholeOrDropOnce) {
+  constexpr int kDatagrams = 200'000;
+  constexpr int kSampleEvery = 100;  // every 100th goes through a real socket
+  DatagramFuzzer fuzzer(20'011);
+  std::vector<std::vector<std::uint8_t>> sample;
+  std::size_t accepted = 0, version = 0, malformed = 0;
+
+  for (int i = 0; i < kDatagrams; ++i) {
+    const auto d = fuzzer.next();
+    const Tiling want = reference_tiling(d);
+    // An exactly sized heap copy: a read past the datagram is an ASan error.
+    const auto exact = std::make_unique<std::uint8_t[]>(d.size());
+    std::copy(d.begin(), d.end(), exact.get());
+
+    std::vector<std::uint8_t> rebuilt;
+    const FrameError got = transport::walk_datagram(
+        exact.get(), d.size(), [&](Frame& f) {
+          const auto bytes = frame_bytes(f.kind, f.ints);
+          rebuilt.insert(rebuilt.end(), bytes.begin(), bytes.end());
+        });
+    ASSERT_EQ(got, want.error) << "datagram " << i;
+    if (got == FrameError::kOk) {
+      // Every frame, in order, and nothing else: re-encoding what the
+      // walker handed out rebuilds the datagram byte for byte.
+      ASSERT_EQ(rebuilt, d) << "datagram " << i;
+      ++accepted;
+    } else {
+      ASSERT_TRUE(rebuilt.empty()) << "datagram " << i;
+      ++(got == FrameError::kBadVersion ? version : malformed);
+    }
+    if (i % kSampleEvery == 0) sample.push_back(d);
+  }
+  // The mutations reach every outcome.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(version, 0u);
+  EXPECT_GT(malformed, 0u);
+
+  // The sample through a real endpoint: each datagram lands in exactly one
+  // structural drop class or has every frame dispatched, unknown or
+  // unhandled. The server handles exactly the client-to-server kinds.
+  const auto server_side = [](std::uint8_t kind) {
+    for (const MsgKind k : {MsgKind::kJoin, MsgKind::kLeave, MsgKind::kRequest,
+                            MsgKind::kRelease, MsgKind::kSuspendAck,
+                            MsgKind::kResumeAck}) {
+      if (kind == static_cast<std::uint8_t>(k)) return true;
+    }
+    return false;
+  };
+  double want_version = 0, want_malformed = 0, want_frames = 0,
+         want_unknown = 0, want_unhandled = 0;
+  for (const auto& d : sample) {
+    const Tiling t = reference_tiling(d);
+    if (t.error == FrameError::kBadVersion) ++want_version;
+    if (t.error != FrameError::kOk && t.error != FrameError::kBadVersion) {
+      ++want_malformed;
+    }
+    for (const std::size_t at : t.offsets) {
+      ++want_frames;
+      if (d[at + 5] >= fproto::kMsgKindCount) {
+        ++want_unknown;
+      } else if (!server_side(d[at + 5])) {
+        ++want_unhandled;
+      }
+    }
+  }
+
+  UdpWorld w;
+  const RawSender raw(w.server_ep.local_port());
+  double sent = 0;
+  for (const auto& d : sample) {
+    ASSERT_TRUE(raw.send(d));
+    // Let the endpoint catch up every 16 datagrams: the socket buffer must
+    // never overflow, or the counts would not add up.
+    if (++sent == sample.size() || static_cast<int>(sent) % 16 == 0) {
+      ASSERT_TRUE(w.run_until([&] {
+        return w.metrics.value("wire.udp.rx_datagrams") >= sent;
+      }));
+    }
+  }
+  EXPECT_EQ(w.metrics.value("wire.udp.rx_datagrams"), sent);
+  EXPECT_EQ(w.metrics.value("wire.udp.drop_version"), want_version);
+  EXPECT_EQ(w.metrics.value("wire.udp.drop_malformed"), want_malformed);
+  EXPECT_EQ(w.metrics.value("wire.udp.rx_frames"), want_frames);
+  EXPECT_EQ(w.metrics.value("wire.udp.drop_unknown_kind"), want_unknown);
+  EXPECT_EQ(w.metrics.value("wire.udp.drop_unhandled"), want_unhandled);
+
+  // And the loop still serves a real member.
+  auto& s = w.add_station("after-fuzz", 1);
+  ASSERT_TRUE(s.agent->join());
+  EXPECT_TRUE(w.run_until([&] { return s.joined == 1; }));
 }
 
 TEST(UdpTransport, ShardedServersShareOneFloorControl) {
