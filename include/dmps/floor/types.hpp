@@ -109,8 +109,9 @@ struct ReleaseResult {
 /// release one holding. FloorService (one resource manager) and
 /// ShardedFloorService (one per host station) both implement it, so an
 /// fproto::FloorServer can front either without knowing the topology —
-/// dmps_floord binds one server per shard endpoint over a single shared
-/// ShardedFloorService through exactly this interface.
+/// dmps_floord puts its one server in front of a ShardedFloorService, and
+/// session::Presentation shares one among a server per host shard, through
+/// exactly this interface.
 class FloorControl {
  public:
   virtual ~FloorControl() = default;

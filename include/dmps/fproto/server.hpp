@@ -4,8 +4,8 @@
 // Registers the client->server message types on its transport endpoint
 // (SimTransport in scenarios, UdpEndpoint behind dmps_floord), runs
 // every FloorRequest through the floorctl::FloorControl seam — a plain
-// FloorService, or a ShardedFloorService shared by several servers when
-// the daemon runs sharded (one server per shard endpoint) — and answers
+// FloorService, or a ShardedFloorService that several servers may share
+// (session::Presentation runs one server per host shard) — and answers
 // with Grant / Deny / Queued. The server is the retransmission-tolerant
 // half of the protocol: request and release handling is *idempotent* — a
 // request id that was already decided gets its stored reply resent without
@@ -24,20 +24,26 @@
 // to the Grant and pushes it once — the poll replays it if the push is
 // lost, so promotions need no extra reliability machinery.
 //
-// Decided-request records age out: a member's next request id (its per-
-// member sequence is monotonic, one operation in flight at a time) proves
-// it saw every earlier reply, so all its older records are evicted and a
-// resurrected older id is refused without re-arbitration. decided_records()
-// therefore stays bounded by the member count, not by request volume.
+// One record per member (DESIGN §6.5a). The protocol contract — one
+// FloorAgent per member, one group, one operation in flight, request ids
+// `member << 32 | seq` with a monotonic seq — leaves at most one live
+// request per member, so that is all the server keeps: the member's home
+// station and its latest decided request (id, group, status, and the
+// decision fields its reply is re-encoded from). A retransmission of that
+// id replays the reply; an older id was superseded and is refused (a Deny)
+// without re-arbitration. decided_records() therefore stays bounded by the
+// member count, not by request volume. A frame that breaks the contract is
+// refused before it touches any state — no reply, no record, no
+// arbitration: a request or release whose id's top half is not its member,
+// one from a member the registry does not know, a release naming another
+// group than its request, and a new request while the member's latest one
+// still holds or is parked.
 // Corollary: a MemberId's request-id namespace belongs to ONE FloorAgent
 // incarnation. A restarted station must register a fresh member (ids are
-// cheap) — re-using the id restarts the seq at 1, below the eviction
-// floor, and those requests are refused. (This was never supported: before
-// aging, the forever-kept record would instead replay a stale Grant for a
-// long-released floor, which is strictly worse.)
+// cheap) — re-using the id restarts the seq at 1, below the latest id, and
+// those requests are refused.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
@@ -69,10 +75,6 @@ class FloorServer {
   FloorServer(const FloorServer&) = delete;
   FloorServer& operator=(const FloorServer&) = delete;
 
-  /// Pre-bind a member's home station (otherwise learned from its first
-  /// Join/Request — notifications need a destination).
-  void bind_station(floorctl::MemberId member, net::NodeId node);
-
   /// Every fproto datagram this server put on the wire (replies, acks,
   /// notifications and their retransmissions).
   std::uint64_t messages_sent() const { return sends_; }
@@ -88,22 +90,29 @@ class FloorServer {
   std::uint64_t notify_retransmits() const { return notify_retransmits_; }
   std::uint64_t notifies_abandoned() const { return notifies_abandoned_; }
   std::size_t notifies_pending() const { return pending_notifies_.size(); }
-  /// Live decided-request records (aged out as members move on; bounded by
-  /// member count, not request volume).
-  std::size_t decided_records() const { return decided_.size(); }
+  /// Member records: one per member this server heard from (created at
+  /// its Join, or at a first Request/Release), each holding only the
+  /// latest decided request — bounded by member count, not request volume.
+  std::size_t decided_records() const { return records_.size(); }
 
  private:
-  struct DecisionRecord {
-    MsgKind reply_kind = MsgKind::kDeny;
-    net::Payload reply_ints;
-    bool released = false;  // the grant has since been given back
+  /// Where a member's latest decided request stands.
+  enum class Status : std::uint8_t {
+    kNone,      // nothing decided yet
+    kDenied,    // refused (or dequeued when the member left)
+    kQueued,    // parked by a queueing group
+    kHeld,      // granted (possibly suspended since)
+    kReleased,  // granted, then given back by Release or Leave
   };
-  /// Per-member request history: record ids still alive (their seqs are
-  /// monotonic, so eviction pops from the front) and the seq floor below
-  /// which everything was already evicted.
-  struct MemberRecords {
-    std::deque<std::uint64_t> live;  // request ids with a decided_ entry
-    std::uint64_t evicted_below = 0;  // seqs < this were aged out
+  /// Everything the server remembers about one member.
+  struct MemberRecord {
+    net::NodeId station;  // home station: learned from Join and Request
+    std::uint64_t request_id = 0;  // the latest decided request
+    floorctl::GroupId group;       // ... and its group
+    Status status = Status::kNone;
+    // The decision fields the stored reply is re-encoded from.
+    floorctl::Outcome outcome = floorctl::Outcome::kDenied;
+    double availability = 0.0;
   };
 
   void handle_join(const net::Message& msg);
@@ -113,6 +122,14 @@ class FloorServer {
   void handle_suspend_ack(const net::Message& msg);
   void handle_resume_ack(const net::Message& msg);
 
+  /// The member's record, created at first contact; nullptr when the
+  /// registry does not know the member.
+  MemberRecord* record_of(floorctl::MemberId member);
+  /// The record of `holder` while its latest request, in holder.group, is
+  /// `status`; nullptr otherwise (e.g. decided by another server).
+  MemberRecord* record_in(const floorctl::Holder& holder, Status status);
+  /// The stored reply to the record's request: Grant, Queued or Deny.
+  void send_reply(net::NodeId node, const MemberRecord& record);
   void release_holder(floorctl::MemberId member, floorctl::GroupId group);
   void send_suspends(const std::vector<floorctl::Holder>& suspended);
   /// One datagram on the wire: member counter, instrument pack, send.
@@ -120,8 +137,7 @@ class FloorServer {
   /// A duplicate answered from stored state (request replay, release
   /// re-ack): the idempotency machinery's hit counter.
   void replay_hit(floorctl::MemberId member, floorctl::HostId host);
-  void age_out_records(floorctl::MemberId member, std::uint64_t seq);
-  void notify(floorctl::MemberId member, MsgKind kind, std::uint64_t request_id);
+  void notify(const MemberRecord& holder, MsgKind kind);
   void notify_tick(std::uint64_t notify_id);
 
   transport::Endpoint& ep_;
@@ -129,13 +145,7 @@ class FloorServer {
   floorctl::FloorControl& service_;
   ServerConfig config_;
 
-  std::unordered_map<std::uint64_t, DecisionRecord> decided_;  // by request id
-  std::unordered_map<floorctl::MemberId::value_type, MemberRecords> member_records_;
-  std::unordered_map<floorctl::MemberId::value_type, net::NodeId> stations_;
-  // holder (member,group) -> its live granted request id
-  std::unordered_map<std::uint64_t, std::uint64_t> holder_request_;
-  // parked (member,group) -> the queued request id awaiting promotion
-  std::unordered_map<std::uint64_t, std::uint64_t> queued_request_;
+  std::unordered_map<floorctl::MemberId::value_type, MemberRecord> records_;
 
   struct Notify {
     net::NodeId node;

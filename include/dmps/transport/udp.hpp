@@ -6,7 +6,7 @@
 // number of UdpEndpoints — plus arbitrary extra fds like a signalfd —
 // register on one loop; one thread drives it via poll()/run_while().
 // Loopback tests put an agent endpoint and a server endpoint on the same
-// loop in one process; dmps_floord runs one endpoint per *shard*, all on
+// loop in one process; dmps_floord runs one endpoint and its signalfd on
 // one loop.
 //
 // A UdpEndpoint is one bound, non-blocking UDP socket speaking the

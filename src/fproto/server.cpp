@@ -6,10 +6,10 @@
 namespace dmps::fproto {
 
 namespace {
-/// Request ids pack (member << 32 | per-member seq); the seq half is what
-/// ages records out.
-std::uint64_t request_seq(std::uint64_t request_id) {
-  return request_id & 0xffffffffull;
+/// Request ids pack (member << 32 | per-member seq): the top half must name
+/// the member the frame speaks for.
+bool id_names(std::uint64_t request_id, floorctl::MemberId member) {
+  return (request_id >> 32) == member.value();
 }
 }  // namespace
 
@@ -59,10 +59,6 @@ FloorServer::~FloorServer() {
   }
 }
 
-void FloorServer::bind_station(floorctl::MemberId member, net::NodeId node) {
-  stations_[member.value()] = node;
-}
-
 void FloorServer::transmit(net::NodeId node, net::MsgType type,
                            const net::Payload& ints) {
   ++sends_;
@@ -79,11 +75,13 @@ void FloorServer::replay_hit(floorctl::MemberId member, floorctl::HostId host) {
 
 void FloorServer::handle_join(const net::Message& msg) {
   const auto join = decode_join(msg);
-  if (!join || !registry_.has_member(join->member) ||
-      !registry_.has_group(join->group)) {
+  MemberRecord* record = join && registry_.has_group(join->group)
+                             ? record_of(join->member)
+                             : nullptr;
+  if (record == nullptr) {
     return;  // malformed or unknown ids: not even a NACK target
   }
-  stations_[join->member.value()] = msg.from;  // learn the home station
+  record->station = msg.from;  // learn the home station
   // Idempotent: already-in counts as accepted, so a retransmitted Join
   // after a lost ack converges instead of flapping.
   const bool accepted = registry_.in_group(join->member, join->group) ||
@@ -111,44 +109,77 @@ void FloorServer::handle_leave(const net::Message& msg) {
            encode(LeaveAckMsg{leave->member, leave->group, accepted}));
 }
 
-void FloorServer::age_out_records(floorctl::MemberId member, std::uint64_t seq) {
-  MemberRecords& records = member_records_[member.value()];
-  // A fresh request with seq s proves the member saw the reply to every
-  // operation with seq < s (one in-flight operation at a time): evict them.
-  while (!records.live.empty() && request_seq(records.live.front()) < seq) {
-    decided_.erase(records.live.front());
-    records.live.pop_front();
+// dmps-lint: hot-begin(fproto-server) — request/release bookkeeping
+FloorServer::MemberRecord* FloorServer::record_of(floorctl::MemberId member) {
+  const auto it = records_.find(member.value());
+  if (it != records_.end()) return &it->second;
+  if (!registry_.has_member(member)) return nullptr;
+  // First contact: once per registered member, so the insert is cold.
+  // dmps-lint: allow-next(hot-unordered-map)
+  return &records_[member.value()];
+}
+
+FloorServer::MemberRecord* FloorServer::record_in(
+    const floorctl::Holder& holder, Status status) {
+  const auto it = records_.find(holder.member.value());
+  if (it == records_.end() || it->second.status != status ||
+      it->second.group != holder.group) {
+    return nullptr;
   }
-  if (seq > records.evicted_below) records.evicted_below = seq;
+  return &it->second;
+}
+
+void FloorServer::send_reply(net::NodeId node, const MemberRecord& record) {
+  switch (record.status) {
+    case Status::kHeld:
+    case Status::kReleased:
+      transmit(node, wire_type(MsgKind::kGrant),
+               encode(GrantMsg{
+                   record.request_id,
+                   record.outcome == floorctl::Outcome::kGrantedDegraded,
+                   record.availability}));
+      return;
+    case Status::kQueued:
+      transmit(node, wire_type(MsgKind::kQueued),
+               encode(QueuedMsg{record.request_id}));
+      return;
+    case Status::kNone:
+    case Status::kDenied:
+      transmit(node, wire_type(MsgKind::kDeny),
+               encode(DenyMsg{record.request_id, record.outcome}));
+      return;
+  }
 }
 
 void FloorServer::handle_request(const net::Message& msg) {
   const auto request = decode_request(msg);
-  if (!request) return;
-  stations_[request->member.value()] = msg.from;
+  if (!request || !id_names(request->request_id, request->member)) return;
+  MemberRecord* record = record_of(request->member);
+  if (record == nullptr) return;
+  // Ids grow per member, so an id above the latest is a new request.
+  const bool fresh = record->status == Status::kNone ||
+                     request->request_id > record->request_id;
+  if (fresh && (record->status == Status::kHeld ||
+                record->status == Status::kQueued)) {
+    return;  // the latest request still holds or is parked: one at a time
+  }
+  record->station = msg.from;
 
-  // Duplicate suppression: an id we already decided is answered from the
-  // stored reply — re-arbitrating a retransmission would double-reserve.
-  const auto it = decided_.find(request->request_id);
-  if (it != decided_.end()) {
+  if (!fresh) {
+    // Duplicate suppression: the latest id is answered from the stored
+    // decision — re-arbitrating a retransmission would double-reserve. An
+    // older id was decided and superseded long ago (the member has since
+    // moved on); refuse it without re-arbitration, for the same reason.
     ++duplicate_requests_;
     replay_hit(request->member, request->host);
-    transmit(msg.from, wire_type(it->second.reply_kind), it->second.reply_ints);
+    if (request->request_id == record->request_id) {
+      send_reply(msg.from, *record);
+    } else {
+      transmit(msg.from, wire_type(MsgKind::kDeny),
+               encode(DenyMsg{request->request_id, floorctl::Outcome::kDenied}));
+    }
     return;
   }
-  // A resurrected id below the member's eviction floor was decided and aged
-  // out long ago (the member has since moved on); refuse it without
-  // re-arbitration — deciding it afresh could double-reserve.
-  const auto aged = member_records_.find(request->member.value());
-  if (aged != member_records_.end() &&
-      request_seq(request->request_id) < aged->second.evicted_below) {
-    ++duplicate_requests_;
-    replay_hit(request->member, request->host);
-    transmit(msg.from, wire_type(MsgKind::kDeny),
-             encode(DenyMsg{request->request_id, floorctl::Outcome::kDenied}));
-    return;
-  }
-  age_out_records(request->member, request_seq(request->request_id));
 
   floorctl::FloorRequest fr;
   fr.group = request->group;
@@ -160,32 +191,25 @@ void FloorServer::handle_request(const net::Message& msg) {
   ++arbitrated_;
   wire_->server_arbitrations.add();
 
-  const auto key = floorctl::holder_key(request->member, request->group);
-  DecisionRecord record;
+  record->request_id = request->request_id;
+  record->group = request->group;
+  record->outcome = decision.outcome;
+  record->availability = decision.availability_after;
   obs::Ev reply_ev;
   if (decision.outcome == floorctl::Outcome::kGranted ||
       decision.outcome == floorctl::Outcome::kGrantedDegraded) {
-    record.reply_kind = MsgKind::kGrant;
-    record.reply_ints = encode(GrantMsg{
-        request->request_id,
-        decision.outcome == floorctl::Outcome::kGrantedDegraded,
-        decision.availability_after});
-    holder_request_[key] = request->request_id;
+    record->status = Status::kHeld;
     ++grants_sent_;
     wire_->server_grants.add();
     reply_ev = obs::Ev::kGrant;
   } else if (decision.outcome == floorctl::Outcome::kQueued) {
-    record.reply_kind = MsgKind::kQueued;
-    record.reply_ints = encode(QueuedMsg{request->request_id});
-    // The newest id is the one the client polls with — the promotion Grant
-    // must be written for it.
-    queued_request_[key] = request->request_id;
+    // The client polls with this id: a promotion rewrites its reply.
+    record->status = Status::kQueued;
     ++queued_sent_;
     wire_->server_queued.add();
     reply_ev = obs::Ev::kQueue;
   } else {
-    record.reply_kind = MsgKind::kDeny;
-    record.reply_ints = encode(DenyMsg{request->request_id, decision.outcome});
+    record->status = Status::kDenied;
     ++denies_sent_;
     wire_->server_denies.add();
     reply_ev = obs::Ev::kDeny;
@@ -194,9 +218,7 @@ void FloorServer::handle_request(const net::Message& msg) {
     tracer_->emit(reply_ev, request->member.value(), request->host.value(),
                   static_cast<std::uint8_t>(decision.outcome));
   }
-  transmit(msg.from, wire_type(record.reply_kind), record.reply_ints);
-  decided_.emplace(request->request_id, std::move(record));
-  member_records_[request->member.value()].live.push_back(request->request_id);
+  send_reply(msg.from, *record);
 
   // Push Media-Suspend to every holder this grant displaced.
   send_suspends(decision.suspended);
@@ -206,73 +228,63 @@ void FloorServer::send_suspends(const std::vector<floorctl::Holder>& suspended) 
   // Only holders granted through this server are tracked; others have no
   // wire state.
   for (const floorctl::Holder& holder : suspended) {
-    const auto req =
-        holder_request_.find(floorctl::holder_key(holder.member, holder.group));
-    if (req == holder_request_.end()) continue;
-    notify(holder.member, MsgKind::kSuspend, req->second);
+    if (const MemberRecord* held = record_in(holder, Status::kHeld)) {
+      notify(*held, MsgKind::kSuspend);
+    }
   }
 }
 
 void FloorServer::handle_release(const net::Message& msg) {
   const auto release = decode_release(msg);
-  if (!release) return;
+  if (!release || !id_names(release->request_id, release->member)) return;
+  MemberRecord* record = record_of(release->member);
+  if (record == nullptr) return;
+  const bool latest = record->status != Status::kNone &&
+                      release->request_id == record->request_id;
+  if (latest && release->group != record->group) return;
 
-  const auto it = decided_.find(release->request_id);
-  if (it == decided_.end() || it->second.reply_kind == MsgKind::kDeny) {
-    // Releasing something never granted: ack anyway so the client converges
-    // (deny the *request*, not the release retry).
-    transmit(msg.from, wire_type(MsgKind::kReleaseAck),
-             encode(ReleaseAckMsg{release->request_id}));
-    return;
-  }
-  if (it->second.released) {
+  if (latest && record->status == Status::kReleased) {
     // Retransmitted release after a lost ack. Re-acked below, but not a
     // replay_hit(): wire.server.replay_hits mirrors duplicate_requests()
     // exactly (the double-entry pair counters_consistent() checks).
     ++duplicate_releases_;
-  } else {
-    it->second.released = true;
+  } else if (latest) {
     release_holder(release->member, release->group);
   }
+  // A release of something never granted is acked all the same, so the
+  // client converges (deny the *request*, not the release retry).
   transmit(msg.from, wire_type(MsgKind::kReleaseAck),
            encode(ReleaseAckMsg{release->request_id}));
 }
 
 void FloorServer::release_holder(floorctl::MemberId member,
                                  floorctl::GroupId group) {
-  const auto key = floorctl::holder_key(member, group);
-  const bool held = holder_request_.erase(key) > 0;
-  const bool parked = queued_request_.find(key) != queued_request_.end();
-  if (!held && !parked) return;
+  const auto it = records_.find(member.value());
+  if (it == records_.end() || it->second.group != group) return;
+  MemberRecord& record = it->second;
+  if (record.status == Status::kHeld) {
+    record.status = Status::kReleased;
+  } else if (record.status != Status::kQueued) {
+    return;  // holds nothing and has nothing parked
+  }
   const floorctl::ReleaseResult result = service_.release(member, group);
 
   // Freed capacity may Media-Resume suspended holders — tell their stations.
   for (const floorctl::Holder& holder : result.resumed) {
-    const auto req = holder_request_.find(floorctl::holder_key(holder.member, holder.group));
-    if (req == holder_request_.end()) continue;  // resumed holder untracked
-    notify(holder.member, MsgKind::kResume, req->second);
+    if (const MemberRecord* held = record_in(holder, Status::kHeld)) {
+      notify(*held, MsgKind::kResume);
+    }
   }
 
   // Queued requests the release promoted: rewrite each one's stored reply
   // from Queued to the Grant, push it once (the client's poll replays it if
   // the push is lost), and suspend whoever the promotion displaced.
   for (const floorctl::Promotion& promotion : result.promoted) {
-    const auto pkey =
-        floorctl::holder_key(promotion.holder.member, promotion.holder.group);
-    const auto queued = queued_request_.find(pkey);
-    if (queued == queued_request_.end()) continue;
-    const std::uint64_t request_id = queued->second;
-    queued_request_.erase(queued);
-    holder_request_[pkey] = request_id;
-    const net::Payload reply = encode(GrantMsg{
-        request_id,
-        promotion.decision.outcome == floorctl::Outcome::kGrantedDegraded,
-        promotion.decision.availability_after});
-    const auto record = decided_.find(request_id);
-    if (record != decided_.end()) {
-      record->second.reply_kind = MsgKind::kGrant;
-      record->second.reply_ints = reply;
-    }
+    MemberRecord* granted = record_in(promotion.holder, Status::kQueued);
+    if (granted == nullptr) continue;
+    granted->status = Status::kHeld;
+    granted->outcome = promotion.decision.outcome;
+    granted->availability = promotion.decision.availability_after;
     ++promotions_sent_;
     ++grants_sent_;
     wire_->server_promotions.add();
@@ -281,52 +293,36 @@ void FloorServer::release_holder(floorctl::MemberId member,
       // arg=1 marks a promotion push (vs a request's direct Grant reply).
       tracer_->emit(obs::Ev::kGrant, promotion.holder.member.value(), 0, 1);
     }
-    const auto station = stations_.find(promotion.holder.member.value());
-    if (station != stations_.end()) {
-      transmit(station->second, wire_type(MsgKind::kGrant), reply);
-    }
+    send_reply(granted->station, *granted);
     send_suspends(promotion.decision.suspended);
   }
 
   // Parked requests the releasing member abandoned (it left the group):
   // rewrite the stored reply to a Deny so its polls converge.
   for (const floorctl::Holder& holder : result.dequeued) {
-    const auto dkey = floorctl::holder_key(holder.member, holder.group);
-    const auto queued = queued_request_.find(dkey);
-    if (queued == queued_request_.end()) continue;
-    const std::uint64_t request_id = queued->second;
-    queued_request_.erase(queued);
-    const net::Payload reply =
-        encode(DenyMsg{request_id, floorctl::Outcome::kDenied});
-    const auto record = decided_.find(request_id);
-    if (record != decided_.end()) {
-      record->second.reply_kind = MsgKind::kDeny;
-      record->second.reply_ints = reply;
-    }
+    MemberRecord* denied = record_in(holder, Status::kQueued);
+    if (denied == nullptr) continue;
+    denied->status = Status::kDenied;
+    denied->outcome = floorctl::Outcome::kDenied;
     ++denies_sent_;
     wire_->server_denies.add();
     if (tracer_ != nullptr) {
       // arg=1 marks a dequeue push (the member left; its polls converge).
       tracer_->emit(obs::Ev::kDeny, holder.member.value(), 0, 1);
     }
-    const auto station = stations_.find(holder.member.value());
-    if (station != stations_.end()) {
-      transmit(station->second, wire_type(MsgKind::kDeny), reply);
-    }
+    send_reply(denied->station, *denied);
   }
 }
+// dmps-lint: hot-end
 
-void FloorServer::notify(floorctl::MemberId member, MsgKind kind,
-                         std::uint64_t request_id) {
-  const auto station = stations_.find(member.value());
-  if (station == stations_.end()) return;  // no known home station
+void FloorServer::notify(const MemberRecord& holder, MsgKind kind) {
   const std::uint64_t notify_id = next_notify_id_++;
   Notify pending;
-  pending.node = station->second;
+  pending.node = holder.station;
   pending.kind = kind;
   pending.ints = kind == MsgKind::kSuspend
-                     ? encode(SuspendMsg{notify_id, request_id})
-                     : encode(ResumeMsg{notify_id, request_id});
+                     ? encode(SuspendMsg{notify_id, holder.request_id})
+                     : encode(ResumeMsg{notify_id, holder.request_id});
   if (kind == MsgKind::kSuspend) {
     ++suspends_sent_;
     wire_->server_suspends.add();

@@ -1076,10 +1076,10 @@ TEST(UdpTransport, FuzzedDatagramsDispatchWholeOrDropOnce) {
 }
 
 TEST(UdpTransport, ShardedServersShareOneFloorControl) {
-  // The daemon's sharded shape, in-process: two shard endpoints on one
-  // loop, each with its own FloorServer, both fronting one
-  // ShardedFloorService through the FloorControl seam. Agents route by host
-  // exactly as the wire_common convention does, and nobody gets stuck.
+  // Two endpoints on one loop, each with its own FloorServer, both
+  // fronting one ShardedFloorService through the FloorControl seam (how
+  // session::Presentation federates its hosts). Each agent talks to its
+  // host's server, and nobody gets stuck.
   transport::UdpLoop loop;
   obs::MetricsRegistry metrics;
   obs::WireInstruments wire{metrics};
@@ -1136,7 +1136,7 @@ TEST(UdpTransport, ShardedServersShareOneFloorControl) {
         *s->endpoint, server_node, member, group, host, config, events);
     return s;
   };
-  // Host 1 -> shard 0, host 2 -> shard 1 ((host-1) % shards).
+  // Host 1 talks to server 0, host 2 to server 1.
   const auto s1 = make_station(m1, floorctl::HostId{1}, shard0);
   const auto s2 = make_station(m2, floorctl::HostId{2}, shard1);
 

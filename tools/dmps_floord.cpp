@@ -1,15 +1,13 @@
 // dmps_floord: the floor-control daemon — fproto::FloorServer on real UDP.
 //
-// One process, one thread, one epoll loop — and N shards. Each shard is a
-// UdpEndpoint bound to its own consecutive port (--port, --port+1, …) with
-// its own fproto::FloorServer; all servers front one ShardedFloorService
+// One process, one thread, one epoll loop, one UDP port: a UdpEndpoint
+// with one fproto::FloorServer in front of a ShardedFloorService
 // (per-host resource managers, shared conference) through the
-// floorctl::FloorControl seam, so which port a request lands on never
-// affects arbitration. Members/groups/hosts and the host→shard port map
-// are the topology convention in wire_common.hpp; clients (dmps_loadgen)
-// learn nothing from the daemon but its base address.
+// floorctl::FloorControl seam. Members/groups/hosts are the topology
+// convention in wire_common.hpp; clients (dmps_loadgen) learn nothing from
+// the daemon but its address.
 //
-//   dmps_floord --port 4711 --shards 2 --hosts 4 --groups 4 --members 64
+//   dmps_floord --port 4711 --hosts 4 --groups 4 --members 64
 //               [--capacity 4.0 --policy queueing --metrics-out PATH]
 //
 // Signals (all handled on the loop via signalfd, never in handler
@@ -19,8 +17,8 @@
 //   SIGINT/SIGTERM graceful shutdown — stop the loop, release every
 //                  outstanding grant (sweeping freed hosts), dump final
 //                  metrics, check that nothing is left held, suspended or
-//                  parked and that decided-request records stay within
-//                  one per registered member, exit 0 (1 when not).
+//                  parked and that member records stay within one per
+//                  registered member, exit 0 (1 when not).
 
 #include <signal.h>
 #include <sys/signalfd.h>
@@ -29,7 +27,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,26 +53,25 @@ struct Options {
 };
 
 constexpr const char* kUsage =
-    "usage: dmps_floord [--port 4711] [--shards 1] [--hosts 4] [--groups 4]\n"
+    "usage: dmps_floord [--port 4711] [--hosts 4] [--groups 4]\n"
     "                   [--members 64] [--capacity 4.0]\n"
     "                   [--policy three_regime|queueing] [--metrics-out PATH]\n";
 
 Options parse(int argc, char** argv) {
   tools::check_flags(argc, argv, "dmps_floord",
-                     {"--port", "--shards", "--hosts", "--groups", "--members",
+                     {"--port", "--hosts", "--groups", "--members",
                       "--capacity", "--policy", "--metrics-out"},
                      kUsage);
   Options opt;
-  // 0 stays valid: the kernel picks shard 0's port (printed at startup).
+  // 0 stays valid: the kernel picks the port (printed at startup).
   opt.port = tools::flag_port(argc, argv, "dmps_floord", 0, opt.port, kUsage);
-  opt.topology.hosts = static_cast<int>(
-      tools::flag_long(argc, argv, "--hosts", opt.topology.hosts));
-  opt.topology.groups = static_cast<int>(
-      tools::flag_long(argc, argv, "--groups", opt.topology.groups));
-  opt.topology.shards = static_cast<int>(
-      tools::flag_long(argc, argv, "--shards", opt.topology.shards));
-  opt.members =
-      static_cast<int>(tools::flag_long(argc, argv, "--members", opt.members));
+  opt.topology.hosts = tools::flag_count(argc, argv, "dmps_floord", "--hosts",
+                                         opt.topology.hosts, kUsage);
+  opt.topology.groups = tools::flag_count(argc, argv, "dmps_floord",
+                                          "--groups", opt.topology.groups,
+                                          kUsage);
+  opt.members = tools::flag_count(argc, argv, "dmps_floord", "--members",
+                                  opt.members, kUsage);
   opt.capacity = tools::flag_double(argc, argv, "--capacity", opt.capacity);
   opt.metrics_out = tools::flag_string(argc, argv, "--metrics-out", "");
   const std::string policy =
@@ -85,10 +81,6 @@ Options parse(int argc, char** argv) {
   } else if (policy != "three_regime") {
     std::fprintf(stderr, "dmps_floord: unknown --policy '%s' "
                          "(three_regime|queueing)\n", policy.c_str());
-    std::exit(2);
-  }
-  if (opt.topology.shards < 1 || opt.topology.shards > opt.topology.hosts) {
-    std::fprintf(stderr, "dmps_floord: --shards must be in [1, --hosts]\n");
     std::exit(2);
   }
   return opt;
@@ -108,19 +100,8 @@ int main(int argc, char** argv) {
   transport::UdpLoop loop;
   transport::LoopClock clock(loop);
 
-  // One endpoint per shard on consecutive ports. Shard 0 binds --port
-  // (0 = ephemeral); the rest follow its actual port, so `--port 0
-  // --shards N` still yields a contiguous block.
-  std::vector<std::unique_ptr<transport::UdpEndpoint>> endpoints;
-  endpoints.reserve(static_cast<std::size_t>(opt.topology.shards));
-  endpoints.push_back(std::make_unique<transport::UdpEndpoint>(
-      loop, fproto::wire_schema(), opt.port, &wire));
-  const std::uint16_t base_port = endpoints[0]->local_port();
-  for (int s = 1; s < opt.topology.shards; ++s) {
-    endpoints.push_back(std::make_unique<transport::UdpEndpoint>(
-        loop, fproto::wire_schema(),
-        static_cast<std::uint16_t>(base_port + s), &wire));
-  }
+  transport::UdpEndpoint endpoint(loop, fproto::wire_schema(), opt.port,
+                                  &wire);
 
   // The conference, pre-registered under one snapshot publish.
   floorctl::GroupRegistry registry;
@@ -145,9 +126,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One per-host-sharded floor core behind every endpoint: requests route
-  // by FloorRequest::host no matter which port carried them, so arbitration
-  // is identical at any shard count.
+  // The per-host-sharded floor core: requests route by FloorRequest::host.
   floorctl::ShardedFloorService service(registry, clock,
                                         resource::Thresholds{0.25, 0.05});
   service.set_observability(&floor, nullptr);
@@ -159,21 +138,8 @@ int main(int argc, char** argv) {
   fproto::ServerConfig server_config;
   server_config.notify_retry = util::Duration::millis(100);
   server_config.obs = &wire;
-  // One FloorServer per shard endpoint. An agent always talks to the port
-  // its host maps to (WireTopology::port_of), so its per-member protocol
-  // state (request-id dedup, learned station) lives in exactly one server.
-  std::vector<std::unique_ptr<fproto::FloorServer>> servers;
-  servers.reserve(endpoints.size());
-  for (auto& endpoint : endpoints) {
-    servers.push_back(std::make_unique<fproto::FloorServer>(
-        *endpoint, registry, service, server_config));
-  }
+  fproto::FloorServer server(endpoint, registry, service, server_config);
 
-  const auto decided_records = [&servers] {
-    std::size_t records = 0;
-    for (const auto& server : servers) records += server->decided_records();
-    return records;
-  };
   // Live state, pulled only when a snapshot is written: nothing per datagram.
   // dmps-lint: obs-register-begin — before freeze(); everything the
   // callbacks read outlives the last dump.
@@ -186,13 +152,11 @@ int main(int argc, char** argv) {
   metrics.gauge_callback("floor.queued_requests", [&service] {
     return static_cast<std::int64_t>(service.queued_requests());
   });
-  metrics.gauge_callback("wire.server.decided_records", [&decided_records] {
-    return static_cast<std::int64_t>(decided_records());
+  metrics.gauge_callback("wire.server.decided_records", [&server] {
+    return static_cast<std::int64_t>(server.decided_records());
   });
-  metrics.gauge_callback("wire.udp.peers", [&endpoints] {
-    std::size_t peers = 0;
-    for (const auto& endpoint : endpoints) peers += endpoint->peer_count();
-    return static_cast<std::int64_t>(peers);
+  metrics.gauge_callback("wire.udp.peers", [&endpoint] {
+    return static_cast<std::int64_t>(endpoint.peer_count());
   });
   // dmps-lint: obs-register-end
 
@@ -236,11 +200,9 @@ int main(int argc, char** argv) {
   });
 
   std::fprintf(stderr,
-               "dmps_floord: listening on udp/%u-%u (shards=%d hosts=%d "
-               "groups=%d members=%d capacity=%.2f policy=%s)\n",
-               base_port,
-               static_cast<unsigned>(base_port + opt.topology.shards - 1),
-               opt.topology.shards, opt.topology.hosts, opt.topology.groups,
+               "dmps_floord: listening on udp/%u (hosts=%d groups=%d "
+               "members=%d capacity=%.2f policy=%s)\n",
+               endpoint.local_port(), opt.topology.hosts, opt.topology.groups,
                opt.members, opt.capacity,
                std::string(to_string(opt.policy)).c_str());
 
@@ -278,10 +240,9 @@ int main(int argc, char** argv) {
                  count);
     status = 1;
   }
-  // A member's next request ages out its older records (DESIGN §6.5a), and
-  // a member talks to one shard, so each registered member (the chair
-  // included) keeps at most one.
-  const std::size_t records = decided_records();
+  // The server keeps one record per member it heard from (DESIGN §6.5a),
+  // so the registered members (the chair included) bound them.
+  const std::size_t records = server.decided_records();
   const std::size_t registered = members.size() + 1;
   if (records > registered) {
     std::fprintf(stderr,

@@ -11,28 +11,31 @@
 // signal, and the exit code is nonzero.
 //
 //   dmps_loadgen --host 127.0.0.1 --port 4711 --agents 32 --duration 2
-//                [--hosts 4 --groups 4 --shards 1 --name wire_loadgen]
+//                [--hosts 4 --groups 4 --name wire_loadgen]
 //                [--spawn PATH/dmps_floord]
 //
-// --shards routes each agent to its host's daemon port (the wire_common
-// convention; must match the daemon's --shards). --spawn makes the loadgen
+// Every agent talks to the daemon's one port. --spawn makes the loadgen
 // own the daemon too: fork/exec the given dmps_floord with a matching
-// topology, run the load, SIGTERM it, and require a clean exit — and since
-// the daemon dumps its metrics to --metrics-out on shutdown, the daemon's
-// rx/tx batch-size histograms (where the batching actually pays, many
-// clients per shard socket) land in this bench's JSON next to the
-// client-side ones.
+// topology, wait for its "listening on udp/P" line and aim the agents at
+// P (so --port 0 lets the kernel pick it), run the load, SIGTERM it, and
+// require a clean exit — and since the daemon dumps its metrics to
+// --metrics-out on shutdown, the daemon's rx/tx batch-size histograms
+// (where the batching actually pays, many clients on one socket) land in
+// this bench's JSON next to the client-side ones.
 //
 // Output: scenario tables (and BENCH_<name>.json via bench_common.hpp)
 // with grant-latency percentiles measured request→grant at the client,
 // ops/s, retransmit and datagram counts, the stuck-agent total, and
 // rx/tx batch-size histograms for both sides of the wire.
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -69,22 +72,87 @@ struct Options {
 /// BENCH json as the daemon-side batch histograms).
 constexpr const char* kSpawnMetricsPath = "dmps_floord_metrics.json";
 
-/// fork/exec a dmps_floord whose topology matches ours. The child inherits
-/// stdio; agents' join retransmits absorb its startup latency.
-pid_t spawn_floord(const Options& opt) {
+/// How long a spawned daemon may take to say it is listening.
+constexpr std::chrono::milliseconds kSpawnReadyTimeout{5000};
+
+/// A dmps_floord this loadgen owns, with the read end of its stderr.
+struct Spawned {
+  pid_t pid = -1;
+  int stderr_fd = -1;
+};
+
+/// fork/exec a dmps_floord whose topology matches ours, its stderr on a
+/// pipe; pid -1 when the pipe or the fork fails.
+Spawned spawn_floord(const Options& opt) {
+  int fds[2];
+  if (pipe2(fds, O_CLOEXEC) != 0) return {};
   const pid_t pid = fork();
-  if (pid != 0) return pid;
-  const std::string port = std::to_string(opt.port);
-  const std::string shards = std::to_string(opt.topology.shards);
-  const std::string hosts = std::to_string(opt.topology.hosts);
-  const std::string groups = std::to_string(opt.topology.groups);
-  const std::string members = std::to_string(opt.agents);
-  execl(opt.spawn.c_str(), opt.spawn.c_str(), "--port", port.c_str(),
-        "--shards", shards.c_str(), "--hosts", hosts.c_str(), "--groups",
-        groups.c_str(), "--members", members.c_str(), "--metrics-out",
-        kSpawnMetricsPath, static_cast<char*>(nullptr));
-  std::perror("dmps_loadgen: exec dmps_floord");
-  _exit(127);
+  if (pid == 0) {
+    dup2(fds[1], STDERR_FILENO);  // the copy does not inherit O_CLOEXEC
+    const std::string port = std::to_string(opt.port);
+    const std::string hosts = std::to_string(opt.topology.hosts);
+    const std::string groups = std::to_string(opt.topology.groups);
+    const std::string members = std::to_string(opt.agents);
+    execl(opt.spawn.c_str(), opt.spawn.c_str(), "--port", port.c_str(),
+          "--hosts", hosts.c_str(), "--groups", groups.c_str(), "--members",
+          members.c_str(), "--metrics-out", kSpawnMetricsPath,
+          static_cast<char*>(nullptr));
+    std::perror("dmps_loadgen: exec dmps_floord");
+    _exit(127);
+  }
+  close(fds[1]);
+  if (pid < 0) {
+    close(fds[0]);
+    return {};
+  }
+  return {pid, fds[0]};
+}
+
+/// Read the spawned daemon's stderr up to its ready line, relay it, and
+/// return the port the line names. On EOF, or kSpawnReadyTimeout without
+/// the line: kill the daemon, print what it said, and exit 1.
+std::uint16_t await_ready(const Spawned& daemon) {
+  static constexpr char kReady[] = "listening on udp/";
+  const auto deadline = std::chrono::steady_clock::now() + kSpawnReadyTimeout;
+  std::string said;
+  for (;;) {
+    const auto at = said.find(kReady);
+    if (at != std::string::npos && said.find('\n', at) != std::string::npos) {
+      std::fputs(said.c_str(), stderr);
+      return static_cast<std::uint16_t>(std::strtoul(
+          said.c_str() + at + sizeof(kReady) - 1, nullptr, 10));
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd readable{daemon.stderr_fd, POLLIN, 0};
+    char chunk[512];
+    ssize_t n = -1;
+    if (left.count() > 0 &&
+        poll(&readable, 1, static_cast<int>(left.count())) > 0) {
+      n = read(daemon.stderr_fd, chunk, sizeof(chunk));
+    }
+    if (n <= 0) {
+      kill(daemon.pid, SIGKILL);
+      waitpid(daemon.pid, nullptr, 0);
+      std::fprintf(stderr,
+                   "%sdmps_loadgen: dmps_floord did not report listening\n",
+                   said.c_str());
+      std::exit(1);
+    }
+    said.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// Copy the daemon's remaining stderr to ours until it closes the pipe.
+/// The daemon writes there only at startup and shutdown, so the pipe
+/// cannot fill while the load runs.
+void relay_until_eof(int fd) {
+  char chunk[4096];
+  ssize_t n;
+  while ((n = read(fd, chunk, sizeof(chunk))) > 0) {
+    std::fwrite(chunk, 1, static_cast<std::size_t>(n), stderr);
+  }
+  close(fd);
 }
 
 struct Client {
@@ -119,7 +187,7 @@ struct LoadRun {
 constexpr const char* kUsage =
     "usage: dmps_loadgen [--host 127.0.0.1] [--port 4711] [--agents 32]\n"
     "                    [--duration 2] [--grace 2] [--hold-ms 10]\n"
-    "                    [--hosts 4] [--groups 4] [--shards 1]\n"
+    "                    [--hosts 4] [--groups 4]\n"
     "                    [--name wire_loadgen] [--spawn PATH/dmps_floord]\n";
 
 }  // namespace
@@ -127,35 +195,36 @@ constexpr const char* kUsage =
 int main(int argc, char** argv) {
   tools::check_flags(argc, argv, "dmps_loadgen",
                      {"--host", "--port", "--agents", "--duration", "--grace",
-                      "--hold-ms", "--hosts", "--groups", "--shards", "--name",
-                      "--spawn"},
+                      "--hold-ms", "--hosts", "--groups", "--name", "--spawn"},
                      kUsage);
   LoadRun run;
   Options& opt = run.opt;
   opt.host = tools::flag_string(argc, argv, "--host", opt.host.c_str());
-  // Port 0 is refused: agents would send to it and all end stuck, even
-  // with --spawn (the daemon's ephemeral port never reaches them).
-  opt.port = tools::flag_port(argc, argv, "dmps_loadgen", 1, opt.port, kUsage);
-  opt.agents = static_cast<int>(tools::flag_long(argc, argv, "--agents", opt.agents));
+  opt.spawn = tools::flag_string(argc, argv, "--spawn", "");
+  // Port 0 is refused for an external daemon: agents would send to it and
+  // all end stuck. A spawned daemon reports the port it bound.
+  opt.port = tools::flag_port(argc, argv, "dmps_loadgen",
+                              opt.spawn.empty() ? 1 : 0, opt.port, kUsage);
+  opt.agents = tools::flag_count(argc, argv, "dmps_loadgen", "--agents",
+                                 opt.agents, kUsage);
   opt.duration_s = tools::flag_double(argc, argv, "--duration", opt.duration_s);
   opt.grace_s = tools::flag_double(argc, argv, "--grace", opt.grace_s);
   opt.hold_ms = tools::flag_long(argc, argv, "--hold-ms", opt.hold_ms);
-  opt.topology.hosts = static_cast<int>(
-      tools::flag_long(argc, argv, "--hosts", opt.topology.hosts));
-  opt.topology.groups = static_cast<int>(
-      tools::flag_long(argc, argv, "--groups", opt.topology.groups));
-  opt.topology.shards = static_cast<int>(
-      tools::flag_long(argc, argv, "--shards", opt.topology.shards));
+  opt.topology.hosts = tools::flag_count(argc, argv, "dmps_loadgen", "--hosts",
+                                         opt.topology.hosts, kUsage);
+  opt.topology.groups = tools::flag_count(argc, argv, "dmps_loadgen",
+                                          "--groups", opt.topology.groups,
+                                          kUsage);
   opt.name = tools::flag_string(argc, argv, "--name", opt.name.c_str());
-  opt.spawn = tools::flag_string(argc, argv, "--spawn", "");
 
-  pid_t daemon_pid = -1;
+  Spawned daemon;
   if (!opt.spawn.empty()) {
-    daemon_pid = spawn_floord(opt);
-    if (daemon_pid < 0) {
-      std::perror("dmps_loadgen: fork");
+    daemon = spawn_floord(opt);
+    if (daemon.pid < 0) {
+      std::perror("dmps_loadgen: spawn dmps_floord");
       return 1;
     }
+    opt.port = await_ready(daemon);
   }
 
   const transport::WireSchema schema = fproto::wire_schema();
@@ -168,11 +237,7 @@ int main(int argc, char** argv) {
     run.clients.push_back(std::move(client));
     c.endpoint = std::make_unique<transport::UdpEndpoint>(run.loop, schema,
                                                           0, &run.wire);
-    // The shard convention: this agent's host decides which daemon port it
-    // talks to (port_of degenerates to --port when --shards is 1).
-    c.server = c.endpoint->add_peer(
-        opt.host,
-        static_cast<std::uint16_t>(opt.topology.port_of(i, opt.port)));
+    c.server = c.endpoint->add_peer(opt.host, opt.port);
 
     fproto::AgentConfig config;
     config.retry = Duration::millis(40);
@@ -314,12 +379,13 @@ int main(int argc, char** argv) {
 
   // Spawned-daemon epilogue: a clean SIGTERM shutdown is part of the pass
   // criteria, and its --metrics-out dump carries the daemon-side batch
-  // histograms (many agents per shard socket) into this BENCH json.
+  // histograms (many agents on one socket) into this BENCH json.
   bool daemon_ok = true;
-  if (daemon_pid > 0) {
-    kill(daemon_pid, SIGTERM);
+  if (daemon.pid > 0) {
+    kill(daemon.pid, SIGTERM);
+    relay_until_eof(daemon.stderr_fd);
     int status = 0;
-    if (waitpid(daemon_pid, &status, 0) != daemon_pid ||
+    if (waitpid(daemon.pid, &status, 0) != daemon.pid ||
         !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
       std::fprintf(stderr, "dmps_loadgen: dmps_floord did not exit cleanly\n");
       daemon_ok = false;

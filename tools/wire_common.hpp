@@ -10,19 +10,13 @@
 //   group  i % groups   agent i's group    (groups minted in order, ids 0..)
 //   host   1 + i % hosts  agent i's home station
 //
-// Sharding extends the map to ports (docs/OPERATIONS.md): a daemon started
-// with --shards S binds S consecutive UDP ports (--port, --port+1, …), one
-// endpoint per shard, and host h lives on shard (h - 1) % S — so an agent
-// derives its daemon port from its own host id and nothing else. S = 1 is
-// the unsharded daemon; hosts should be a multiple of shards or the load
-// skews.
-//
+// Every agent talks to the daemon's one UDP port, whatever its host.
 // floord must be started with --members >= the loadgen's --agents and the
-// same --hosts/--groups/--shards, or the daemon refuses the unknown ids
-// (exactly as it would any stranger's datagram) / agents knock on a port
-// nobody bound.
+// same --hosts/--groups, or the daemon refuses the unknown ids (exactly as
+// it would any stranger's datagram).
 
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -86,25 +80,42 @@ inline long flag_long(int argc, char** argv, const char* name, long fallback) {
   return v != nullptr ? std::strtol(v, nullptr, 10) : fallback;
 }
 
-/// `--port` as a UDP port in [lowest, 65535]; `fallback` when absent. A
-/// value outside that range, or one that is not a whole number, prints the
-/// offender and `usage` on stderr and exits 2 — a plain cast would wrap it
-/// silently onto some other port.
-inline std::uint16_t flag_port(int argc, char** argv, const char* program,
-                               long lowest, std::uint16_t fallback,
-                               const char* usage) {
-  const char* v = flag_value(argc, argv, "--port");
+/// `name` as a whole number in [lowest, highest]; `fallback` when absent.
+/// A value outside that range, or one that is not a whole number, prints
+/// the offender and `usage` on stderr and exits 2 — a plain cast would wrap
+/// it silently onto some other value.
+inline long flag_in_range(int argc, char** argv, const char* program,
+                          const char* name, long lowest, long highest,
+                          long fallback, const char* usage) {
+  const char* v = flag_value(argc, argv, name);
   if (v == nullptr) return fallback;
   char* end = nullptr;
   errno = 0;
-  const long port = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno != 0 || port < lowest ||
-      port > 65535) {
-    std::fprintf(stderr, "%s: --port must be in [%ld, 65535], got '%s'\n%s",
-                 program, lowest, v, usage);
+  const long value = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno != 0 || value < lowest ||
+      value > highest) {
+    std::fprintf(stderr, "%s: %s must be in [%ld, %ld], got '%s'\n%s",
+                 program, name, lowest, highest, v, usage);
     std::exit(2);
   }
-  return static_cast<std::uint16_t>(port);
+  return value;
+}
+
+/// `--port` as a UDP port in [lowest, 65535]; `fallback` when absent.
+inline std::uint16_t flag_port(int argc, char** argv, const char* program,
+                               long lowest, std::uint16_t fallback,
+                               const char* usage) {
+  return static_cast<std::uint16_t>(flag_in_range(
+      argc, argv, program, "--port", lowest, 65535, fallback, usage));
+}
+
+/// A topology count (`--hosts`, `--groups`, `--members`, `--agents`): at
+/// least 1. Zero hosts or groups would divide by zero in WireTopology, and
+/// a negative count would size a vector.
+inline int flag_count(int argc, char** argv, const char* program,
+                      const char* name, int fallback, const char* usage) {
+  return static_cast<int>(
+      flag_in_range(argc, argv, program, name, 1, INT_MAX, fallback, usage));
 }
 
 inline double flag_double(int argc, char** argv, const char* name,
@@ -123,18 +134,10 @@ inline std::string flag_string(int argc, char** argv, const char* name,
 struct WireTopology {
   int hosts = 4;
   int groups = 4;
-  int shards = 1;
 
   int member_of(int agent) const { return 1 + agent; }
   int group_of(int agent) const { return agent % groups; }
   int host_of(int agent) const { return 1 + agent % hosts; }
-
-  /// Which of the daemon's endpoints serves `host` (0-based shard index).
-  int shard_of_host(int host) const { return (host - 1) % shards; }
-  /// The UDP port agent `agent` must talk to, given the daemon's base port.
-  int port_of(int agent, int base_port) const {
-    return base_port + shard_of_host(host_of(agent));
-  }
 };
 
 /// One histogram as MetricsRegistry::write_json prints it. mean() is the
