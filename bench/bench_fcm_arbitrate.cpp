@@ -164,7 +164,7 @@ void regime_scenario() {
     const auto d = cluster.service.request(cluster.request(cluster.members[0], 0.3));
     dmps::bench::row("%-12s | %19.2f | %-16s | %9zu | %s", c.name, avail_before,
                 std::string(to_string(d.outcome)).c_str(), d.suspended.size(),
-                d.reason.c_str());
+                explain(d, cluster.service.thresholds()).c_str());
   }
 }
 
@@ -230,7 +230,8 @@ struct DegradedWorld {
                           is_fat ? fat : tiny));
       if (d.outcome != Outcome::kGranted &&
           d.outcome != Outcome::kGrantedDegraded) {
-        std::fprintf(stderr, "degraded preload failed: %s\n", d.reason.c_str());
+        std::fprintf(stderr, "degraded preload failed: %s\n",
+                     explain(d, cluster.service.thresholds()).c_str());
         std::abort();
       }
     }
@@ -245,7 +246,8 @@ struct DegradedWorld {
                           std::chrono::steady_clock::now() - t0)
                           .count();
     if (d.outcome != Outcome::kGrantedDegraded) {
-      std::fprintf(stderr, "degraded probe not degraded: %s\n", d.reason.c_str());
+      std::fprintf(stderr, "degraded probe not degraded: %s\n",
+                   explain(d, cluster.service.thresholds()).c_str());
       std::abort();
     }
     cluster.service.release(prober, cluster.group);
@@ -312,7 +314,8 @@ void queue_depth_sweep_scenario() {
         holders.push_back(m);
       } else if (d.outcome != Outcome::kQueued) {
         std::fprintf(stderr, "queue sweep: request %u not parked: %s\n",
-                     m.value(), d.reason.c_str());
+                     m.value(),
+                     explain(d, cluster.service.thresholds()).c_str());
         std::abort();
       }
     }
@@ -492,7 +495,8 @@ struct ScalingWorld {
             hosts[static_cast<std::size_t>(h)], is_fat ? fat_qos : tiny_qos));
         if (d.outcome != Outcome::kGranted &&
             d.outcome != Outcome::kGrantedDegraded) {
-          std::fprintf(stderr, "scaling preload failed: %s\n", d.reason.c_str());
+          std::fprintf(stderr, "scaling preload failed: %s\n",
+                       explain(d, service.thresholds()).c_str());
           std::abort();
         }
       }
@@ -532,7 +536,7 @@ void parallel_strong_scaling_scenario() {
             world.hosts[static_cast<std::size_t>(h)], probe_qos));
         if (d.outcome != Outcome::kGrantedDegraded) {
           std::fprintf(stderr, "scaling probe not degraded: %s\n",
-                       d.reason.c_str());
+                       explain(d, service.thresholds()).c_str());
           std::abort();
         }
         service.release(world.probers[static_cast<std::size_t>(h)],

@@ -24,11 +24,14 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
                kind table and frame-limits table must match the code.
   hot          Inside `// dmps-lint: hot-begin(<name>)` .. `hot-end`
                regions (the worker drain loop, GrantStore mutation
-               paths, the UDP rx path): no `new` expressions, no
-               std::function construction, no mutation of
-               std::unordered_map members. These are the alloc-probed
-               paths; one stray node allocation regresses the
-               million-station sweep. The region names are declared in
+               paths, the UDP rx path, arbitration): no `new`
+               expressions, no std::function construction, no mutation
+               of std::unordered_map members, and no text formatting
+               (printf-family calls, std::to_string, string streams).
+               These are the alloc-probed paths; one stray node
+               allocation regresses the million-station sweep, and one
+               formatted sentence per decision once cost a third of the
+               daemon's CPU. The region names are declared in
                DESIGN.md's ```dmps-hot-regions fenced block: a listed
                region with no marker left (a deleted or moved file took
                it along) and a marker naming an unlisted region are both
@@ -488,6 +491,11 @@ UMAP_DECL_RE = re.compile(
     re.S)
 NEW_RE = re.compile(r"\bnew\b")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\s*<")
+# printf, fprintf, sprintf, snprintf and their v-forms; std::to_string;
+# the string streams.
+FORMAT_RE = re.compile(
+    r"\b(?:v?(?:f|s|sn)?printf\s*\(|std::to_string\s*\(|"
+    r"(?:std::)?(?:basic_)?[io]?stringstream\b)")
 
 
 def collect_umap_members(root):
@@ -575,6 +583,14 @@ def check_hot(root, violations, config_errors):
                     f"std::function constructed inside hot region '{name}': "
                     "capturing callables allocate; take the callable at "
                     "setup time (escape: dmps-lint: allow(hot-std-function))"))
+            fmt = FORMAT_RE.search(code)
+            if fmt and not allowed_on(lines, idx, "hot-format"):
+                violations.append(Violation(
+                    rel, idx + 1, "hot-format",
+                    f"text formatting ('{fmt.group(0).rstrip('( ')}') inside "
+                    f"hot region '{name}': this path runs per operation; "
+                    "carry a code and render text off the path (escape: "
+                    "dmps-lint: allow(hot-format))"))
             if (mutate_re and mutate_re.search(code)
                     and not allowed_on(lines, idx, "hot-unordered-map")):
                 hit = mutate_re.search(code).group(0).strip()

@@ -392,6 +392,66 @@ class HotRegions(LintCase):
         status, out, err = self.run_lint(self.root, ["hot"])
         self.assertEqual(status, 0, msg=out + err)
 
+    def test_format_inside_hot_region_fails(self):
+        write(self.root, "src/floor/hot.cpp",
+              "// dmps-lint: hot-begin(drain)\n"
+              "void decide(char* buf) {\n"
+              "  std::snprintf(buf, 16, \"%d\", 7);\n"
+              "}\n"
+              "// dmps-lint: hot-end\n")
+        status, out, _ = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 1)
+        self.assertIn("src/floor/hot.cpp:3: [hot-format]", out)
+        self.assertIn("'snprintf'", out)
+        self.assertIn("hot region 'drain'", out)
+
+    def test_to_string_and_string_streams_inside_hot_region_fail(self):
+        write(self.root, "src/floor/hot.cpp",
+              "// dmps-lint: hot-begin(route)\n"
+              "std::string a = std::to_string(7);\n"
+              "std::ostringstream os;\n"
+              "std::vfprintf(stderr, fmt, args);\n"
+              "// dmps-lint: hot-end\n")
+        status, out, _ = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 1)
+        self.assertIn("hot.cpp:2: [hot-format] text formatting "
+                      "('std::to_string')", out)
+        self.assertIn("hot.cpp:3: [hot-format] text formatting "
+                      "('std::ostringstream')", out)
+        self.assertIn("hot.cpp:4: [hot-format] text formatting "
+                      "('vfprintf')", out)
+
+    def test_format_outside_hot_region_passes(self):
+        write(self.root, "src/floor/cold.cpp",
+              "void explain(char* buf) {\n"
+              "  std::snprintf(buf, 16, \"%d\", 7);\n"
+              "}\n")
+        status, out, err = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 0, msg=out + err)
+
+    def test_format_escape_passes(self):
+        write(self.root, "src/floor/hot.cpp",
+              "// dmps-lint: hot-begin(drain)\n"
+              "void fail(char* buf) {\n"
+              "  std::snprintf(buf, 16, \"%d\", 7);  "
+              "// dmps-lint: allow(hot-format)\n"
+              "  // dmps-lint: allow-next(hot-format)\n"
+              "  std::fprintf(stderr, \"fatal\\n\");\n"
+              "}\n"
+              "// dmps-lint: hot-end\n")
+        status, out, err = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 0, msg=out + err)
+
+    def test_format_mention_in_comment_or_string_not_flagged(self):
+        write(self.root, "src/floor/hot.cpp",
+              "// dmps-lint: hot-begin(drain)\n"
+              "// explain() runs snprintf(buf, ...) off this path\n"
+              "const char* kNote = \"no std::to_string( or sprintf( here\";\n"
+              "void decide() {}  // not an std::ostringstream either\n"
+              "// dmps-lint: hot-end\n")
+        status, out, err = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 0, msg=out + err)
+
     def test_listed_region_without_marker_is_config_error(self):
         # The file holding 'route' lost its marker (as a deleted or moved
         # file would take it along): the declared region is now unguarded.

@@ -34,11 +34,21 @@
 #include <cstddef>
 #include <deque>
 #include <map>
+#include <string>
 
 #include "floor/grant_store.hpp"
 #include "floor/types.hpp"
 
 namespace dmps::floorctl {
+
+/// The sentence a person reads for `decision`, rebuilt from its Reason
+/// code, its own fields and the `thresholds` it was decided under: the
+/// availability it saw, the holders it suspended, the entries parked ahead
+/// of it. A refusal the queueing policy parked reads as its three-regime
+/// text behind "queued: ". Off the arbitration path by design — call it
+/// where words are wanted (a report, a test, an error message).
+std::string explain(const Decision& decision,
+                    const resource::Thresholds& thresholds);
 
 /// Resolved per-request facts a policy may consult beyond the raw request.
 /// FloorService resolves them against an immutable GroupSnapshot (never a

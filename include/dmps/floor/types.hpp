@@ -9,8 +9,8 @@
 // This header holds only the types those pieces exchange: ids, disciplines,
 // requests, outcomes and results.
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -81,10 +81,33 @@ inline std::uint64_t holder_key(MemberId member, GroupId group) {
   return (static_cast<std::uint64_t>(member.value()) << 32) | group.value();
 }
 
+/// Which rule ended an arbitration. A Decision carries the code, never
+/// prose: explain() (policy.hpp) renders the text from the code, the
+/// Decision's own fields and the thresholds, so deciding a request formats
+/// and allocates nothing. The wire, the counters and the trace read only
+/// the Outcome.
+enum class Reason : std::uint8_t {
+  kNone,              // default-constructed; renders as ""
+  kFullRegime,        // granted: availability >= alpha
+  kDegradedRegime,    // granted-degraded: fits below alpha without suspension
+  kMediaSuspend,      // granted-degraded after suspending `suspended`
+  kAbortArbitrate,    // aborted (queued, under queueing): availability < beta
+  kDoesNotFit,        // denied (queued, under queueing): no fit after suspend
+  kNotChair,          // denied: the chaired discipline and not the chair
+  kAlreadyPending,    // queued: re-request of a parked request, same host
+  kPendingOtherHost,  // queued: re-request for another host; kept as parked
+  kParkedBehind,      // queued: behind `parked_ahead` entries for the host
+  kNotMember,         // denied: the requester is not in the group
+  kUnknownHost,       // denied: no such host station
+  kNotRunning,        // denied: the sharded service has stopped
+};
+
 struct Decision {
   Outcome outcome = Outcome::kDenied;
+  Reason reason = Reason::kNone;
+  /// Earlier requests parked for the same host (Reason::kParkedBehind).
+  std::size_t parked_ahead = 0;
   std::vector<Holder> suspended;  // holders Media-Suspended for this grant
-  std::string reason;
   double availability_before = 0.0;
   double availability_after = 0.0;
 };

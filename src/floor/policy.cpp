@@ -5,9 +5,68 @@
 
 namespace dmps::floorctl {
 
+std::string explain(const Decision& decision,
+                    const resource::Thresholds& thresholds) {
+  // A three-regime refusal the queueing policy parked keeps its code and
+  // reads behind "queued: ".
+  const std::string queued =
+      decision.outcome == Outcome::kQueued ? "queued: " : "";
+  char buf[160];
+  switch (decision.reason) {
+    case Reason::kNone:
+      return {};
+    case Reason::kFullRegime:
+      return "full regime";
+    case Reason::kDegradedRegime:
+      std::snprintf(buf, sizeof(buf),
+                    "degraded regime (availability %.3f < alpha %.3f), fits "
+                    "without suspension",
+                    decision.availability_before, thresholds.alpha);
+      return buf;
+    case Reason::kMediaSuspend:
+      std::snprintf(buf, sizeof(buf),
+                    "media-suspend freed capacity: %zu holder(s) suspended",
+                    decision.suspended.size());
+      return buf;
+    case Reason::kAbortArbitrate:
+      std::snprintf(buf, sizeof(buf),
+                    "abort-arbitrate: availability %.3f < beta %.3f",
+                    decision.availability_before, thresholds.beta);
+      return queued + buf;
+    case Reason::kDoesNotFit:
+      std::snprintf(buf, sizeof(buf),
+                    "denied: request does not fit even after media-suspend "
+                    "(availability %.3f)",
+                    decision.availability_before);
+      return queued + buf;
+    case Reason::kNotChair:
+      return "chaired discipline: only the chair may seize the floor";
+    case Reason::kAlreadyPending:
+      return "queued: request already pending in this group";
+    case Reason::kPendingOtherHost:
+      return "queued: request already pending in this group for its "
+             "original host (cancel or release to re-home)";
+    case Reason::kParkedBehind:
+      std::snprintf(buf, sizeof(buf),
+                    "queued: parked behind %zu earlier request(s) for this "
+                    "host",
+                    decision.parked_ahead);
+      return buf;
+    case Reason::kNotMember:
+      return "requester is not a member of the group";
+    case Reason::kUnknownHost:
+      return "unknown host station";
+    case Reason::kNotRunning:
+      return "floor service is not running";
+  }
+  return {};
+}
+
 void ArbitrationPolicy::cancel(MemberId, GroupId, ReleaseResult&,
                                HostList&) {}
 
+// dmps-lint: hot-begin(floor-decide) — every request the facade has
+// validated: codes only, the text is explain()'s.
 Decision ThreeRegimePolicy::decide(const FloorRequest& request,
                                    const RequestContext& ctx,
                                    GrantStore::HostView& host) {
@@ -15,15 +74,11 @@ Decision ThreeRegimePolicy::decide(const FloorRequest& request,
   const double avail = host.availability();
   decision.availability_before = avail;
   const resource::Resource need = resource::Resource::from_qos(request.qos);
-  char buf[160];
 
   // Regime 3: starved below beta — Abort-Arbitrate, no matter who asks.
   if (avail < thresholds_.beta) {
     decision.outcome = Outcome::kAborted;
-    std::snprintf(buf, sizeof(buf),
-                  "abort-arbitrate: availability %.3f < beta %.3f", avail,
-                  thresholds_.beta);
-    decision.reason = buf;
+    decision.reason = Reason::kAbortArbitrate;
     decision.availability_after = avail;
     return decision;
   }
@@ -37,11 +92,7 @@ Decision ThreeRegimePolicy::decide(const FloorRequest& request,
   if (!host.can_fit(need) &&
       !host.suspend_to_fit(need, ctx.priority, decision.suspended)) {
     decision.outcome = Outcome::kDenied;
-    std::snprintf(buf, sizeof(buf),
-                  "denied: request does not fit even after media-suspend "
-                  "(availability %.3f)",
-                  avail);
-    decision.reason = buf;
+    decision.reason = Reason::kDoesNotFit;
     decision.availability_after = host.availability();
     return decision;
   }
@@ -50,23 +101,13 @@ Decision ThreeRegimePolicy::decide(const FloorRequest& request,
 
   if (!decision.suspended.empty()) {
     decision.outcome = Outcome::kGrantedDegraded;
-    std::snprintf(buf, sizeof(buf),
-                  "media-suspend freed capacity: %zu holder(s) suspended",
-                  decision.suspended.size());
-    decision.reason = buf;
+    decision.reason = Reason::kMediaSuspend;
   } else if (full_regime) {
     decision.outcome = Outcome::kGranted;
-    // Short enough for the small-string optimization on every mainstream
-    // stdlib: the plain-grant path — the only per-op decision in a
-    // full-regime steady state — must not heap-allocate its reason.
-    decision.reason = "full regime";
+    decision.reason = Reason::kFullRegime;
   } else {
     decision.outcome = Outcome::kGrantedDegraded;
-    std::snprintf(buf, sizeof(buf),
-                  "degraded regime (availability %.3f < alpha %.3f), fits "
-                  "without suspension",
-                  avail, thresholds_.alpha);
-    decision.reason = buf;
+    decision.reason = Reason::kDegradedRegime;
   }
   decision.availability_after = host.availability();
   return decision;
@@ -77,7 +118,7 @@ Decision ChairedPolicy::decide(const FloorRequest& request,
                                GrantStore::HostView& host) {
   if (request.member != ctx.chair) {
     Decision decision;
-    decision.reason = "chaired discipline: only the chair may seize the floor";
+    decision.reason = Reason::kNotChair;
     return decision;  // kDenied
   }
   return base_.decide(request, ctx, host);
@@ -102,11 +143,9 @@ Decision QueueingPolicy::decide(const FloorRequest& request,
       if (parked.request.host == request.host) {
         parked.request = request;
         parked.priority = ctx.priority;
-        decision.reason = "queued: request already pending in this group";
+        decision.reason = Reason::kAlreadyPending;
       } else {
-        decision.reason =
-            "queued: request already pending in this group for its original "
-            "host (cancel or release to re-home)";
+        decision.reason = Reason::kPendingOtherHost;
       }
       decision.availability_before = host.availability();
       decision.availability_after = decision.availability_before;
@@ -126,11 +165,8 @@ Decision QueueingPolicy::decide(const FloorRequest& request,
     ++total_queued_;
     Decision decision;
     decision.outcome = Outcome::kQueued;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "queued: parked behind %zu earlier request(s) for this host",
-                  ahead);
-    decision.reason = buf;
+    decision.reason = Reason::kParkedBehind;
+    decision.parked_ahead = ahead;
     decision.availability_before = host.availability();
     decision.availability_after = decision.availability_before;
     return decision;
@@ -143,14 +179,15 @@ Decision QueueingPolicy::decide(const FloorRequest& request,
     return decision;
   }
   // BFCP-style moderation: park the refusal instead of bouncing the client
-  // into a retry loop; freed capacity grants it from the queue.
+  // into a retry loop; freed capacity grants it from the queue. The base
+  // rule's code stays: it says why the request could not be granted now.
   queue.push_back(Parked{request, ctx.priority});
   index_add(request.host, request.group);
   ++total_queued_;
   decision.outcome = Outcome::kQueued;
-  decision.reason = "queued: " + decision.reason;
   return decision;
 }
+// dmps-lint: hot-end
 
 void QueueingPolicy::index_add(HostId host, GroupId group) {
   ++host_index_[host.value()][group.value()];

@@ -43,6 +43,8 @@ ArbitrationPolicy& FloorService::policy_for(const Group& group,
                  : static_cast<ArbitrationPolicy&>(three_regime_);
 }
 
+// dmps-lint: hot-begin(floor-decide) — every floor request: validation,
+// counters and trace carry codes; nothing here formats or allocates text.
 Decision FloorService::request(const FloorRequest& request) {
   return this->request(refreshed_snapshot(), request);
 }
@@ -89,12 +91,12 @@ Decision FloorService::decide(const GroupSnapshot& snapshot,
   Decision decision;
   if (!snapshot.has_member(request.member) ||
       !snapshot.in_group(request.member, request.group)) {
-    decision.reason = "requester is not a member of the group";
+    decision.reason = Reason::kNotMember;
     return decision;
   }
   auto host = store_.view(request.host);
   if (!host) {
-    decision.reason = "unknown host station";
+    decision.reason = Reason::kUnknownHost;
     return decision;
   }
   const Group& group = snapshot.group(request.group);
@@ -103,6 +105,7 @@ Decision FloorService::decide(const GroupSnapshot& snapshot,
   ctx.chair = group.chair;
   return policy_for(group, request.mode).decide(request, ctx, *host);
 }
+// dmps-lint: hot-end
 
 ReleaseResult FloorService::release(MemberId member, GroupId group) {
   return release(refreshed_snapshot(), member, group);

@@ -34,7 +34,7 @@ Result await(Submit&& submit) {
   return std::move(rendezvous.value);
 }
 
-Decision refusal(const char* reason) {
+Decision refusal(Reason reason) {
   Decision decision;
   decision.reason = reason;
   return decision;
@@ -322,7 +322,7 @@ void ShardedFloorService::refuse(Op& op) {
   if (op.kind != Op::Kind::kRequest) {
     complete(op, ReleaseResult{});
   } else if (op.on_decision) {
-    op.on_decision(refusal("floor service is not running"));
+    op.on_decision(refusal(Reason::kNotRunning));
   }
 }
 
@@ -361,7 +361,7 @@ void ShardedFloorService::fan_out(Op::Kind kind, const HostList& hosts,
 
 Decision ShardedFloorService::request(const FloorRequest& request) {
   Shard* owner = find_shard(request.host);
-  if (owner == nullptr) return refusal("unknown host station");
+  if (owner == nullptr) return refusal(Reason::kUnknownHost);
   if (state() != State::kInline) {
     return await<Decision>([&](DecisionCallback done) {
       this->request(request, std::move(done));

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,7 +102,7 @@ TEST_F(ServiceFixture, BelowBetaAbortsRegardlessOfPriority) {
   const auto d = service.request(req(chair, 0.01));
   EXPECT_EQ(d.outcome, Outcome::kAborted);
   EXPECT_TRUE(d.suspended.empty());
-  EXPECT_NE(d.reason.find("abort-arbitrate"), std::string::npos);
+  EXPECT_EQ(d.reason, Reason::kAbortArbitrate);
 }
 
 TEST_F(ServiceFixture, EqualPriorityIsNeverSuspended) {
@@ -208,7 +209,7 @@ TEST_F(QueueingFixture, RefusedRequestIsParkedNotDenied) {
   // denial — the queueing group parks it instead.
   const auto d = service.request(req(low1, 0.7));
   EXPECT_EQ(d.outcome, Outcome::kQueued);
-  EXPECT_NE(d.reason.find("queued"), std::string::npos);
+  EXPECT_EQ(d.reason, Reason::kDoesNotFit);  // the refusal it was parked for
   EXPECT_EQ(service.queued_requests(), 1u);
   EXPECT_EQ(service.queued_requests(group), 1u);
   EXPECT_EQ(service.active_grants(), 1u);  // nothing reserved for the parked one
@@ -305,7 +306,8 @@ TEST_F(QueueingFixture, NewcomerParksBehindANonEmptyQueue) {
   // low1, which arrived first. Arrival order demands it park behind.
   const auto d = service.request(req(low2, 0.2));
   EXPECT_EQ(d.outcome, Outcome::kQueued);
-  EXPECT_NE(d.reason.find("parked behind"), std::string::npos);
+  EXPECT_EQ(d.reason, Reason::kParkedBehind);
+  EXPECT_EQ(d.parked_ahead, 1u);
   EXPECT_EQ(service.queued_requests(group), 2u);
   EXPECT_EQ(service.active_grants(), 1u);  // nothing was reserved for it
 
@@ -428,7 +430,7 @@ TEST_F(QueueingFixture, ReRequestWhileParkedCannotRetargetItsHost) {
   retarget.host = HostId{2};
   const auto d = service.request(retarget);
   EXPECT_EQ(d.outcome, Outcome::kQueued);
-  EXPECT_NE(d.reason.find("original host"), std::string::npos);
+  EXPECT_EQ(d.reason, Reason::kPendingOtherHost);
 
   // The promotion lands on host 1 with the original 0.6 payload (0.2 free
   // afterwards proves neither the host nor the qos was rewritten).
@@ -457,8 +459,10 @@ TEST_F(QueueingFixture, ChairedQueueingGroupStillGatesOnTheChair) {
 // ------------------------------------------------ golden queueing stream
 
 /// Order-sensitive FNV-1a fold over every field a Decision or a
-/// ReleaseResult reports, down to the availability bits and reason text.
+/// ReleaseResult reports, down to the availability bits and the reason's
+/// text as explain() renders it under the stream's thresholds.
 struct StreamHash {
+  Thresholds thresholds;
   std::uint64_t value = 0xcbf29ce484222325ULL;
 
   void bytes(const void* data, std::size_t n) {
@@ -480,8 +484,9 @@ struct StreamHash {
   void decision(const Decision& d) {
     u64(static_cast<std::uint64_t>(d.outcome));
     holders(d.suspended);
-    u64(d.reason.size());
-    bytes(d.reason.data(), d.reason.size());
+    const std::string reason = explain(d, thresholds);
+    u64(reason.size());
+    bytes(reason.data(), reason.size());
     real(d.availability_before);
     real(d.availability_after);
   }
@@ -567,7 +572,7 @@ TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
       }
     }
 
-    StreamHash hash;
+    StreamHash hash{thresholds};
     RegimeTally tally;
     const auto fold_decisions = [&](const FloorRequest& r) {
       for (const Decision& d : {single.request(r), sharded.request(r)}) {
@@ -635,6 +640,109 @@ TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
   };
   EXPECT_EQ(run(0), 0xd2e145c311fe088fULL) << "inline executor";
   EXPECT_EQ(run(2), 0xd2e145c311fe088fULL) << "started on 2 workers";
+}
+
+// ------------------------------------------------------------ reason text
+
+TEST_F(ServiceFixture, ExplainRendersEachReasonCodeAsItsSentence) {
+  // One decision per rule, each from a real service, rendered under the
+  // fixture's thresholds (alpha 0.25, beta 0.0625). The literals pin each
+  // sentence byte for byte, as the golden stream's hash pins them in bulk:
+  // logs and reports written against the text keep reading the same.
+  service.add_host(HostId{2}, Resource{1.0, 1.0, 1.0});
+  const auto queue = registry.create_group("q", FcmMode::kFreeAccess, chair,
+                                           PolicyKind::kQueueing);
+  const auto panel = registry.create_group("p", FcmMode::kChaired, chair);
+  for (const auto m : {low1, low2, low3, mid}) registry.join(m, queue);
+  registry.join(low1, panel);
+  const auto in = [this](MemberId m, double q, GroupId g) {
+    FloorRequest r = req(m, q);
+    r.group = g;
+    return r;
+  };
+  struct Row {
+    Decision decision;
+    Reason reason;
+    const char* text;
+  };
+  std::vector<Row> rows;
+  const auto row = [&rows](Decision d, Reason reason, const char* text) {
+    rows.push_back(Row{std::move(d), reason, text});
+  };
+
+  row(service.request(req(low1, 0.5)), Reason::kFullRegime, "full regime");
+  service.release(low1, group);
+
+  ASSERT_EQ(service.request(req(low1, 0.8)).outcome, Outcome::kGranted);
+  row(service.request(req(chair, 0.1)), Reason::kDegradedRegime,
+      "degraded regime (availability 0.200 < alpha 0.250), fits without "
+      "suspension");
+  service.release(chair, group);
+  service.release(low1, group);
+
+  for (const auto m : {low1, low2, low3}) {
+    ASSERT_EQ(service.request(req(m, 0.25)).outcome, Outcome::kGranted);
+  }
+  ASSERT_EQ(service.request(req(mid, 0.1)).outcome, Outcome::kGranted);
+  row(service.request(req(chair, 0.5)), Reason::kMediaSuspend,
+      "media-suspend freed capacity: 2 holder(s) suspended");
+  EXPECT_EQ(rows.back().decision.suspended.size(), 2u);
+  for (const auto m : {chair, low1, low2, low3, mid}) service.release(m, group);
+
+  ASSERT_EQ(service.request(req(mid, 0.7)).outcome, Outcome::kGranted);
+  row(service.request(req(low1, 0.7)), Reason::kDoesNotFit,
+      "denied: request does not fit even after media-suspend "
+      "(availability 0.300)");
+  row(service.request(in(low2, 0.7, queue)), Reason::kDoesNotFit,
+      "queued: denied: request does not fit even after media-suspend "
+      "(availability 0.300)");
+  row(service.request(in(low3, 0.1, queue)), Reason::kParkedBehind,
+      "queued: parked behind 1 earlier request(s) for this host");
+  EXPECT_EQ(rows.back().decision.parked_ahead, 1u);
+  row(service.request(in(low1, 0.1, queue)), Reason::kParkedBehind,
+      "queued: parked behind 2 earlier request(s) for this host");
+  EXPECT_EQ(rows.back().decision.parked_ahead, 2u);
+  row(service.request(in(low2, 0.7, queue)), Reason::kAlreadyPending,
+      "queued: request already pending in this group");
+  FloorRequest rehome = in(low2, 0.1, queue);
+  rehome.host = HostId{2};
+  row(service.request(rehome), Reason::kPendingOtherHost,
+      "queued: request already pending in this group for its original host "
+      "(cancel or release to re-home)");
+  for (const auto m : {low1, low2, low3}) service.release(m, queue);
+  service.release(mid, group);
+
+  ASSERT_EQ(service.request(req(low1, 0.96)).outcome, Outcome::kGranted);
+  row(service.request(req(chair, 0.01)), Reason::kAbortArbitrate,
+      "abort-arbitrate: availability 0.040 < beta 0.062");
+  row(service.request(in(low2, 0.01, queue)), Reason::kAbortArbitrate,
+      "queued: abort-arbitrate: availability 0.040 < beta 0.062");
+  service.release(low2, queue);
+  service.release(low1, group);
+
+  row(service.request(in(low1, 0.1, panel)), Reason::kNotChair,
+      "chaired discipline: only the chair may seize the floor");
+  row(service.request(in(mid, 0.1, panel)), Reason::kNotMember,
+      "requester is not a member of the group");
+  FloorRequest stranger = req(low1, 0.1);
+  stranger.host = HostId{99};
+  row(service.request(stranger), Reason::kUnknownHost, "unknown host station");
+  ShardedFloorService stopped{registry, clock, service.thresholds()};
+  stopped.add_host(host, Resource{1.0, 1.0, 1.0});
+  stopped.start(1);
+  stopped.stop();
+  row(stopped.request(req(low1, 0.1)), Reason::kNotRunning,
+      "floor service is not running");
+  row(Decision{}, Reason::kNone, "");
+
+  std::set<Reason> covered;
+  for (const Row& r : rows) {
+    EXPECT_EQ(r.decision.reason, r.reason) << r.text;
+    EXPECT_EQ(explain(r.decision, service.thresholds()), r.text);
+    covered.insert(r.reason);
+  }
+  EXPECT_EQ(covered.size(), static_cast<std::size_t>(Reason::kNotRunning) + 1)
+      << "every Reason needs a row here";
 }
 
 TEST(GroupRegistry, JoinLeaveChairRules) {

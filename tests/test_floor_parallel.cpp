@@ -94,7 +94,7 @@ TEST_F(ParallelFixture, UnknownHostIsRefusedWithoutEnqueueing) {
   service.start(kHosts);
   auto decision = service.request(make_request(group, m, HostId{999}, 0.1));
   EXPECT_EQ(decision.outcome, Outcome::kDenied);
-  EXPECT_EQ(decision.reason, "unknown host station");
+  EXPECT_EQ(decision.reason, Reason::kUnknownHost);
 }
 
 TEST_F(ParallelFixture, CrossShardReleaseFansOutAndMerges) {
@@ -353,7 +353,7 @@ TEST_F(ParallelFixture, ConcurrentStopFromManyThreadsIsSafe) {
   const Decision refused =
       service.request(make_request(group, m, hosts[0], 0.2));
   EXPECT_EQ(refused.outcome, Outcome::kDenied);
-  EXPECT_EQ(refused.reason, "floor service is not running");
+  EXPECT_EQ(refused.reason, Reason::kNotRunning);
   EXPECT_FALSE(service.release(m, group).released);
   EXPECT_EQ(service.active_grants(), 1u);
 }

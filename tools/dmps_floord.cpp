@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,7 +73,9 @@ Options parse(int argc, char** argv) {
                                           kUsage);
   opt.members = tools::flag_count(argc, argv, "dmps_floord", "--members",
                                   opt.members, kUsage);
-  opt.capacity = tools::flag_double(argc, argv, "--capacity", opt.capacity);
+  opt.capacity = tools::flag_real_in_range(
+      argc, argv, "dmps_floord", "--capacity", 0.0, tools::Lowest::kExcluded,
+      std::numeric_limits<double>::max(), opt.capacity, kUsage);
   opt.metrics_out = tools::flag_string(argc, argv, "--metrics-out", "");
   const std::string policy =
       tools::flag_string(argc, argv, "--policy", "three_regime");

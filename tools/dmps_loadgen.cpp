@@ -207,9 +207,15 @@ int main(int argc, char** argv) {
                               opt.spawn.empty() ? 1 : 0, opt.port, kUsage);
   opt.agents = tools::flag_count(argc, argv, "dmps_loadgen", "--agents",
                                  opt.agents, kUsage);
-  opt.duration_s = tools::flag_double(argc, argv, "--duration", opt.duration_s);
-  opt.grace_s = tools::flag_double(argc, argv, "--grace", opt.grace_s);
-  opt.hold_ms = tools::flag_long(argc, argv, "--hold-ms", opt.hold_ms);
+  opt.duration_s = tools::flag_real_in_range(
+      argc, argv, "dmps_loadgen", "--duration", 0.0, tools::Lowest::kExcluded,
+      tools::kMaxRunSeconds, opt.duration_s, kUsage);
+  opt.grace_s = tools::flag_real_in_range(
+      argc, argv, "dmps_loadgen", "--grace", 0.0, tools::Lowest::kIncluded,
+      tools::kMaxRunSeconds, opt.grace_s, kUsage);
+  opt.hold_ms = tools::flag_in_range(
+      argc, argv, "dmps_loadgen", "--hold-ms", 0,
+      static_cast<long>(tools::kMaxRunSeconds) * 1000, opt.hold_ms, kUsage);
   opt.topology.hosts = tools::flag_count(argc, argv, "dmps_loadgen", "--hosts",
                                          opt.topology.hosts, kUsage);
   opt.topology.groups = tools::flag_count(argc, argv, "dmps_loadgen",

@@ -17,6 +17,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -96,6 +97,40 @@ inline long flag_in_range(int argc, char** argv, const char* program,
       value > highest) {
     std::fprintf(stderr, "%s: %s must be in [%ld, %ld], got '%s'\n%s",
                  program, name, lowest, highest, v, usage);
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Whether a real-valued flag may equal the low end of its range.
+enum class Lowest { kExcluded, kIncluded };
+
+/// The longest run a time flag may ask for, in seconds: one day keeps every
+/// window far inside the nanosecond clock's range.
+inline constexpr double kMaxRunSeconds = 86400.0;
+
+/// `name` as a finite real number from `lowest` (excluded or included) up
+/// to `highest`; `fallback` when absent. A token that does not parse whole,
+/// NaN, an infinity, or a value out of range prints the offender and
+/// `usage` on stderr and exits 2 — unchecked, strtod reads "x" as 0 and
+/// lets "-1" through as a capacity that refuses every request.
+inline double flag_real_in_range(int argc, char** argv, const char* program,
+                                 const char* name, double lowest,
+                                 Lowest low, double highest, double fallback,
+                                 const char* usage) {
+  const char* v = flag_value(argc, argv, name);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(v, &end);
+  const bool above_low =
+      low == Lowest::kIncluded ? value >= lowest : value > lowest;
+  if (end == v || *end != '\0' || errno != 0 || !std::isfinite(value) ||
+      !above_low || value > highest) {
+    std::fprintf(stderr, "%s: %s must be a finite number in %c%g, %g], got "
+                 "'%s'\n%s",
+                 program, name, low == Lowest::kIncluded ? '[' : '(', lowest,
+                 highest, v, usage);
     std::exit(2);
   }
   return value;
