@@ -45,9 +45,6 @@ class GrantStore {
   /// every grant it held (their slots are recycled).
   void add_host(HostId host, resource::Resource capacity);
   resource::HostResourceManager* host_manager(HostId host);
-  bool has_host(HostId host) const {
-    return hosts_.find(host.value()) != hosts_.end();
-  }
 
   class HostView;
   /// A policy-facing handle onto one host's grants; nullopt for an
@@ -125,7 +122,7 @@ class GrantStore {
   std::size_t suspended_count_ = 0;
 };
 
-/// The seam between GrantStore bookkeeping and ArbitrationPolicy logic: a
+/// The seam between GrantStore bookkeeping and the policies' logic: a
 /// borrowed handle onto one host, valid for the duration of one decide()
 /// call or one capacity-change sweep pass.
 class GrantStore::HostView {

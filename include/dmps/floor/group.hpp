@@ -4,7 +4,8 @@
 // A GroupRegistry tracks members (with a priority and a home host station)
 // and the conference groups they join. Each group carries its own floor
 // discipline: an FcmMode (free-access vs chaired) and a PolicyKind naming
-// the ArbitrationPolicy that decides its requests.
+// the policy that decides its requests (ThreeRegimePolicy or
+// QueueingPolicy).
 //
 // The registry is the one piece of conference state every floor shard
 // consults, so it is built read-mostly: all reads go through an immutable

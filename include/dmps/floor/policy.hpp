@@ -1,16 +1,15 @@
 #pragma once
-// Pluggable arbitration disciplines over a GrantStore.
+// The two arbitration disciplines over a GrantStore.
 //
-// An ArbitrationPolicy is the exchangeable half of the floor-control core:
-// it decides requests, touching grants only through a GrantStore::HostView.
-// Three disciplines ship:
+// A policy decides requests, touching grants only through a
+// GrantStore::HostView. FloorService picks one per request from the
+// group's PolicyKind, after it has validated membership and host and run
+// the chair gate (a chaired group, or a chaired request, admits only the
+// chair: Reason::kNotChair, never parked):
 //
 //   ThreeRegimePolicy — the paper's §3 FCM-Arbitrate rule, verbatim:
 //                       full / degraded (Media-Suspend) / Abort-Arbitrate
 //                       keyed on availability vs the alpha/beta thresholds.
-//   ChairedPolicy     — chair pre-emption layered on any base policy: only
-//                       the group's chair may seize the floor; everything
-//                       else delegates to the base discipline.
 //   QueueingPolicy    — BFCP-style moderation: requests the three-regime
 //                       rule would refuse are parked in a per-group pending
 //                       queue (Outcome::kQueued) and granted in arrival
@@ -22,14 +21,14 @@
 //                       queues are per-floor) — no ordering is promised
 //                       between them.
 //
-// Reacting to freed capacity (Media-Resume, queue promotion) is not a
-// policy method: FloorService drives it through its capacity-change sweep,
-// which calls QueueingPolicy::promote_host for every queueing group with
-// entries on the freed host. That keeps promotions host-scoped (the shard
-// seam) instead of scoped to whichever group happened to release.
+// Reacting to freed capacity (Media-Resume, queue promotion) is not part
+// of decide(): FloorService drives it through its capacity-change sweep,
+// which calls QueueingPolicy::promote_host for the freed host. That keeps
+// promotions host-scoped (the shard seam) instead of scoped to whichever
+// group happened to release.
 //
-// Policies are stateless across hosts except for QueueingPolicy's queues,
-// so one instance of each serves every group of a FloorService.
+// Each FloorService owns one ThreeRegimePolicy and one QueueingPolicy that
+// borrows it; the queues are the only state, shared by every group.
 
 #include <cstddef>
 #include <deque>
@@ -50,43 +49,15 @@ namespace dmps::floorctl {
 std::string explain(const Decision& decision,
                     const resource::Thresholds& thresholds);
 
-/// Resolved per-request facts a policy may consult beyond the raw request.
-/// FloorService resolves them against an immutable GroupSnapshot (never a
-/// mutable registry — policies may run on shard worker threads while
-/// membership churns); queue promotions replay the facts captured at park
-/// time.
-struct RequestContext {
-  int priority = 0;  // the requesting member's priority
-  MemberId chair;    // the group's chair
-};
-
-class ArbitrationPolicy {
- public:
-  virtual ~ArbitrationPolicy() = default;
-
-  /// Decide one floor request against the requesting host's grants. The
-  /// caller (FloorService) has already validated membership and host.
-  virtual Decision decide(const FloorRequest& request,
-                          const RequestContext& ctx,
-                          GrantStore::HostView& host) = 0;
-
-  /// Drop any parked state the member has in the group (it released or
-  /// left); dropped requests are reported in `out.dequeued`, and every host
-  /// a dropped entry targeted is appended to `affected_hosts` (deduped) —
-  /// the caller must sweep those hosts, because an entry parked *behind*
-  /// the dropped one may fit right now, and no capacity change will ever
-  /// re-trigger a sweep there.
-  virtual void cancel(MemberId member, GroupId group, ReleaseResult& out,
-                      HostList& affected_hosts);
-};
-
-class ThreeRegimePolicy : public ArbitrationPolicy {
+class ThreeRegimePolicy {
  public:
   explicit ThreeRegimePolicy(resource::Thresholds thresholds)
       : thresholds_(thresholds) {}
 
-  Decision decide(const FloorRequest& request, const RequestContext& ctx,
-                  GrantStore::HostView& host) override;
+  /// Decide one floor request by a member of the given `priority` against
+  /// the requesting host's grants.
+  Decision decide(const FloorRequest& request, int priority,
+                  GrantStore::HostView& host) const;
 
   const resource::Thresholds& thresholds() const { return thresholds_; }
 
@@ -94,30 +65,22 @@ class ThreeRegimePolicy : public ArbitrationPolicy {
   resource::Thresholds thresholds_;
 };
 
-class ChairedPolicy : public ArbitrationPolicy {
+class QueueingPolicy {
  public:
-  explicit ChairedPolicy(ArbitrationPolicy& base) : base_(base) {}
+  /// `rule` decides every request and promotion; it must outlive the policy.
+  explicit QueueingPolicy(const ThreeRegimePolicy& rule) : rule_(rule) {}
 
-  Decision decide(const FloorRequest& request, const RequestContext& ctx,
-                  GrantStore::HostView& host) override;
+  Decision decide(const FloorRequest& request, int priority,
+                  GrantStore::HostView& host);
+
+  /// Drop any parked state the member has in the group (it released or
+  /// left); dropped requests are reported in `out.dequeued`, and every host
+  /// a dropped entry targeted is appended to `affected_hosts` (deduped) —
+  /// the caller must sweep those hosts, because an entry parked *behind*
+  /// the dropped one may fit right now, and no capacity change will ever
+  /// re-trigger a sweep there.
   void cancel(MemberId member, GroupId group, ReleaseResult& out,
-              HostList& affected_hosts) override {
-    base_.cancel(member, group, out, affected_hosts);
-  }
-
- private:
-  ArbitrationPolicy& base_;
-};
-
-class QueueingPolicy : public ArbitrationPolicy {
- public:
-  explicit QueueingPolicy(resource::Thresholds thresholds)
-      : base_(thresholds) {}
-
-  Decision decide(const FloorRequest& request, const RequestContext& ctx,
-                  GrantStore::HostView& host) override;
-  void cancel(MemberId member, GroupId group, ReleaseResult& out,
-              HostList& affected_hosts) override;
+              HostList& affected_hosts);
 
   /// One promotion pass for `host`: walk every group's queue in arrival
   /// order and grant each entry targeting this host that now fits (a
@@ -138,17 +101,10 @@ class QueueingPolicy : public ArbitrationPolicy {
     int priority = 0;
   };
 
-  void index_add(HostId host, GroupId group);
-  void index_remove(HostId host, GroupId group);
-
-  ThreeRegimePolicy base_;  // the resource rule queueing is layered on
-  // Ordered by group id so promotion sweeps visit groups deterministically.
+  const ThreeRegimePolicy& rule_;  // the resource rule queueing is layered on
+  // Ordered by group id so promotion sweeps visit groups deterministically;
+  // holds non-empty queues only.
   std::map<GroupId::value_type, std::deque<Parked>> queues_;
-  // host -> (group -> parked-entry count): a sweep visits only the queues
-  // that actually hold entries for the swept host, so a release never pays
-  // for entries parked against other hosts.
-  std::map<HostId::value_type, std::map<GroupId::value_type, std::size_t>>
-      host_index_;
   std::size_t total_queued_ = 0;
 };
 

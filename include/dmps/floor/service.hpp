@@ -1,27 +1,23 @@
 #pragma once
 // FloorService: the facade the rest of the system talks floor control to.
 //
-// A FloorService validates requests (membership, host), resolves the
-// group's discipline — its PolicyKind, with ChairedPolicy layered on top
-// when the group or the request asks for chaired arbitration — and runs
-// the chosen ArbitrationPolicy against the GrantStore it owns. Servers
-// (fproto::FloorServer), sessions and benches consume exactly this
+// A FloorService validates requests (membership, host), runs the chair
+// gate — a chaired group, or a request asking for chaired arbitration,
+// admits only the chair — and then decides under the group's PolicyKind:
+// ThreeRegimePolicy or QueueingPolicy, against the GrantStore it owns.
+// Servers (fproto::FloorServer), sessions and benches consume exactly this
 // interface and never see grant slots or policy internals; it is also the
 // per-shard surface ShardedFloorService federates (one FloorService per
 // host station, inline or on a shard worker thread).
 //
-// Conference state is read through immutable GroupSnapshots only. The
-// explicit `const GroupSnapshot&` overloads are the core: every request /
-// release / cancel runs against the snapshot it is handed. The
-// convenience overloads resolve the service's cached snapshot (refreshed
-// with one epoch probe when the registry moved) and delegate to them —
-// that is the path shard workers drive; callers that manage their own
-// snapshot (pinning one view across several operations) use the explicit
-// overloads directly. The service never mutates the registry, so a
-// FloorService is safe to drive from its own worker thread while
-// membership churns elsewhere — it simply keeps arbitrating against the
-// snapshot it read. The snapshot cache makes each instance single-owner:
-// exactly one thread may operate a given FloorService at a time.
+// Conference state is read through immutable GroupSnapshots only: each
+// request arbitrates against the service's cached snapshot, refreshed with
+// one epoch probe when the registry moved. The service never mutates the
+// registry, so a FloorService is safe to drive from its own worker thread
+// while membership churns elsewhere — it simply keeps arbitrating against
+// the snapshot it read. The snapshot cache makes each instance
+// single-owner: exactly one thread may operate a given FloorService at a
+// time.
 //
 // Freed capacity is handled through one capacity-change hook: sweep(host)
 // re-runs Media-Resume and queueing promotions on that host until a
@@ -49,39 +45,33 @@ class FloorService : public FloorControl {
  public:
   FloorService(const GroupRegistry& registry, clk::Clock& clock,
                resource::Thresholds thresholds);
+  // queueing_ borrows three_regime_: a copy would borrow the original's.
+  FloorService(const FloorService&) = delete;
+  FloorService& operator=(const FloorService&) = delete;
 
   /// Register a host station and its capacity. Replaces any prior entry.
   void add_host(HostId host, resource::Resource capacity);
   resource::HostResourceManager* host_manager(HostId host) {
     return store_.host_manager(host);
   }
-  bool has_host(HostId host) const { return store_.has_host(host); }
 
   /// FCM-Arbitrate: decide one floor request under the group's discipline,
-  /// resolved against the given snapshot.
-  Decision request(const GroupSnapshot& snapshot, const FloorRequest& request);
-  /// Convenience: decide against the registry's latest snapshot (the
-  /// FloorControl entry point).
+  /// against the registry's latest snapshot.
   Decision request(const FloorRequest& request) override;
 
   /// Release every floor `member` holds in `group` and drop its parked
-  /// requests, then sweep every host the release freed capacity on.
-  ReleaseResult release(const GroupSnapshot& snapshot, MemberId member,
-                        GroupId group);
+  /// requests, then sweep every host the release freed capacity on or a
+  /// dropped request targeted.
   ReleaseResult release(MemberId member, GroupId group) override;
-
-  /// Drop the member's parked (queued) requests in `group` without
-  /// touching grants it holds; dropped requests appear in `dequeued`.
-  ReleaseResult cancel(const GroupSnapshot& snapshot, MemberId member,
-                       GroupId group);
-  ReleaseResult cancel(MemberId member, GroupId group);
 
   /// Capacity-change hook: Media-Resume suspended holders and promote
   /// queued requests on `host` until quiescent, regardless of which group
   /// (or out-of-band event) freed the capacity.
   ReleaseResult sweep(HostId host);
 
-  const resource::Thresholds& thresholds() const { return thresholds_; }
+  const resource::Thresholds& thresholds() const {
+    return three_regime_.thresholds();
+  }
   std::size_t active_grants() const { return store_.active_grants(); }
   std::size_t suspended_grants() const { return store_.suspended_grants(); }
   std::size_t grant_slots() const { return store_.grant_slots(); }
@@ -90,8 +80,6 @@ class FloorService : public FloorControl {
   std::size_t queued_requests(GroupId group) const {
     return queueing_.queued(group);
   }
-
-  GrantStore& grants() { return store_; }
 
   /// Observability (DESIGN.md §7). Instruments default to the process-
   /// global FloorInstruments pack; a session passes its own. The tracer is
@@ -104,10 +92,9 @@ class FloorService : public FloorControl {
   obs::Tracer* tracer() const { return tracer_; }
 
  private:
-  ArbitrationPolicy& policy_for(const Group& group, FcmMode request_mode);
   void sweep_host(GrantStore::HostView& host, ReleaseResult& out);
   Decision decide(const GroupSnapshot& snapshot, const FloorRequest& request);
-  /// Fold a release/cancel/sweep result into counters and the trace.
+  /// Fold a release/sweep result into counters and the trace.
   void record_result(const ReleaseResult& result, std::uint32_t shard_hint);
   /// The cached snapshot, refreshed when the registry's epoch moved. Owner-
   /// thread only (one epoch probe per call, no shared_ptr churn).
@@ -115,12 +102,9 @@ class FloorService : public FloorControl {
 
   const GroupRegistry& registry_;
   std::shared_ptr<const GroupSnapshot> snapshot_;  // cache for refreshed_snapshot
-  resource::Thresholds thresholds_;
   GrantStore store_;
   ThreeRegimePolicy three_regime_;
   QueueingPolicy queueing_;
-  ChairedPolicy chaired_three_regime_;
-  ChairedPolicy chaired_queueing_;
   obs::FloorInstruments* obs_;
   obs::Tracer* tracer_ = nullptr;
   /// Decide-latency sampling phase (owner-thread only): one timed decide

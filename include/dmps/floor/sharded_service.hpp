@@ -5,13 +5,15 @@
 // manager; this facade completes that shape for the whole floor-control
 // core. Each registered host gets a *shard* — a full FloorService with its
 // own GrantStore, policies and queueing state — and every operation is
-// routed by host: request/sweep by FloorRequest::host, release/cancel by a
+// routed by host: request/sweep by FloorRequest::host, release by a
 // holder-route map recorded when the shard accepted the request. Shards
 // share one GroupRegistry, so a single conference (groups, members, chairs)
-// federates across all of them; on the wire, one fproto::FloorServer
-// endpoint binds to each shard via shard(host).
+// federates across all of them. dmps_floord puts its one fproto::FloorServer
+// in front of this facade; session::Presentation binds one server to each
+// shard via shard(host).
 //
-// Two executors run the same per-op helpers (DESIGN.md §5b):
+// Two executors run the same three per-op helpers — request, release,
+// sweep (DESIGN.md §5b):
 //   - Inline (never started): every call runs on the caller's thread and
 //     returns its result directly — the daemon and the session use this.
 //     Not thread-safe, exactly like a FloorService.
@@ -22,13 +24,13 @@
 //     be cheap and must not block on the service). Operations on one shard
 //     execute in mailbox arrival order, so request() then release_on() for
 //     the same host from one producer never reorder. Holder-addressed
-//     release()/cancel() resolve their shards from the route map, which the
-//     accepting shard writes, so they need the request's decision to have
+//     release() resolves its shards from the route map, which the
+//     accepting shard writes, so it needs the request's decision to have
 //     been observed first; pipelining producers use release_on().
 // stop() is one-shot: every operation after it is refused ("floor service
 // is not running" / an empty ReleaseResult). Under both executors release()
-// and cancel() merge per-shard results in route order, so the two give
-// identical results for the same op stream.
+// merges per-shard results in route order, so the two give identical
+// results for the same op stream.
 //
 // Cross-host promotion needs no extra machinery here: a queued request
 // lives in the shard of the host it asked for, and that shard's
@@ -74,9 +76,6 @@ class ShardedFloorService : public FloorControl {
   /// federated fproto::FloorServer endpoints bind to (one per shard).
   FloorService* shard(HostId host);
   resource::HostResourceManager* host_manager(HostId host);
-  bool has_host(HostId host) const {
-    return shards_.find(host.value()) != shards_.end();
-  }
 
   // ------------------------------------------------------------ lifecycle
   /// Spawn `workers` threads (0 = one per shard, never more than shards)
@@ -100,15 +99,13 @@ class ShardedFloorService : public FloorControl {
   Decision request(const FloorRequest& request) override;
 
   /// Release everything `member` holds in `group` on every shard it was
-  /// routed to, dropping parked requests there too.
+  /// routed to, dropping parked requests there too (a member with only
+  /// parked requests gets them dropped and `released == false`).
   ReleaseResult release(MemberId member, GroupId group) override;
 
   /// Shard-scoped release: drop what `member` holds in `group` on `host`
   /// only. The route entry keeps any other hosts.
   ReleaseResult release_on(HostId host, MemberId member, GroupId group);
-
-  /// Drop the member's parked requests in `group` (no grants touched).
-  ReleaseResult cancel(MemberId member, GroupId group);
 
   /// Capacity-change hook, routed to the shard owning `host`.
   ReleaseResult sweep(HostId host);
@@ -120,7 +117,6 @@ class ShardedFloorService : public FloorControl {
   void release(MemberId member, GroupId group, ReleaseCallback done);
   void release_on(HostId host, MemberId member, GroupId group,
                   ReleaseCallback done);
-  void cancel(MemberId member, GroupId group, ReleaseCallback done);
   void sweep(HostId host, ReleaseCallback done);
 
   /// Wire instruments and an (optional) tracer into every shard, current
@@ -160,20 +156,20 @@ class ShardedFloorService : public FloorControl {
 
   /// One mailbox entry: a single-shard step of some operation.
   struct Op {
-    enum class Kind : std::uint8_t { kRequest, kRelease, kCancel, kSweep };
+    enum class Kind : std::uint8_t { kRequest, kRelease, kSweep };
     Kind kind = Kind::kRequest;
     Shard* shard = nullptr;
-    // kRequest carries the full request; kRelease/kCancel reuse its member
-    // and group fields, keeping every ring slot one request wide.
+    // kRequest carries the full request; kRelease reuses its member and
+    // group fields, keeping every ring slot one request wide.
     FloorRequest request;
     DecisionCallback on_decision;
     ReleaseCallback on_release;
-    std::shared_ptr<FanOut> fan;  // multi-shard release/cancel
+    std::shared_ptr<FanOut> fan;  // multi-shard release
     std::uint32_t part = 0;       // this step's route position in `fan`
   };
 
-  /// Collects the per-shard results of one multi-shard release/cancel. The
-  /// last shard to report merges them in route order and completes.
+  /// Collects the per-shard results of one multi-shard release. The last
+  /// shard to report merges them in route order and completes.
   struct FanOut {
     util::Mutex mu;
     std::vector<ReleaseResult> parts DMPS_GUARDED_BY(mu);
@@ -214,16 +210,12 @@ class ShardedFloorService : public FloorControl {
   void record_route(MemberId member, GroupId group, HostId host);
   void drop_route(MemberId member, GroupId group, HostId host);
   HostList take_routes(MemberId member, GroupId group);
-  HostList peek_routes(MemberId member, GroupId group);
 
   void worker_main(std::size_t index);
   void execute(Op& op);
   void enqueue(Op& op);
   void refuse(Op& op);  // complete an op the workers cannot take
   void complete(Op& op, ReleaseResult&& result);
-  /// Enqueue one release-shaped step per routed host (workers executor).
-  void fan_out(Op::Kind kind, const HostList& hosts, MemberId member,
-               GroupId group, ReleaseCallback done);
 
   const GroupRegistry& registry_;
   clk::Clock& clock_;

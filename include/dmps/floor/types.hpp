@@ -1,11 +1,12 @@
 #pragma once
 // Floor-control vocabulary shared by the whole dmps::floorctl layer.
 //
-// The floor-control core is three separable pieces (see DESIGN.md §5a):
+// The floor-control core is three separable pieces (see DESIGN.md §5):
 //   GrantStore          — owns grant slots + per-host (priority, seq) indexes
-//   ArbitrationPolicy   — the pluggable discipline (three-regime, chaired,
-//                         BFCP-style queueing)
-//   FloorService        — the facade servers and sessions consume
+//   policies            — ThreeRegimePolicy (the paper's rule) and
+//                         QueueingPolicy (BFCP-style queueing)
+//   FloorService        — the facade servers and sessions consume; it gates
+//                         chaired requests and picks the group's policy
 // This header holds only the types those pieces exchange: ids, disciplines,
 // requests, outcomes and results.
 
@@ -24,7 +25,7 @@ using MemberId = util::StrongId<struct MemberTag>;
 using GroupId = util::StrongId<struct GroupTag>;
 using HostId = util::StrongId<struct HostTag>;
 
-/// Hosts touched by one release/cancel/sweep decision. A holder's grants
+/// Hosts touched by one release or sweep. A holder's grants
 /// live on one host in the common case (two when it re-homed mid-session),
 /// so the inline capacity keeps the steady-state release path off the heap.
 using HostList = util::SmallVec<HostId, 4>;
@@ -33,7 +34,7 @@ using HostList = util::SmallVec<HostId, 4>;
 /// and priority; kChaired additionally reserves the floor for the chair.
 enum class FcmMode { kFreeAccess, kChaired };
 
-/// Which ArbitrationPolicy decides a group's floor requests.
+/// Which policy decides a group's floor requests.
 ///   kThreeRegime — the paper's §3 FCM-Arbitrate rule: refusals are final.
 ///   kQueueing    — BFCP-style moderation: requests the three-regime rule
 ///                  would refuse are parked in a per-group pending queue and
@@ -133,8 +134,8 @@ struct ReleaseResult {
 /// ShardedFloorService (one per host station) both implement it, so an
 /// fproto::FloorServer can front either without knowing the topology —
 /// dmps_floord puts its one server in front of a ShardedFloorService, and
-/// session::Presentation shares one among a server per host shard, through
-/// exactly this interface.
+/// session::Presentation binds one server to each shard's FloorService
+/// through ShardedFloorService::shard(host).
 class FloorControl {
  public:
   virtual ~FloorControl() = default;

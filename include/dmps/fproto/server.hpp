@@ -3,15 +3,15 @@
 //
 // Registers the client->server message types on its transport endpoint
 // (SimTransport in scenarios, UdpEndpoint behind dmps_floord), runs
-// every FloorRequest through the floorctl::FloorControl seam — a plain
-// FloorService, or a ShardedFloorService that several servers may share
-// (session::Presentation runs one server per host shard) — and answers
-// with Grant / Deny / Queued. The server is the retransmission-tolerant
-// half of the protocol: request and release handling is *idempotent* — a
-// request id that was already decided gets its stored reply resent without
-// re-arbitration, a release of an already-released grant is re-acked — so
-// client retries under loss can never double-allocate or double-free floor
-// resources.
+// every FloorRequest through the floorctl::FloorControl seam — a
+// ShardedFloorService (dmps_floord's one server), or one shard's
+// FloorService (session::Presentation binds a server to each shard via
+// shard(host)) — and answers with Grant / Deny / Queued. The server is the
+// retransmission-tolerant half of the protocol: request and release
+// handling is *idempotent* — a request id that was already decided gets
+// its stored reply resent without re-arbitration, a release of an
+// already-released grant is re-acked — so client retries under loss can
+// never double-allocate or double-free floor resources.
 //
 // Media-Suspend/Resume are the server-driven, asynchronous half: when an
 // arbitration suspends lower-priority holders (or a release re-admits

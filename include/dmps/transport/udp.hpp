@@ -106,11 +106,6 @@ class UdpLoop {
     on_loop.assert_held();
     return stopped_;
   }
-  /// Re-arm after a stop() (loadgen reuses its loop for the drain phase).
-  void resume() {
-    on_loop.assert_held();
-    stopped_ = false;
-  }
 
   TimerWheel& wheel() {
     on_loop.assert_held();

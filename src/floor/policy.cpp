@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 namespace dmps::floorctl {
 
@@ -62,14 +63,11 @@ std::string explain(const Decision& decision,
   return {};
 }
 
-void ArbitrationPolicy::cancel(MemberId, GroupId, ReleaseResult&,
-                               HostList&) {}
-
 // dmps-lint: hot-begin(floor-decide) — every request the facade has
-// validated: codes only, the text is explain()'s.
-Decision ThreeRegimePolicy::decide(const FloorRequest& request,
-                                   const RequestContext& ctx,
-                                   GrantStore::HostView& host) {
+// validated, and the sweep every release runs: codes only, the text is
+// explain()'s.
+Decision ThreeRegimePolicy::decide(const FloorRequest& request, int priority,
+                                   GrantStore::HostView& host) const {
   Decision decision;
   const double avail = host.availability();
   decision.availability_before = avail;
@@ -90,14 +88,14 @@ Decision ThreeRegimePolicy::decide(const FloorRequest& request,
   // does. Runs in the degraded regime, or in the full regime for a request
   // larger than the current headroom.
   if (!host.can_fit(need) &&
-      !host.suspend_to_fit(need, ctx.priority, decision.suspended)) {
+      !host.suspend_to_fit(need, priority, decision.suspended)) {
     decision.outcome = Outcome::kDenied;
     decision.reason = Reason::kDoesNotFit;
     decision.availability_after = host.availability();
     return decision;
   }
 
-  host.commit_grant(request.member, request.group, need, ctx.priority);
+  host.commit_grant(request.member, request.group, need, priority);
 
   if (!decision.suspended.empty()) {
     decision.outcome = Outcome::kGrantedDegraded;
@@ -113,19 +111,7 @@ Decision ThreeRegimePolicy::decide(const FloorRequest& request,
   return decision;
 }
 
-Decision ChairedPolicy::decide(const FloorRequest& request,
-                               const RequestContext& ctx,
-                               GrantStore::HostView& host) {
-  if (request.member != ctx.chair) {
-    Decision decision;
-    decision.reason = Reason::kNotChair;
-    return decision;  // kDenied
-  }
-  return base_.decide(request, ctx, host);
-}
-
-Decision QueueingPolicy::decide(const FloorRequest& request,
-                                const RequestContext& ctx,
+Decision QueueingPolicy::decide(const FloorRequest& request, int priority,
                                 GrantStore::HostView& host) {
   // A member already parked in this group re-requesting (e.g. a new attempt
   // after its station recovered) keeps its queue position. The payload is
@@ -133,7 +119,7 @@ Decision QueueingPolicy::decide(const FloorRequest& request,
   // of its queue identity — retargeting in place would vacate the old host
   // without the sweep that unparks entries gated behind it there (and a
   // sweep inside decide() has no result channel to report promotions).
-  // Re-homing takes an explicit cancel/release, which sweeps correctly.
+  // Re-homing takes a release first, which sweeps correctly.
   auto& queue = queues_[request.group.value()];
   std::size_t ahead = 0;  // earlier entries contending for the same host
   for (Parked& parked : queue) {
@@ -142,7 +128,7 @@ Decision QueueingPolicy::decide(const FloorRequest& request,
       decision.outcome = Outcome::kQueued;
       if (parked.request.host == request.host) {
         parked.request = request;
-        parked.priority = ctx.priority;
+        parked.priority = priority;
         decision.reason = Reason::kAlreadyPending;
       } else {
         decision.reason = Reason::kPendingOtherHost;
@@ -160,8 +146,7 @@ Decision QueueingPolicy::decide(const FloorRequest& request,
   // not gate it (their capacity is unrelated; under sharding they live in
   // another shard entirely).
   if (ahead > 0) {
-    queue.push_back(Parked{request, ctx.priority});
-    index_add(request.host, request.group);
+    queue.push_back(Parked{request, priority});
     ++total_queued_;
     Decision decision;
     decision.outcome = Outcome::kQueued;
@@ -172,7 +157,7 @@ Decision QueueingPolicy::decide(const FloorRequest& request,
     return decision;
   }
 
-  Decision decision = base_.decide(request, ctx, host);
+  Decision decision = rule_.decide(request, priority, host);
   if (decision.outcome == Outcome::kGranted ||
       decision.outcome == Outcome::kGrantedDegraded) {
     if (queue.empty()) queues_.erase(request.group.value());
@@ -181,51 +166,26 @@ Decision QueueingPolicy::decide(const FloorRequest& request,
   // BFCP-style moderation: park the refusal instead of bouncing the client
   // into a retry loop; freed capacity grants it from the queue. The base
   // rule's code stays: it says why the request could not be granted now.
-  queue.push_back(Parked{request, ctx.priority});
-  index_add(request.host, request.group);
+  queue.push_back(Parked{request, priority});
   ++total_queued_;
   decision.outcome = Outcome::kQueued;
   return decision;
 }
-// dmps-lint: hot-end
-
-void QueueingPolicy::index_add(HostId host, GroupId group) {
-  ++host_index_[host.value()][group.value()];
-}
-
-void QueueingPolicy::index_remove(HostId host, GroupId group) {
-  const auto groups = host_index_.find(host.value());
-  const auto count = groups->second.find(group.value());
-  if (--count->second == 0) groups->second.erase(count);
-  if (groups->second.empty()) host_index_.erase(groups);
-}
 
 void QueueingPolicy::promote_host(GrantStore::HostView& host,
                                   ReleaseResult& out) {
-  // Grant parked requests in arrival order, visiting only the groups whose
-  // queues hold entries for this host (the host index); entries parked
-  // against other hosts in those queues are skipped in place. An entry
-  // that still does not fit keeps its place; the walk continues so a
-  // smaller request behind it is not starved.
+  // Grant parked requests in arrival order, group by group; entries parked
+  // against other hosts are skipped in place. An entry that still does not
+  // fit keeps its place; the walk continues so a smaller request behind it
+  // is not starved.
   //
   // The pass ends once the host is below beta. Regime 3 then refuses every
   // entry before touching the host, and only a promotion lowers its
   // availability, so the rest of the walk would decide Abort-Arbitrate for
   // each entry, change nothing and throw the decisions away.
-  const double beta = base_.thresholds().beta;
+  const double beta = rule_.thresholds().beta;
   if (host.availability() < beta) return;
-  const auto groups = host_index_.find(host.host().value());
-  if (groups == host_index_.end()) return;
-  // Promotions mutate the index; walk a snapshot of the group ids (small:
-  // only groups with entries here, already deduped and ordered).
-  std::vector<GroupId::value_type> group_ids;
-  group_ids.reserve(groups->second.size());
-  for (const auto& [group_id, count] : groups->second) {
-    group_ids.push_back(group_id);
-  }
-  for (const auto group_id : group_ids) {
-    const auto it = queues_.find(group_id);
-    if (it == queues_.end()) continue;
+  for (auto it = queues_.begin(); it != queues_.end();) {
     auto& queue = it->second;
     bool starved = false;
     for (auto parked = queue.begin(); parked != queue.end() && !starved;) {
@@ -233,10 +193,7 @@ void QueueingPolicy::promote_host(GrantStore::HostView& host,
         ++parked;
         continue;
       }
-      RequestContext ctx;
-      ctx.priority = parked->priority;
-      ctx.chair = MemberId::invalid();  // chair gating already ran at park time
-      Decision decision = base_.decide(parked->request, ctx, host);
+      Decision decision = rule_.decide(parked->request, parked->priority, host);
       if (decision.outcome != Outcome::kGranted &&
           decision.outcome != Outcome::kGrantedDegraded) {
         ++parked;
@@ -245,12 +202,11 @@ void QueueingPolicy::promote_host(GrantStore::HostView& host,
       out.promoted.push_back(Promotion{
           Holder{parked->request.member, parked->request.group},
           std::move(decision)});
-      index_remove(parked->request.host, parked->request.group);
       parked = queue.erase(parked);
       --total_queued_;
       starved = host.availability() < beta;
     }
-    if (queue.empty()) queues_.erase(it);
+    it = queue.empty() ? queues_.erase(it) : std::next(it);
     if (starved) return;
   }
 }
@@ -273,12 +229,12 @@ void QueueingPolicy::cancel(MemberId member, GroupId group, ReleaseResult& out,
                   parked->request.host) == affected_hosts.end()) {
       affected_hosts.push_back(parked->request.host);
     }
-    index_remove(parked->request.host, parked->request.group);
     parked = queue.erase(parked);
     --total_queued_;
   }
   if (queue.empty()) queues_.erase(it);
 }
+// dmps-lint: hot-end
 
 std::size_t QueueingPolicy::queued(GroupId group) const {
   const auto it = queues_.find(group.value());

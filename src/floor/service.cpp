@@ -7,12 +7,9 @@ namespace dmps::floorctl {
 FloorService::FloorService(const GroupRegistry& registry, clk::Clock& clock,
                            resource::Thresholds thresholds)
     : registry_(registry),
-      thresholds_(thresholds),
       store_(clock),
       three_regime_(thresholds),
-      queueing_(thresholds),
-      chaired_three_regime_(three_regime_),
-      chaired_queueing_(queueing_),
+      queueing_(three_regime_),
       // Resolved at construction (setup phase) so the global pack's lazy
       // registration can never fire inside an alloc-probed worker loop.
       obs_(&obs::FloorInstruments::global()) {}
@@ -29,28 +26,11 @@ const GroupSnapshot& FloorService::refreshed_snapshot() {
   return *snapshot_;
 }
 
-ArbitrationPolicy& FloorService::policy_for(const Group& group,
-                                            FcmMode request_mode) {
-  // The chaired discipline applies when the group runs chaired, or when
-  // the requester itself asks for chaired arbitration.
-  const bool chaired =
-      group.mode == FcmMode::kChaired || request_mode == FcmMode::kChaired;
-  if (group.policy == PolicyKind::kQueueing) {
-    return chaired ? static_cast<ArbitrationPolicy&>(chaired_queueing_)
-                   : static_cast<ArbitrationPolicy&>(queueing_);
-  }
-  return chaired ? static_cast<ArbitrationPolicy&>(chaired_three_regime_)
-                 : static_cast<ArbitrationPolicy&>(three_regime_);
-}
-
-// dmps-lint: hot-begin(floor-decide) — every floor request: validation,
-// counters and trace carry codes; nothing here formats or allocates text.
+// dmps-lint: hot-begin(floor-decide) — every floor request and every
+// release's sweep: validation, counters and trace carry codes; nothing here
+// formats or allocates text.
 Decision FloorService::request(const FloorRequest& request) {
-  return this->request(refreshed_snapshot(), request);
-}
-
-Decision FloorService::request(const GroupSnapshot& snapshot,
-                               const FloorRequest& request) {
+  const GroupSnapshot& snapshot = refreshed_snapshot();
   obs_->requests.add();
   // 1-in-64 sampled decide latency: two clock reads per sampled op keeps
   // the histogram's steady-state cost invisible next to arbitration.
@@ -100,32 +80,31 @@ Decision FloorService::decide(const GroupSnapshot& snapshot,
     return decision;
   }
   const Group& group = snapshot.group(request.group);
-  RequestContext ctx;
-  ctx.priority = snapshot.member(request.member).priority;
-  ctx.chair = group.chair;
-  return policy_for(group, request.mode).decide(request, ctx, *host);
+  // Who may take the floor comes before what the host can give: a chaired
+  // group, or a request asking for chaired arbitration, admits only the
+  // chair. Anyone else is refused outright, never parked.
+  if ((group.mode == FcmMode::kChaired || request.mode == FcmMode::kChaired) &&
+      request.member != group.chair) {
+    decision.reason = Reason::kNotChair;
+    return decision;
+  }
+  const int priority = snapshot.member(request.member).priority;
+  return group.policy == PolicyKind::kQueueing
+             ? queueing_.decide(request, priority, *host)
+             : three_regime_.decide(request, priority, *host);
 }
-// dmps-lint: hot-end
 
 ReleaseResult FloorService::release(MemberId member, GroupId group) {
-  return release(refreshed_snapshot(), member, group);
-}
-
-ReleaseResult FloorService::release(const GroupSnapshot& snapshot,
-                                    MemberId member, GroupId group) {
   ReleaseResult result;
   const GrantStore::HolderRelease freed = store_.release_holder(member, group);
   result.released = freed.released;
-  // Sweep every host the release freed capacity on, plus every host a
-  // dequeued parked request targeted: dropping a queue entry frees no
-  // capacity, but it can unblock fitting entries parked behind it, and no
-  // later release would ever sweep there for them.
+  // A releasing (or leaving) member abandons its parked requests too. Sweep
+  // every host the release freed capacity on, plus every host a dequeued
+  // parked request targeted: dropping a queue entry frees no capacity, but
+  // it can unblock fitting entries parked behind it, and no later release
+  // would ever sweep there for them.
   HostList hosts = freed.freed_hosts;
-  if (snapshot.has_group(group)) {
-    // A releasing (or leaving) member abandons its parked requests too.
-    policy_for(snapshot.group(group), FcmMode::kFreeAccess)
-        .cancel(member, group, result, hosts);
-  }
+  queueing_.cancel(member, group, result, hosts);
   for (const HostId host_id : hosts) {
     auto host = store_.view(host_id);
     if (host) sweep_host(*host, result);
@@ -136,25 +115,6 @@ ReleaseResult FloorService::release(const GroupSnapshot& snapshot,
     tracer_->emit(obs::Ev::kRelease, member.value(), shard_hint);
   }
   record_result(result, shard_hint);
-  return result;
-}
-
-ReleaseResult FloorService::cancel(MemberId member, GroupId group) {
-  return cancel(refreshed_snapshot(), member, group);
-}
-
-ReleaseResult FloorService::cancel(const GroupSnapshot& snapshot,
-                                   MemberId member, GroupId group) {
-  ReleaseResult result;
-  if (!snapshot.has_group(group)) return result;
-  HostList hosts;
-  policy_for(snapshot.group(group), FcmMode::kFreeAccess)
-      .cancel(member, group, result, hosts);
-  for (const HostId host_id : hosts) {
-    auto host = store_.view(host_id);
-    if (host) sweep_host(*host, result);
-  }
-  record_result(result, hosts.empty() ? 0u : hosts[0].value());
   return result;
 }
 
@@ -217,5 +177,6 @@ void FloorService::sweep_host(GrantStore::HostView& host, ReleaseResult& out) {
     tracer_->emit(obs::Ev::kSweep, 0, host.host().value(), 0, passes);
   }
 }
+// dmps-lint: hot-end
 
 }  // namespace dmps::floorctl

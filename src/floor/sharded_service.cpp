@@ -227,17 +227,6 @@ HostList ShardedFloorService::take_routes(MemberId member, GroupId group) {
 }
 // dmps-lint: hot-end
 
-HostList ShardedFloorService::peek_routes(MemberId member, GroupId group) {
-  const std::uint64_t key = holder_key(member, group);
-  RouteStripe& s = stripe(key);
-  HostList hosts;
-  util::MutexLock lock(s.mu);
-  const auto it = s.routes.find(key);
-  if (it == s.routes.end()) return hosts;
-  for (const HostId host : it->second) hosts.push_back(host);
-  return hosts;
-}
-
 // dmps-lint: hot-begin(shard-execute) — the per-op helpers, run inline or
 // inside the alloc-probed worker drain bracket for every op kind.
 Decision ShardedFloorService::request_here(Shard& shard,
@@ -247,7 +236,7 @@ Decision ShardedFloorService::request_here(Shard& shard,
       decision.outcome == Outcome::kGrantedDegraded ||
       decision.outcome == Outcome::kQueued) {
     // The shard now holds state for this (member, group): remember the
-    // route so release/cancel touch exactly the shards involved.
+    // route so release touches exactly the shards involved.
     record_route(request.member, request.group, shard.host);
   }
   return decision;
@@ -274,11 +263,6 @@ void ShardedFloorService::execute(Op& op) {
     }
     case Op::Kind::kRelease:
       complete(op, release_here(shard, member, group));
-      return;
-    case Op::Kind::kCancel:
-      // Routes survive cancel: the member may still hold a grant here
-      // (cancel drops parked state only).
-      complete(op, shard.service.cancel(member, group));
       return;
     case Op::Kind::kSweep:
       complete(op, shard.service.sweep(shard.host));
@@ -326,35 +310,6 @@ void ShardedFloorService::refuse(Op& op) {
   }
 }
 
-void ShardedFloorService::fan_out(Op::Kind kind, const HostList& hosts,
-                                  MemberId member, GroupId group,
-                                  ReleaseCallback done) {
-  if (hosts.empty()) {
-    if (done) done(ReleaseResult{});
-    return;
-  }
-  obs_->route_fanout.add(static_cast<std::int64_t>(hosts.size()));
-  std::shared_ptr<FanOut> fan;
-  if (hosts.size() > 1) {
-    fan = std::make_shared<FanOut>();
-    util::MutexLock lock(fan->mu);
-    fan->parts.resize(hosts.size());
-    fan->remaining = hosts.size();
-    fan->done = std::move(done);
-  }
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    Op op;
-    op.kind = kind;
-    op.shard = find_shard(hosts[i]);
-    op.request.member = member;
-    op.request.group = group;
-    op.fan = fan;
-    op.part = static_cast<std::uint32_t>(i);
-    if (fan == nullptr) op.on_release = std::move(done);
-    enqueue(op);
-  }
-}
-
 // ------------------------------------------------------ result-returning
 // Inline, each call runs its helper here. Started (or stopped), it submits
 // the callback form and waits for the completion.
@@ -398,25 +353,6 @@ ReleaseResult ShardedFloorService::release_on(HostId host, MemberId member,
   return release_here(*owner, member, group);
 }
 
-ReleaseResult ShardedFloorService::cancel(MemberId member, GroupId group) {
-  if (state() != State::kInline) {
-    return await<ReleaseResult>(
-        [&](ReleaseCallback done) { cancel(member, group, std::move(done)); });
-  }
-  ReleaseResult result;
-  // Routes survive cancel: the member may still hold a grant on a routed
-  // shard, and a stale host is harmless (a later release there reports
-  // nothing).
-  const HostList hosts = peek_routes(member, group);
-  if (hosts.empty()) return result;
-  obs_->route_fanout.add(static_cast<std::int64_t>(hosts.size()));
-  for (const HostId host : hosts) {
-    merge_release_results(result,
-                          find_shard(host)->service.cancel(member, group));
-  }
-  return result;
-}
-
 ReleaseResult ShardedFloorService::sweep(HostId host) {
   Shard* owner = find_shard(host);
   if (owner == nullptr) return ReleaseResult{};
@@ -455,8 +391,32 @@ void ShardedFloorService::release(MemberId member, GroupId group,
     if (done) done(result);
     return;
   }
-  fan_out(Op::Kind::kRelease, take_routes(member, group), member, group,
-          std::move(done));
+  // One release step per routed host; several merge through a FanOut.
+  const HostList hosts = take_routes(member, group);
+  if (hosts.empty()) {
+    if (done) done(ReleaseResult{});
+    return;
+  }
+  obs_->route_fanout.add(static_cast<std::int64_t>(hosts.size()));
+  std::shared_ptr<FanOut> fan;
+  if (hosts.size() > 1) {
+    fan = std::make_shared<FanOut>();
+    util::MutexLock lock(fan->mu);
+    fan->parts.resize(hosts.size());
+    fan->remaining = hosts.size();
+    fan->done = std::move(done);
+  }
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    Op op;
+    op.kind = Op::Kind::kRelease;
+    op.shard = find_shard(hosts[i]);
+    op.request.member = member;
+    op.request.group = group;
+    op.fan = fan;
+    op.part = static_cast<std::uint32_t>(i);
+    if (fan == nullptr) op.on_release = std::move(done);
+    enqueue(op);
+  }
 }
 
 void ShardedFloorService::release_on(HostId host, MemberId member,
@@ -474,17 +434,6 @@ void ShardedFloorService::release_on(HostId host, MemberId member,
   op.request.group = group;
   op.on_release = std::move(done);
   enqueue(op);
-}
-
-void ShardedFloorService::cancel(MemberId member, GroupId group,
-                                 ReleaseCallback done) {
-  if (state() == State::kInline) {
-    const ReleaseResult result = cancel(member, group);
-    if (done) done(result);
-    return;
-  }
-  fan_out(Op::Kind::kCancel, peek_routes(member, group), member, group,
-          std::move(done));
 }
 
 void ShardedFloorService::sweep(HostId host, ReleaseCallback done) {

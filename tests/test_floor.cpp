@@ -377,7 +377,7 @@ TEST_F(QueueingFixture, DequeuedBlockerUnparksFittingEntriesBehindIt) {
   ASSERT_EQ(service.request(req(low1, 2.0)).outcome, Outcome::kQueued);
   ASSERT_EQ(service.request(req(low2, 0.1)).outcome, Outcome::kQueued);
 
-  // Path 1: the blocker leaves via release (it holds no grant).
+  // The blocker leaves via release (it holds no grant).
   const auto rel = service.release(low1, group);
   EXPECT_FALSE(rel.released);
   EXPECT_EQ(rel.dequeued, (std::vector<Holder>{{low1, group}}));
@@ -385,15 +385,6 @@ TEST_F(QueueingFixture, DequeuedBlockerUnparksFittingEntriesBehindIt) {
   EXPECT_EQ(rel.promoted[0].holder, (Holder{low2, group}));
   EXPECT_EQ(service.queued_requests(group), 0u);
   ASSERT_TRUE(service.release(low2, group).released);
-
-  // Path 2: same shape through the explicit cancel() surface.
-  ASSERT_EQ(service.request(req(low1, 2.0)).outcome, Outcome::kQueued);
-  ASSERT_EQ(service.request(req(low3, 0.1)).outcome, Outcome::kQueued);
-  const auto cancelled = service.cancel(low1, group);
-  EXPECT_EQ(cancelled.dequeued, (std::vector<Holder>{{low1, group}}));
-  ASSERT_EQ(cancelled.promoted.size(), 1u);
-  EXPECT_EQ(cancelled.promoted[0].holder, (Holder{low3, group}));
-  EXPECT_EQ(service.queued_requests(group), 0u);
 }
 
 TEST_F(QueueingFixture, CapacityFreedByAnotherGroupPromotesTheQueue) {
@@ -419,8 +410,8 @@ TEST_F(QueueingFixture, ReRequestWhileParkedCannotRetargetItsHost) {
   // A parked request's host is part of its queue identity: re-homing it in
   // place would vacate the old host without the sweep that unparks entries
   // gated behind it there. A re-request for another host keeps the entry
-  // (payload included) parked for the original host; re-homing takes an
-  // explicit cancel/release first.
+  // (payload included) parked for the original host; re-homing takes a
+  // release first.
   service.add_host(HostId{2}, Resource{1.0, 1.0, 1.0});
   ASSERT_EQ(service.request(req(mid, 0.7)).outcome, Outcome::kGranted);
   ASSERT_EQ(service.request(req(low1, 0.6)).outcome, Outcome::kQueued);
@@ -450,10 +441,68 @@ TEST_F(QueueingFixture, ChairedQueueingGroupStillGatesOnTheChair) {
   registry.join(low1, panel);
   FloorRequest r = req(low1, 0.1);
   r.group = panel;
-  EXPECT_EQ(service.request(r).outcome, Outcome::kDenied);
+  const auto refused = service.request(r);
+  EXPECT_EQ(refused.outcome, Outcome::kDenied);
+  EXPECT_EQ(refused.reason, Reason::kNotChair);
   EXPECT_EQ(service.queued_requests(panel), 0u);
   r.member = chair;
   EXPECT_EQ(service.request(r).outcome, Outcome::kGranted);
+
+  // A chaired request in the free-access queueing group is gated the same
+  // way. The host is starved below beta, so anything the queueing policy
+  // saw would park: the non-chair is refused before it, the chair parks.
+  ASSERT_EQ(service.request(req(mid, 0.85)).outcome, Outcome::kGranted);
+  FloorRequest strict = req(low2, 0.1);
+  strict.mode = FcmMode::kChaired;
+  const auto gated = service.request(strict);
+  EXPECT_EQ(gated.outcome, Outcome::kDenied);
+  EXPECT_EQ(gated.reason, Reason::kNotChair);
+  EXPECT_EQ(service.queued_requests(), 0u);
+  strict.member = chair;
+  const auto parked = service.request(strict);
+  EXPECT_EQ(parked.outcome, Outcome::kQueued);
+  EXPECT_EQ(parked.reason, Reason::kAbortArbitrate);
+  EXPECT_EQ(service.queued_requests(group), 1u);
+}
+
+TEST_F(QueueingFixture, SweepPromotesEveryGroupOnTheFreedHostAndSkipsOtherHosts) {
+  // One release sweeps every queueing group for entries on the freed host,
+  // in group order, and leaves entries parked for another host where they
+  // are, even in the same queue and ahead of a promotable entry.
+  const HostId host2{2};
+  service.add_host(host2, Resource{1.0, 1.0, 1.0});
+  const auto second = registry.create_group("second", FcmMode::kFreeAccess,
+                                            chair, PolicyKind::kQueueing);
+  registry.join(low2, second);
+  FloorRequest on_host2 = req(chair, 0.9);
+  on_host2.host = host2;
+  ASSERT_EQ(service.request(req(mid, 0.9)).outcome, Outcome::kGranted);
+  ASSERT_EQ(service.request(on_host2).outcome, Outcome::kGranted);
+
+  on_host2.member = low3;
+  on_host2.qos = media::QosRequirement{0.3, 0.3, 0.3};
+  ASSERT_EQ(service.request(on_host2).outcome, Outcome::kQueued);
+  ASSERT_EQ(service.request(req(low1, 0.3)).outcome, Outcome::kQueued);
+  FloorRequest in_second = req(low2, 0.3);
+  in_second.group = second;
+  ASSERT_EQ(service.request(in_second).outcome, Outcome::kQueued);
+  ASSERT_EQ(service.queued_requests(), 3u);
+
+  const auto rel = service.release(mid, group);
+  ASSERT_TRUE(rel.released);
+  ASSERT_EQ(rel.promoted.size(), 2u);
+  EXPECT_EQ(rel.promoted[0].holder, (Holder{low1, group}));
+  EXPECT_EQ(rel.promoted[1].holder, (Holder{low2, second}));
+  EXPECT_NEAR(service.host_manager(host)->availability(), 0.4, 1e-12);
+  EXPECT_EQ(service.queued_requests(group), 1u);  // low3, for host 2
+  EXPECT_EQ(service.queued_requests(second), 0u);
+  EXPECT_NEAR(service.host_manager(host2)->availability(), 0.1, 1e-12);
+
+  // The skipped entry is intact: host 2's own release seats it.
+  const auto rel2 = service.release(chair, group);
+  ASSERT_EQ(rel2.promoted.size(), 1u);
+  EXPECT_EQ(rel2.promoted[0].holder, (Holder{low3, group}));
+  EXPECT_EQ(service.queued_requests(), 0u);
 }
 
 // ------------------------------------------------ golden queueing stream
@@ -837,30 +886,6 @@ TEST(GroupSnapshot, BatchScopesManyMutationsIntoOnePublish) {
   EXPECT_EQ(registry.epoch(), epoch0 + 1);
   EXPECT_TRUE(registry.in_group(member, group));
   EXPECT_EQ(registry.member_count(), 2u);
-}
-
-TEST(GroupSnapshot, ServiceArbitratesAgainstAnExplicitSnapshot) {
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
-  GroupRegistry registry;
-  FloorService service{registry, clock, Thresholds{0.25, 0.05}};
-  service.add_host(HostId{1}, Resource{1.0, 1.0, 1.0});
-  const auto chair = registry.add_member("chair", 3, HostId{1});
-  const auto group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-  const auto member = registry.add_member("m", 1, HostId{1});
-  const auto stale = registry.snapshot();  // member not yet in the group
-  EXPECT_TRUE(registry.join(member, group));
-
-  FloorRequest r;
-  r.group = group;
-  r.member = member;
-  r.host = HostId{1};
-  r.qos = media::QosRequirement{0.1, 0.1, 0.1};
-  // Against the stale snapshot the member is an outsider; against the
-  // current one it is seated — the snapshot, not the registry, is the
-  // arbitration input.
-  EXPECT_EQ(service.request(*stale, r).outcome, Outcome::kDenied);
-  EXPECT_EQ(service.request(r).outcome, Outcome::kGranted);
 }
 
 }  // namespace

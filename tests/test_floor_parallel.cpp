@@ -2,11 +2,11 @@
 //
 // Three layers of coverage:
 //   1. Parity — the started service must reach the same decisions as the
-//      inline executor for the basic request/release/cancel flows.
+//      inline executor for the basic request/release flows.
 //   2. Linearization — per-shard mailbox FIFO must preserve the queueing
 //      policy's arrival-order contract for (group, host).
 //   3. Stress — many producer threads hammering interleaved request /
-//      release / cancel across >= 8 shards while membership churns
+//      release across >= 8 shards while membership churns
 //      (snapshot publishes racing reads), then the same invariants the
 //      sequential tests pin: every operation completes exactly once, no
 //      grant survives its release, the fixpoint sweep leaves no resumable
@@ -260,10 +260,8 @@ TEST_F(ParallelFixture, StressInterleavedOpsWithMembershipChurn) {
           case Outcome::kQueued: {
             queued.fetch_add(1, std::memory_order_relaxed);
             // A parked request may be promoted to a grant at any moment by
-            // another producer's release sweep, so cancel (parked state
-            // only) cannot assert what it dropped; the follow-up release
-            // clears whichever of the two states the entry raced into.
-            if (rng.chance(0.5)) (void)service.cancel(member, group);
+            // another producer's release sweep; the release clears
+            // whichever of the two states the entry raced into.
             service.release(member, group);
             releases_done.fetch_add(1, std::memory_order_relaxed);
             break;

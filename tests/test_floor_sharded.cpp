@@ -126,8 +126,10 @@ TEST_F(ShardedQueueingFixture, CancelDropsParkedStateOnTheRightShard) {
   ASSERT_EQ(service.request(req(b2, hostB, 0.7)).outcome, Outcome::kGranted);
   ASSERT_EQ(service.request(req(b1, hostB, 0.6)).outcome, Outcome::kQueued);
 
-  const auto cancelled = service.cancel(a1, group);
-  EXPECT_EQ(cancelled.dequeued, (std::vector<Holder>{{a1, group}}));
+  // a1 holds nothing, only a parked request: releasing it drops just that.
+  const auto dropped = service.release(a1, group);
+  EXPECT_FALSE(dropped.released);
+  EXPECT_EQ(dropped.dequeued, (std::vector<Holder>{{a1, group}}));
   EXPECT_EQ(service.queued_requests(), 1u);  // b1 still parked on its shard
   // a1 abandoned its spot: a2's release promotes nobody on host A.
   EXPECT_TRUE(service.release(a2, group).promoted.empty());
