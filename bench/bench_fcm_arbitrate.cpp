@@ -92,13 +92,14 @@ struct Cluster {
   sim::Simulator sim;
   clk::TrueClock clock{sim};
   GroupRegistry registry;
-  FloorService service{registry, clock, Thresholds{0.25, 0.05}};
   HostId host{1};
+  FloorService service;
   GroupId group;
   std::vector<MemberId> members;
 
-  explicit Cluster(int m, double capacity = 1.0) {
-    service.add_host(host, Resource{capacity, capacity, capacity});
+  explicit Cluster(int m, double capacity = 1.0)
+      : service(registry, clock, Thresholds{0.25, 0.05}, host,
+                Resource{capacity, capacity, capacity}) {
     // One snapshot publish for the whole population, not one per member.
     GroupRegistry::Batch batch(registry);
     const auto chair = registry.add_member("chair", 3, host);
@@ -160,7 +161,7 @@ void regime_scenario() {
           cluster.request(cluster.members[0], c.preload_direct));
     }
     const double avail_before =
-        cluster.service.host_manager(cluster.host)->availability();
+        cluster.service.host_manager().availability();
     const auto d = cluster.service.request(cluster.request(cluster.members[0], 0.3));
     dmps::bench::row("%-12s | %19.2f | %-16s | %9zu | %s", c.name, avail_before,
                 std::string(to_string(d.outcome)).c_str(), d.suspended.size(),

@@ -1,7 +1,8 @@
 #pragma once
-// GrantStore: ownership and indexing of every floor grant.
+// GrantStore: ownership and indexing of one host station's floor grants.
 //
-// One store serves all host stations. Per host it tracks the resource
+// A store serves exactly one host (ShardedFloorService keeps one
+// FloorService, and so one store, per host). It holds the host's resource
 // manager plus two ordered indexes over the live grants:
 //
 //   active    — keyed (priority asc, seq asc): Media-Suspend victim
@@ -13,10 +14,10 @@
 //               the front (highest priority, then oldest) as capacity
 //               allows.
 //
-// Policies never touch grant slots directly: they operate through a
-// HostView, which exposes exactly the moves the disciplines are written in
-// (can_fit / suspend_to_fit / commit_grant / resume_suspended). Released
-// slots are recycled through a free list, so slot count is bounded by peak
+// Policies never touch grant slots directly: they move grants through
+// exactly the operations the disciplines are written in (can_fit /
+// suspend_to_fit / commit_grant / resume_suspended). Released slots are
+// recycled through a free list, so slot count is bounded by peak
 // concurrency, not request volume. The same discipline extends to the rest
 // of the per-grant bookkeeping: index-map nodes are recycled through a
 // PoolAllocator, and the holder index keeps its (emptied) entries and their
@@ -25,7 +26,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -39,30 +39,47 @@ namespace dmps::floorctl {
 
 class GrantStore {
  public:
-  explicit GrantStore(clk::Clock& clock) : clock_(clock) {}
+  GrantStore(clk::Clock& clock, resource::Resource capacity)
+      : clock_(clock), manager_(capacity) {}
 
-  /// Register a host station and its capacity. Replacing a live host voids
-  /// every grant it held (their slots are recycled).
-  void add_host(HostId host, resource::Resource capacity);
-  resource::HostResourceManager* host_manager(HostId host);
+  /// Re-provision the host: every grant it held is voided (the slots and
+  /// both indexes are emptied, the holder index keeps its emptied
+  /// entries) and `capacity` starts out free.
+  void set_capacity(resource::Resource capacity);
+  const resource::HostResourceManager& manager() const { return manager_; }
 
-  class HostView;
-  /// A policy-facing handle onto one host's grants; nullopt for an
-  /// unregistered host.
-  std::optional<HostView> view(HostId host);
+  double availability() const { return manager_.availability(); }
+  bool can_fit(const resource::Resource& need) const {
+    return manager_.can_fit(need);
+  }
+
+  /// Media-Suspend: suspend strictly-lower-priority active holders (lowest
+  /// priority first, then oldest) until `need` fits. All-or-nothing — when
+  /// even suspending every junior holder is not enough, nothing changes and
+  /// the return is false. Suspended holders are appended to `suspended`.
+  bool suspend_to_fit(const resource::Resource& need, int priority,
+                      std::vector<Holder>& suspended);
+
+  /// Reserve `need` and record the grant as active.
+  void commit_grant(MemberId member, GroupId group,
+                    const resource::Resource& need, int priority);
+
+  /// Media-Resume: re-admit suspended holders, highest priority first, as
+  /// capacity allows; holders that still do not fit stay suspended.
+  void resume_suspended(std::vector<Holder>& resumed);
 
   /// Release every grant (active or suspended) that `member` holds in
-  /// `group`, giving active grants' capacity back. Reports the hosts where
-  /// capacity was actually freed, so the caller can run the policy's
-  /// Media-Resume / promotion pass exactly there.
+  /// `group`, giving active grants' capacity back. Reports whether capacity
+  /// was actually freed, so the caller runs the Media-Resume / promotion
+  /// sweep only then.
   struct HolderRelease {
     bool released = false;  // false: the member held nothing in the group
-    HostList freed_hosts;
+    bool freed = false;     // an active grant gave its capacity back
   };
   HolderRelease release_holder(MemberId member, GroupId group);
 
-  std::size_t active_grants() const { return active_count_; }
-  std::size_t suspended_grants() const { return suspended_count_; }
+  std::size_t active_grants() const { return active_.size(); }
+  std::size_t suspended_grants() const { return suspended_.size(); }
   /// Allocated grant slots (recycled via a free list; stays bounded by the
   /// peak number of simultaneously live grants, not total request volume).
   std::size_t grant_slots() const { return grants_.size(); }
@@ -71,7 +88,6 @@ class GrantStore {
   struct Grant {
     MemberId member;
     GroupId group;
-    HostId host;
     resource::Resource amount;
     int priority = 0;
     std::uint64_t seq = 0;  // grant order; older = smaller
@@ -96,18 +112,12 @@ class GrantStore {
   using ActiveIndex = std::map<IndexKey, std::size_t, std::less<IndexKey>, IndexAlloc>;
   using SuspendedIndex = std::map<IndexKey, std::size_t, ResumeOrder, IndexAlloc>;
 
-  struct HostState {
-    resource::HostResourceManager manager;
-    ActiveIndex active;       // suspend order
-    SuspendedIndex suspended;  // resume order
-  };
-
   std::size_t alloc_slot(Grant grant);
-  void drop_from_holder_index(std::size_t idx);
-  void void_grants_of_host(HostId host);
 
   clk::Clock& clock_;
-  std::unordered_map<HostId::value_type, HostState> hosts_;
+  resource::HostResourceManager manager_;
+  ActiveIndex active_;        // suspend order
+  SuspendedIndex suspended_;  // resume order
   std::vector<Grant> grants_;
   std::vector<std::size_t> free_slots_;  // released grant indices, reusable
   // holder (member, group) -> its grant slots. Slots fit uint32 (bounded by
@@ -118,44 +128,6 @@ class GrantStore {
   std::unordered_map<std::uint64_t, util::SmallVec<std::uint32_t, 2>>
       holder_index_;
   std::uint64_t next_seq_ = 0;
-  std::size_t active_count_ = 0;
-  std::size_t suspended_count_ = 0;
-};
-
-/// The seam between GrantStore bookkeeping and the policies' logic: a
-/// borrowed handle onto one host, valid for the duration of one decide()
-/// call or one capacity-change sweep pass.
-class GrantStore::HostView {
- public:
-  HostId host() const { return host_; }
-  double availability() const { return state_->manager.availability(); }
-  bool can_fit(const resource::Resource& need) const {
-    return state_->manager.can_fit(need);
-  }
-
-  /// Media-Suspend: suspend strictly-lower-priority active holders (lowest
-  /// priority first, then oldest) until `need` fits. All-or-nothing — when
-  /// even suspending every junior holder is not enough, nothing changes and
-  /// the return is false. Suspended holders are appended to `suspended`.
-  bool suspend_to_fit(const resource::Resource& need, int priority,
-                      std::vector<Holder>& suspended);
-
-  /// Reserve `need` and record the grant as active.
-  void commit_grant(MemberId member, GroupId group,
-                    const resource::Resource& need, int priority);
-
-  /// Media-Resume: re-admit suspended holders, highest priority first, as
-  /// capacity allows; holders that still do not fit stay suspended.
-  void resume_suspended(std::vector<Holder>& resumed);
-
- private:
-  friend class GrantStore;
-  HostView(GrantStore& store, HostState& state, HostId host)
-      : store_(&store), state_(&state), host_(host) {}
-
-  GrantStore* store_;
-  HostState* state_;
-  HostId host_;
 };
 
 }  // namespace dmps::floorctl

@@ -1,11 +1,11 @@
 #pragma once
-// The two arbitration disciplines over a GrantStore.
+// The two arbitration disciplines over one host's GrantStore.
 //
-// A policy decides requests, touching grants only through a
-// GrantStore::HostView. FloorService picks one per request from the
-// group's PolicyKind, after it has validated membership and host and run
-// the chair gate (a chaired group, or a chaired request, admits only the
-// chair: Reason::kNotChair, never parked):
+// A policy decides requests, moving grants only through the GrantStore's
+// suspend / commit / resume operations. FloorService picks one per request
+// from the group's PolicyKind, after it has validated membership and host
+// and run the chair gate (a chaired group, or a chaired request, admits
+// only the chair: Reason::kNotChair, never parked):
 //
 //   ThreeRegimePolicy — the paper's §3 FCM-Arbitrate rule, verbatim:
 //                       full / degraded (Media-Suspend) / Abort-Arbitrate
@@ -14,18 +14,16 @@
 //                       rule would refuse are parked in a per-group pending
 //                       queue (Outcome::kQueued) and granted in arrival
 //                       order when capacity frees up. Arrival order is a
-//                       per-(group, host) contract: a newcomer whose
-//                       request would fit still parks behind earlier
-//                       requests queued for the same host in the same
-//                       group. Distinct groups are distinct floors (BFCP
-//                       queues are per-floor) — no ordering is promised
-//                       between them.
+//                       per-group contract: a newcomer whose request would
+//                       fit still parks behind earlier requests queued in
+//                       the same group. Distinct groups are distinct floors
+//                       (BFCP queues are per-floor) — no ordering is
+//                       promised between them.
 //
 // Reacting to freed capacity (Media-Resume, queue promotion) is not part
 // of decide(): FloorService drives it through its capacity-change sweep,
-// which calls QueueingPolicy::promote_host for the freed host. That keeps
-// promotions host-scoped (the shard seam) instead of scoped to whichever
-// group happened to release.
+// which calls QueueingPolicy::promote. That keeps promotions host-scoped
+// instead of scoped to whichever group happened to release.
 //
 // Each FloorService owns one ThreeRegimePolicy and one QueueingPolicy that
 // borrows it; the queues are the only state, shared by every group.
@@ -55,9 +53,9 @@ class ThreeRegimePolicy {
       : thresholds_(thresholds) {}
 
   /// Decide one floor request by a member of the given `priority` against
-  /// the requesting host's grants.
+  /// the host's grants.
   Decision decide(const FloorRequest& request, int priority,
-                  GrantStore::HostView& host) const;
+                  GrantStore& store) const;
 
   const resource::Thresholds& thresholds() const { return thresholds_; }
 
@@ -71,26 +69,24 @@ class QueueingPolicy {
   explicit QueueingPolicy(const ThreeRegimePolicy& rule) : rule_(rule) {}
 
   Decision decide(const FloorRequest& request, int priority,
-                  GrantStore::HostView& host);
+                  GrantStore& store);
 
   /// Drop any parked state the member has in the group (it released or
-  /// left); dropped requests are reported in `out.dequeued`, and every host
-  /// a dropped entry targeted is appended to `affected_hosts` (deduped) —
-  /// the caller must sweep those hosts, because an entry parked *behind*
-  /// the dropped one may fit right now, and no capacity change will ever
-  /// re-trigger a sweep there.
-  void cancel(MemberId member, GroupId group, ReleaseResult& out,
-              HostList& affected_hosts);
+  /// left); dropped requests are reported in `out.dequeued`. Returns true
+  /// when an entry was dropped: the caller must then sweep, because an
+  /// entry parked *behind* the dropped one may fit right now, and no
+  /// capacity change will ever re-trigger a sweep for it.
+  bool cancel(MemberId member, GroupId group, ReleaseResult& out);
 
-  /// One promotion pass for `host`: walk every group's queue in arrival
-  /// order and grant each entry targeting this host that now fits (a
-  /// blocked head does not starve smaller entries behind it). Promotions
-  /// run the full three-regime rule, so they may themselves Media-Suspend;
-  /// the caller (FloorService's sweep) loops passes to a fixpoint so
-  /// capacity a promotion frees on overshoot is never stranded. The pass
-  /// stops as soon as the host is below beta: from there every remaining
-  /// entry would Abort-Arbitrate without touching the host.
-  void promote_host(GrantStore::HostView& host, ReleaseResult& out);
+  /// One promotion pass: walk every group's queue in arrival order and
+  /// grant each entry that now fits (a blocked head does not starve
+  /// smaller entries behind it). Promotions run the full three-regime
+  /// rule, so they may themselves Media-Suspend; the caller (FloorService's
+  /// sweep) loops passes to a fixpoint so capacity a promotion frees on
+  /// overshoot is never stranded. The pass stops as soon as the host is
+  /// below beta: from there every remaining entry would Abort-Arbitrate
+  /// without touching the host.
+  void promote(GrantStore& store, ReleaseResult& out);
 
   std::size_t queued(GroupId group) const;
   std::size_t total_queued() const { return total_queued_; }

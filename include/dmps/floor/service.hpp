@@ -1,14 +1,18 @@
 #pragma once
-// FloorService: the facade the rest of the system talks floor control to.
+// FloorService: one host station's arbiter, the facade the rest of the
+// system talks floor control to.
 //
-// A FloorService validates requests (membership, host), runs the chair
-// gate — a chaired group, or a request asking for chaired arbitration,
-// admits only the chair — and then decides under the group's PolicyKind:
-// ThreeRegimePolicy or QueueingPolicy, against the GrantStore it owns.
-// Servers (fproto::FloorServer), sessions and benches consume exactly this
-// interface and never see grant slots or policy internals; it is also the
-// per-shard surface ShardedFloorService federates (one FloorService per
-// host station, inline or on a shard worker thread).
+// A FloorService arbitrates exactly one host: it owns that host's
+// GrantStore (resource manager, grants, indexes) and its queues. It
+// validates requests (membership, and that the request names its host:
+// any other host is Reason::kUnknownHost), runs the chair gate — a chaired
+// group, or a request asking for chaired arbitration, admits only the
+// chair — and then decides under the group's PolicyKind: ThreeRegimePolicy
+// or QueueingPolicy. Servers (fproto::FloorServer), sessions and benches
+// consume exactly this interface and never see grant slots or policy
+// internals. Several hosts are arbitrated by ShardedFloorService, which
+// keeps one FloorService per host station (inline or on a shard worker
+// thread) and routes each operation to it.
 //
 // Conference state is read through immutable GroupSnapshots only: each
 // request arbitrates against the service's cached snapshot, refreshed with
@@ -19,13 +23,13 @@
 // single-owner: exactly one thread may operate a given FloorService at a
 // time.
 //
-// Freed capacity is handled through one capacity-change hook: sweep(host)
-// re-runs Media-Resume and queueing promotions on that host until a
-// fixpoint — a promotion that Media-Suspends a junior holder can overshoot
-// and free capacity of its own, which an earlier skipped queue entry or a
-// small suspended holder may now use; a single pass would strand it.
-// release() invokes the sweep for every host it freed capacity on; callers
-// changing capacity out of band (growing a live host) call it directly.
+// Freed capacity is handled through one capacity-change hook: sweep()
+// re-runs Media-Resume and queueing promotions until a fixpoint — a
+// promotion that Media-Suspends a junior holder can overshoot and free
+// capacity of its own, which an earlier skipped queue entry or a small
+// suspended holder may now use; a single pass would strand it. release()
+// sweeps whenever it freed capacity or dropped a parked request; callers
+// changing capacity out of band (set_capacity) call it directly.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,16 +47,22 @@ namespace dmps::floorctl {
 
 class FloorService : public FloorControl {
  public:
+  /// The arbiter of `host`, whose resources start out as `capacity`.
   FloorService(const GroupRegistry& registry, clk::Clock& clock,
-               resource::Thresholds thresholds);
+               resource::Thresholds thresholds, HostId host,
+               resource::Resource capacity);
   // queueing_ borrows three_regime_: a copy would borrow the original's.
   FloorService(const FloorService&) = delete;
   FloorService& operator=(const FloorService&) = delete;
 
-  /// Register a host station and its capacity. Replaces any prior entry.
-  void add_host(HostId host, resource::Resource capacity);
-  resource::HostResourceManager* host_manager(HostId host) {
-    return store_.host_manager(host);
+  HostId host() const { return host_; }
+  /// Re-provision the host: voids every grant it held. Parked requests
+  /// stay parked until the next sweep().
+  void set_capacity(resource::Resource capacity) {
+    store_.set_capacity(capacity);
+  }
+  const resource::HostResourceManager& host_manager() const {
+    return store_.manager();
   }
 
   /// FCM-Arbitrate: decide one floor request under the group's discipline,
@@ -60,14 +70,13 @@ class FloorService : public FloorControl {
   Decision request(const FloorRequest& request) override;
 
   /// Release every floor `member` holds in `group` and drop its parked
-  /// requests, then sweep every host the release freed capacity on or a
-  /// dropped request targeted.
+  /// requests, then sweep if the release freed capacity or dropped one.
   ReleaseResult release(MemberId member, GroupId group) override;
 
   /// Capacity-change hook: Media-Resume suspended holders and promote
-  /// queued requests on `host` until quiescent, regardless of which group
-  /// (or out-of-band event) freed the capacity.
-  ReleaseResult sweep(HostId host);
+  /// queued requests until quiescent, regardless of which group (or
+  /// out-of-band event) freed the capacity.
+  ReleaseResult sweep();
 
   const resource::Thresholds& thresholds() const {
     return three_regime_.thresholds();
@@ -92,7 +101,7 @@ class FloorService : public FloorControl {
   obs::Tracer* tracer() const { return tracer_; }
 
  private:
-  void sweep_host(GrantStore::HostView& host, ReleaseResult& out);
+  void sweep_into(ReleaseResult& out);
   Decision decide(const GroupSnapshot& snapshot, const FloorRequest& request);
   /// Fold a release/sweep result into counters and the trace.
   void record_result(const ReleaseResult& result, std::uint32_t shard_hint);
@@ -102,6 +111,7 @@ class FloorService : public FloorControl {
 
   const GroupRegistry& registry_;
   std::shared_ptr<const GroupSnapshot> snapshot_;  // cache for refreshed_snapshot
+  HostId host_;
   GrantStore store_;
   ThreeRegimePolicy three_regime_;
   QueueingPolicy queueing_;

@@ -3,8 +3,9 @@
 //
 // The paper's FCM scales by giving every host station its own resource
 // manager; this facade completes that shape for the whole floor-control
-// core. Each registered host gets a *shard* — a full FloorService with its
-// own GrantStore, policies and queueing state — and every operation is
+// core, and is the one way to arbitrate several hosts. Each registered
+// host gets a *shard* — the FloorService of that host, with its own
+// GrantStore, policies and queueing state — and every operation is
 // routed by host: request/sweep by FloorRequest::host, release by a
 // holder-route map recorded when the shard accepted the request. Shards
 // share one GroupRegistry, so a single conference (groups, members, chairs)
@@ -67,15 +68,15 @@ class ShardedFloorService : public FloorControl {
   ShardedFloorService& operator=(const ShardedFloorService&) = delete;
 
   /// Register a host station and its capacity. First sight of a host
-  /// creates its shard; re-registering replaces the host inside the
-  /// existing shard (voiding its grants, exactly like FloorService). Setup
-  /// phase only: throws std::logic_error once start() has run.
+  /// creates its shard; re-registering re-provisions the shard
+  /// (FloorService::set_capacity: its grants are voided). Setup phase
+  /// only: throws std::logic_error once start() has run.
   void add_host(HostId host, resource::Resource capacity);
 
   /// The per-host shard, or nullptr for an unknown host. This is the seam
   /// federated fproto::FloorServer endpoints bind to (one per shard).
   FloorService* shard(HostId host);
-  resource::HostResourceManager* host_manager(HostId host);
+  const resource::HostResourceManager* host_manager(HostId host);
 
   // ------------------------------------------------------------ lifecycle
   /// Spawn `workers` threads (0 = one per shard, never more than shards)
@@ -144,10 +145,10 @@ class ShardedFloorService : public FloorControl {
   enum class State : std::uint8_t { kInline, kRunning, kStopped };
 
   struct Shard {
-    Shard(HostId h, const GroupRegistry& registry, clk::Clock& clock,
-          resource::Thresholds thresholds)
-        : host(h), service(registry, clock, thresholds) {}
-    HostId host;
+    Shard(const GroupRegistry& registry, clk::Clock& clock,
+          resource::Thresholds thresholds, HostId host,
+          resource::Resource capacity)
+        : service(registry, clock, thresholds, host, capacity) {}
     FloorService service;
     std::size_t worker = 0;  // assigned by start()
   };
@@ -209,12 +210,15 @@ class ShardedFloorService : public FloorControl {
   }
   void record_route(MemberId member, GroupId group, HostId host);
   void drop_route(MemberId member, GroupId group, HostId host);
-  HostList take_routes(MemberId member, GroupId group);
+  RouteList take_routes(MemberId member, GroupId group);
 
   void worker_main(std::size_t index);
   void execute(Op& op);
   void enqueue(Op& op);
   void refuse(Op& op);  // complete an op the workers cannot take
+  /// A request the router turns away, counted like a shard's refusal so
+  /// floor.requests still counts every request the facade answered.
+  Decision refused(Reason reason);
   void complete(Op& op, ReleaseResult&& result);
 
   const GroupRegistry& registry_;

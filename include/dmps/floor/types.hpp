@@ -2,33 +2,31 @@
 // Floor-control vocabulary shared by the whole dmps::floorctl layer.
 //
 // The floor-control core is three separable pieces (see DESIGN.md §5):
-//   GrantStore          — owns grant slots + per-host (priority, seq) indexes
+//   GrantStore          — one host's resource manager, grant slots and
+//                         (priority, seq) indexes
 //   policies            — ThreeRegimePolicy (the paper's rule) and
 //                         QueueingPolicy (BFCP-style queueing)
-//   FloorService        — the facade servers and sessions consume; it gates
-//                         chaired requests and picks the group's policy
+//   FloorService        — one host's arbiter: it gates chaired requests and
+//                         picks the group's policy; ShardedFloorService
+//                         keeps one per host station
 // This header holds only the types those pieces exchange: ids, disciplines,
 // requests, outcomes and results.
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "media/media.hpp"
 #include "util/ids.hpp"
-#include "util/small_vec.hpp"
 
 namespace dmps::floorctl {
 
 using MemberId = util::StrongId<struct MemberTag>;
 using GroupId = util::StrongId<struct GroupTag>;
 using HostId = util::StrongId<struct HostTag>;
-
-/// Hosts touched by one release or sweep. A holder's grants
-/// live on one host in the common case (two when it re-homed mid-session),
-/// so the inline capacity keeps the steady-state release path off the heap.
-using HostList = util::SmallVec<HostId, 4>;
 
 /// Floor control disciplines. kFreeAccess arbitrates purely on resources
 /// and priority; kChaired additionally reserves the floor for the chair.
@@ -95,18 +93,17 @@ enum class Reason : std::uint8_t {
   kAbortArbitrate,    // aborted (queued, under queueing): availability < beta
   kDoesNotFit,        // denied (queued, under queueing): no fit after suspend
   kNotChair,          // denied: the chaired discipline and not the chair
-  kAlreadyPending,    // queued: re-request of a parked request, same host
-  kPendingOtherHost,  // queued: re-request for another host; kept as parked
-  kParkedBehind,      // queued: behind `parked_ahead` entries for the host
+  kAlreadyPending,    // queued: re-request of a parked request
+  kParkedBehind,      // queued: behind `parked_ahead` entries in the group
   kNotMember,         // denied: the requester is not in the group
-  kUnknownHost,       // denied: no such host station
+  kUnknownHost,       // denied: not a host station the service arbitrates
   kNotRunning,        // denied: the sharded service has stopped
 };
 
 struct Decision {
   Outcome outcome = Outcome::kDenied;
   Reason reason = Reason::kNone;
-  /// Earlier requests parked for the same host (Reason::kParkedBehind).
+  /// Earlier requests parked in the same group (Reason::kParkedBehind).
   std::size_t parked_ahead = 0;
   std::vector<Holder> suspended;  // holders Media-Suspended for this grant
   double availability_before = 0.0;
@@ -130,8 +127,8 @@ struct ReleaseResult {
 };
 
 /// The narrow arbitration seam wire servers consume: decide one request,
-/// release one holding. FloorService (one resource manager) and
-/// ShardedFloorService (one per host station) both implement it, so an
+/// release one holding. FloorService (one host station) and
+/// ShardedFloorService (one FloorService per host) both implement it, so an
 /// fproto::FloorServer can front either without knowing the topology —
 /// dmps_floord puts its one server in front of a ShardedFloorService, and
 /// session::Presentation binds one server to each shard's FloorService
@@ -148,16 +145,21 @@ class FloorControl {
 /// Fold one shard's release result into an accumulated one — the single
 /// merge rule ShardedFloorService applies under both of its executors, so
 /// a new ReleaseResult field cannot be dropped by one and kept by the
-/// other.
+/// other. An empty list takes the shard's buffer instead of copying it, so
+/// a release routed to one shard hands its lists over whole.
 inline void merge_release_results(ReleaseResult& into, ReleaseResult&& from) {
+  const auto append = [](auto& list, auto& more) {
+    if (list.empty()) {
+      list = std::move(more);
+      return;
+    }
+    list.insert(list.end(), std::make_move_iterator(more.begin()),
+                std::make_move_iterator(more.end()));
+  };
   into.released |= from.released;
-  into.resumed.insert(into.resumed.end(), from.resumed.begin(),
-                      from.resumed.end());
-  into.promoted.insert(into.promoted.end(),
-                       std::make_move_iterator(from.promoted.begin()),
-                       std::make_move_iterator(from.promoted.end()));
-  into.dequeued.insert(into.dequeued.end(), from.dequeued.begin(),
-                       from.dequeued.end());
+  append(into.resumed, from.resumed);
+  append(into.promoted, from.promoted);
+  append(into.dequeued, from.dequeued);
 }
 
 }  // namespace dmps::floorctl

@@ -5,18 +5,16 @@
 namespace dmps::floorctl {
 
 FloorService::FloorService(const GroupRegistry& registry, clk::Clock& clock,
-                           resource::Thresholds thresholds)
+                           resource::Thresholds thresholds, HostId host,
+                           resource::Resource capacity)
     : registry_(registry),
-      store_(clock),
+      host_(host),
+      store_(clock, capacity),
       three_regime_(thresholds),
       queueing_(three_regime_),
       // Resolved at construction (setup phase) so the global pack's lazy
       // registration can never fire inside an alloc-probed worker loop.
       obs_(&obs::FloorInstruments::global()) {}
-
-void FloorService::add_host(HostId host, resource::Resource capacity) {
-  store_.add_host(host, capacity);
-}
 
 const GroupSnapshot& FloorService::refreshed_snapshot() {
   const std::uint64_t epoch = registry_.epoch();
@@ -74,8 +72,7 @@ Decision FloorService::decide(const GroupSnapshot& snapshot,
     decision.reason = Reason::kNotMember;
     return decision;
   }
-  auto host = store_.view(request.host);
-  if (!host) {
+  if (request.host != host_) {
     decision.reason = Reason::kUnknownHost;
     return decision;
   }
@@ -90,8 +87,8 @@ Decision FloorService::decide(const GroupSnapshot& snapshot,
   }
   const int priority = snapshot.member(request.member).priority;
   return group.policy == PolicyKind::kQueueing
-             ? queueing_.decide(request, priority, *host)
-             : three_regime_.decide(request, priority, *host);
+             ? queueing_.decide(request, priority, store_)
+             : three_regime_.decide(request, priority, store_);
 }
 
 ReleaseResult FloorService::release(MemberId member, GroupId group) {
@@ -99,18 +96,14 @@ ReleaseResult FloorService::release(MemberId member, GroupId group) {
   const GrantStore::HolderRelease freed = store_.release_holder(member, group);
   result.released = freed.released;
   // A releasing (or leaving) member abandons its parked requests too. Sweep
-  // every host the release freed capacity on, plus every host a dequeued
-  // parked request targeted: dropping a queue entry frees no capacity, but
-  // it can unblock fitting entries parked behind it, and no later release
-  // would ever sweep there for them.
-  HostList hosts = freed.freed_hosts;
-  queueing_.cancel(member, group, result, hosts);
-  for (const HostId host_id : hosts) {
-    auto host = store_.view(host_id);
-    if (host) sweep_host(*host, result);
-  }
+  // when the release freed capacity or dropped a parked request: a dequeue
+  // frees no capacity, but it can unblock fitting entries parked behind
+  // it, and no later release would ever sweep for them.
+  const bool dropped = queueing_.cancel(member, group, result);
+  const bool swept = freed.freed || dropped;
+  if (swept) sweep_into(result);
   obs_->releases.add();
-  const std::uint32_t shard_hint = hosts.empty() ? 0u : hosts[0].value();
+  const std::uint32_t shard_hint = swept ? host_.value() : 0u;
   if (tracer_ != nullptr && result.released) {
     tracer_->emit(obs::Ev::kRelease, member.value(), shard_hint);
   }
@@ -118,12 +111,11 @@ ReleaseResult FloorService::release(MemberId member, GroupId group) {
   return result;
 }
 
-ReleaseResult FloorService::sweep(HostId host_id) {
+ReleaseResult FloorService::sweep() {
   ReleaseResult result;
   obs_->sweeps.add();
-  auto host = store_.view(host_id);
-  if (host) sweep_host(*host, result);
-  record_result(result, host_id.value());
+  sweep_into(result);
+  record_result(result, host_.value());
   return result;
 }
 
@@ -155,7 +147,7 @@ void FloorService::record_result(const ReleaseResult& result,
   }
 }
 
-void FloorService::sweep_host(GrantStore::HostView& host, ReleaseResult& out) {
+void FloorService::sweep_into(ReleaseResult& out) {
   // Fixpoint over resume + promotion. Media-Resume keeps priority over the
   // queue (it runs first each pass); the loop re-runs both because a
   // promotion's Media-Suspend can overshoot — freeing capacity that an
@@ -168,13 +160,13 @@ void FloorService::sweep_host(GrantStore::HostView& host, ReleaseResult& out) {
   for (;;) {
     ++passes;
     const std::size_t before = out.resumed.size() + out.promoted.size();
-    host.resume_suspended(out.resumed);
-    queueing_.promote_host(host, out);
+    store_.resume_suspended(out.resumed);
+    queueing_.promote(store_, out);
     if (out.resumed.size() + out.promoted.size() == before) break;
   }
   obs_->sweep_passes.add(passes);
   if (tracer_ != nullptr) {
-    tracer_->emit(obs::Ev::kSweep, 0, host.host().value(), 0, passes);
+    tracer_->emit(obs::Ev::kSweep, 0, host_.value(), 0, passes);
   }
 }
 // dmps-lint: hot-end

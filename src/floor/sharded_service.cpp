@@ -34,12 +34,6 @@ Result await(Submit&& submit) {
   return std::move(rendezvous.value);
 }
 
-Decision refusal(Reason reason) {
-  Decision decision;
-  decision.reason = reason;
-  return decision;
-}
-
 }  // namespace
 
 ShardedFloorService::ShardedFloorService(const GroupRegistry& registry,
@@ -62,13 +56,15 @@ void ShardedFloorService::add_host(HostId host, resource::Resource capacity) {
         "ShardedFloorService::add_host is setup-phase only "
         "(call before start())");
   }
-  auto [it, created] =
-      shards_.try_emplace(host.value(), host, registry_, clock_, thresholds_);
-  if (created) {
-    it->second.service.set_instruments(obs_);
-    it->second.service.set_tracer(tracer_);
+  auto [it, created] = shards_.try_emplace(host.value(), registry_, clock_,
+                                           thresholds_, host, capacity);
+  FloorService& service = it->second.service;
+  if (!created) {
+    service.set_capacity(capacity);
+    return;
   }
-  it->second.service.add_host(host, capacity);
+  service.set_instruments(obs_);
+  service.set_tracer(tracer_);
 }
 
 void ShardedFloorService::set_observability(obs::FloorInstruments* instruments,
@@ -92,9 +88,10 @@ FloorService* ShardedFloorService::shard(HostId host) {
   return owner != nullptr ? &owner->service : nullptr;
 }
 
-resource::HostResourceManager* ShardedFloorService::host_manager(HostId host) {
-  FloorService* owner = shard(host);
-  return owner ? owner->host_manager(host) : nullptr;
+const resource::HostResourceManager* ShardedFloorService::host_manager(
+    HostId host) {
+  const FloorService* owner = shard(host);
+  return owner != nullptr ? &owner->host_manager() : nullptr;
 }
 
 // ---------------------------------------------------------------- lifecycle
@@ -214,10 +211,11 @@ void ShardedFloorService::drop_route(MemberId member, GroupId group,
   while (hosts.size() > keep) hosts.pop_back();
 }
 
-HostList ShardedFloorService::take_routes(MemberId member, GroupId group) {
+ShardedFloorService::RouteList ShardedFloorService::take_routes(
+    MemberId member, GroupId group) {
   const std::uint64_t key = holder_key(member, group);
   RouteStripe& s = stripe(key);
-  HostList hosts;
+  RouteList hosts;
   util::MutexLock lock(s.mu);
   const auto it = s.routes.find(key);
   if (it == s.routes.end()) return hosts;
@@ -237,7 +235,7 @@ Decision ShardedFloorService::request_here(Shard& shard,
       decision.outcome == Outcome::kQueued) {
     // The shard now holds state for this (member, group): remember the
     // route so release touches exactly the shards involved.
-    record_route(request.member, request.group, shard.host);
+    record_route(request.member, request.group, shard.service.host());
   }
   return decision;
 }
@@ -247,7 +245,7 @@ ReleaseResult ShardedFloorService::release_here(Shard& shard, MemberId member,
   ReleaseResult result = shard.service.release(member, group);
   // This shard no longer holds anything for the holder (grants and parked
   // requests alike were dropped).
-  drop_route(member, group, shard.host);
+  drop_route(member, group, shard.service.host());
   return result;
 }
 
@@ -265,7 +263,7 @@ void ShardedFloorService::execute(Op& op) {
       complete(op, release_here(shard, member, group));
       return;
     case Op::Kind::kSweep:
-      complete(op, shard.service.sweep(shard.host));
+      complete(op, shard.service.sweep());
       return;
   }
 }
@@ -305,9 +303,18 @@ void ShardedFloorService::enqueue(Op& op) {
 void ShardedFloorService::refuse(Op& op) {
   if (op.kind != Op::Kind::kRequest) {
     complete(op, ReleaseResult{});
-  } else if (op.on_decision) {
-    op.on_decision(refusal(Reason::kNotRunning));
+    return;
   }
+  const Decision decision = refused(Reason::kNotRunning);
+  if (op.on_decision) op.on_decision(decision);
+}
+
+Decision ShardedFloorService::refused(Reason reason) {
+  obs_->requests.add();
+  obs_->denied.add();
+  Decision decision;
+  decision.reason = reason;
+  return decision;
 }
 
 // ------------------------------------------------------ result-returning
@@ -316,7 +323,7 @@ void ShardedFloorService::refuse(Op& op) {
 
 Decision ShardedFloorService::request(const FloorRequest& request) {
   Shard* owner = find_shard(request.host);
-  if (owner == nullptr) return refusal(Reason::kUnknownHost);
+  if (owner == nullptr) return refused(Reason::kUnknownHost);
   if (state() != State::kInline) {
     return await<Decision>([&](DecisionCallback done) {
       this->request(request, std::move(done));
@@ -331,7 +338,7 @@ ReleaseResult ShardedFloorService::release(MemberId member, GroupId group) {
         [&](ReleaseCallback done) { release(member, group, std::move(done)); });
   }
   ReleaseResult result;
-  const HostList hosts = take_routes(member, group);
+  const RouteList hosts = take_routes(member, group);
   if (hosts.empty()) return result;
   obs_->route_fanout.add(static_cast<std::int64_t>(hosts.size()));
   for (const HostId host : hosts) {
@@ -360,7 +367,7 @@ ReleaseResult ShardedFloorService::sweep(HostId host) {
     return await<ReleaseResult>(
         [&](ReleaseCallback done) { sweep(host, std::move(done)); });
   }
-  return owner->service.sweep(host);
+  return owner->service.sweep();
 }
 
 // ---------------------------------------------------------------- callbacks
@@ -392,7 +399,7 @@ void ShardedFloorService::release(MemberId member, GroupId group,
     return;
   }
   // One release step per routed host; several merge through a FanOut.
-  const HostList hosts = take_routes(member, group);
+  const RouteList hosts = take_routes(member, group);
   if (hosts.empty()) {
     if (done) done(ReleaseResult{});
     return;

@@ -23,14 +23,14 @@ struct ServiceFixture : ::testing::Test {
   sim::Simulator sim;
   clk::TrueClock clock{sim};
   GroupRegistry registry;
-  // beta = 1/16 so the exact-boundary cases below are binary-exact.
-  FloorService service{registry, clock, Thresholds{0.25, 0.0625}};
   HostId host{1};
+  // beta = 1/16 so the exact-boundary cases below are binary-exact.
+  FloorService service{registry, clock, Thresholds{0.25, 0.0625}, host,
+                       Resource{1.0, 1.0, 1.0}};
   GroupId group;
   MemberId chair, low1, low2, low3, mid;
 
   ServiceFixture() {
-    service.add_host(host, Resource{1.0, 1.0, 1.0});
     chair = registry.add_member("chair", 3, host);
     group = registry.create_group("g", FcmMode::kFreeAccess, chair);
     low1 = registry.add_member("low1", 1, host);
@@ -60,7 +60,7 @@ TEST_F(ServiceFixture, FullRegimeGrantsOutright) {
 
 TEST_F(ServiceFixture, AvailabilityExactlyAlphaIsStillFullService) {
   ASSERT_EQ(service.request(req(low1, 0.75)).outcome, Outcome::kGranted);
-  ASSERT_EQ(service.host_manager(host)->availability(), 0.25);
+  ASSERT_EQ(service.host_manager().availability(), 0.25);
   const auto d = service.request(req(chair, 0.1));
   EXPECT_EQ(d.outcome, Outcome::kGranted);  // avail == alpha: full regime
 }
@@ -81,7 +81,7 @@ TEST_F(ServiceFixture, DegradedRegimeSuspendsLowestPriorityFirst) {
   ASSERT_EQ(service.request(req(low2, 0.25)).outcome, Outcome::kGranted);
   ASSERT_EQ(service.request(req(low3, 0.25)).outcome, Outcome::kGranted);
   ASSERT_EQ(service.request(req(mid, 0.10)).outcome, Outcome::kGranted);
-  ASSERT_NEAR(service.host_manager(host)->availability(), 0.15, 1e-12);
+  ASSERT_NEAR(service.host_manager().availability(), 0.15, 1e-12);
 
   const auto d = service.request(req(chair, 0.50));
   EXPECT_EQ(d.outcome, Outcome::kGrantedDegraded);
@@ -91,7 +91,7 @@ TEST_F(ServiceFixture, DegradedRegimeSuspendsLowestPriorityFirst) {
 
 TEST_F(ServiceFixture, AvailabilityExactlyBetaIsDegradedNotAbort) {
   ASSERT_EQ(service.request(req(low1, 0.9375)).outcome, Outcome::kGranted);
-  ASSERT_EQ(service.host_manager(host)->availability(), 0.0625);  // == beta
+  ASSERT_EQ(service.host_manager().availability(), 0.0625);  // == beta
   const auto d = service.request(req(chair, 0.3));
   EXPECT_EQ(d.outcome, Outcome::kGrantedDegraded);
   EXPECT_EQ(d.suspended, (std::vector<Holder>{{low1, group}}));
@@ -134,7 +134,7 @@ TEST_F(ServiceFixture, ReleaseTriggersMediaResume) {
   EXPECT_EQ(rel.resumed, (std::vector<Holder>{{low1, group}}));  // Media-Resume reported
   EXPECT_EQ(service.suspended_grants(), 0u);
   EXPECT_EQ(service.active_grants(), 2u);
-  EXPECT_NEAR(service.host_manager(host)->availability(), 0.1, 1e-12);
+  EXPECT_NEAR(service.host_manager().availability(), 0.1, 1e-12);
 }
 
 TEST_F(ServiceFixture, ReleaseIsIdempotentAndScopedToTheGroup) {
@@ -143,7 +143,7 @@ TEST_F(ServiceFixture, ReleaseIsIdempotentAndScopedToTheGroup) {
   EXPECT_TRUE(service.release(low1, group).released);
   EXPECT_FALSE(service.release(low1, group).released);
   EXPECT_EQ(service.active_grants(), 0u);
-  EXPECT_DOUBLE_EQ(service.host_manager(host)->availability(), 1.0);
+  EXPECT_DOUBLE_EQ(service.host_manager().availability(), 1.0);
 }
 
 TEST_F(ServiceFixture, MembershipAndModeRules) {
@@ -159,9 +159,14 @@ TEST_F(ServiceFixture, MembershipAndModeRules) {
   r.member = chair;
   EXPECT_EQ(service.request(r).outcome, Outcome::kGranted);
 
-  FloorRequest bad_host = req(chair, 0.1);
-  bad_host.host = HostId{99};
-  EXPECT_EQ(service.request(bad_host).outcome, Outcome::kDenied);
+  // A FloorService arbitrates its own host only; several hosts take a
+  // ShardedFloorService.
+  FloorRequest bad_host = req(mid, 0.1);
+  bad_host.host = HostId{2};
+  const auto other_host = service.request(bad_host);
+  EXPECT_EQ(other_host.outcome, Outcome::kDenied);
+  EXPECT_EQ(other_host.reason, Reason::kUnknownHost);
+  EXPECT_FALSE(service.release(mid, group).released);
 
   // Request-side chaired discipline binds too, even in a free-access group.
   FloorRequest strict = req(mid, 0.1);
@@ -174,9 +179,9 @@ TEST_F(ServiceFixture, MembershipAndModeRules) {
 TEST_F(ServiceFixture, ReRegisteringAHostVoidsItsGrants) {
   ASSERT_EQ(service.request(req(low1, 0.5)).outcome, Outcome::kGranted);
   ASSERT_EQ(service.active_grants(), 1u);
-  service.add_host(host, Resource{2.0, 2.0, 2.0});  // replacement wipes state
+  service.set_capacity(Resource{2.0, 2.0, 2.0});  // re-provisioning wipes state
   EXPECT_EQ(service.active_grants(), 0u);
-  EXPECT_DOUBLE_EQ(service.host_manager(host)->availability(), 1.0);
+  EXPECT_DOUBLE_EQ(service.host_manager().availability(), 1.0);
   EXPECT_FALSE(service.release(low1, group).released);  // old grant is gone, no crash
   EXPECT_EQ(service.request(req(low1, 0.5)).outcome, Outcome::kGranted);
 }
@@ -406,33 +411,6 @@ TEST_F(QueueingFixture, CapacityFreedByAnotherGroupPromotesTheQueue) {
   EXPECT_EQ(service.queued_requests(group), 0u);
 }
 
-TEST_F(QueueingFixture, ReRequestWhileParkedCannotRetargetItsHost) {
-  // A parked request's host is part of its queue identity: re-homing it in
-  // place would vacate the old host without the sweep that unparks entries
-  // gated behind it there. A re-request for another host keeps the entry
-  // (payload included) parked for the original host; re-homing takes a
-  // release first.
-  service.add_host(HostId{2}, Resource{1.0, 1.0, 1.0});
-  ASSERT_EQ(service.request(req(mid, 0.7)).outcome, Outcome::kGranted);
-  ASSERT_EQ(service.request(req(low1, 0.6)).outcome, Outcome::kQueued);
-  ASSERT_EQ(service.request(req(low2, 0.2)).outcome, Outcome::kQueued);
-
-  FloorRequest retarget = req(low1, 0.1);
-  retarget.host = HostId{2};
-  const auto d = service.request(retarget);
-  EXPECT_EQ(d.outcome, Outcome::kQueued);
-  EXPECT_EQ(d.reason, Reason::kPendingOtherHost);
-
-  // The promotion lands on host 1 with the original 0.6 payload (0.2 free
-  // afterwards proves neither the host nor the qos was rewritten).
-  const auto rel = service.release(mid, group);
-  ASSERT_EQ(rel.promoted.size(), 2u);
-  EXPECT_EQ(rel.promoted[0].holder, (Holder{low1, group}));
-  EXPECT_EQ(rel.promoted[1].holder, (Holder{low2, group}));
-  EXPECT_NEAR(service.host_manager(host)->availability(), 0.2, 1e-12);
-  EXPECT_DOUBLE_EQ(service.host_manager(HostId{2})->availability(), 1.0);
-}
-
 TEST_F(QueueingFixture, ChairedQueueingGroupStillGatesOnTheChair) {
   // Chair gating runs before the queue: a non-chair request in a chaired
   // queueing group is refused outright, never parked.
@@ -465,43 +443,24 @@ TEST_F(QueueingFixture, ChairedQueueingGroupStillGatesOnTheChair) {
   EXPECT_EQ(service.queued_requests(group), 1u);
 }
 
-TEST_F(QueueingFixture, SweepPromotesEveryGroupOnTheFreedHostAndSkipsOtherHosts) {
-  // One release sweeps every queueing group for entries on the freed host,
-  // in group order, and leaves entries parked for another host where they
-  // are, even in the same queue and ahead of a promotable entry.
-  const HostId host2{2};
-  service.add_host(host2, Resource{1.0, 1.0, 1.0});
+TEST_F(QueueingFixture, SweepPromotesEveryGroupOnTheFreedHost) {
+  // One release sweeps every queueing group's entries, in group order.
   const auto second = registry.create_group("second", FcmMode::kFreeAccess,
                                             chair, PolicyKind::kQueueing);
   registry.join(low2, second);
-  FloorRequest on_host2 = req(chair, 0.9);
-  on_host2.host = host2;
   ASSERT_EQ(service.request(req(mid, 0.9)).outcome, Outcome::kGranted);
-  ASSERT_EQ(service.request(on_host2).outcome, Outcome::kGranted);
-
-  on_host2.member = low3;
-  on_host2.qos = media::QosRequirement{0.3, 0.3, 0.3};
-  ASSERT_EQ(service.request(on_host2).outcome, Outcome::kQueued);
   ASSERT_EQ(service.request(req(low1, 0.3)).outcome, Outcome::kQueued);
   FloorRequest in_second = req(low2, 0.3);
   in_second.group = second;
   ASSERT_EQ(service.request(in_second).outcome, Outcome::kQueued);
-  ASSERT_EQ(service.queued_requests(), 3u);
+  ASSERT_EQ(service.queued_requests(), 2u);
 
   const auto rel = service.release(mid, group);
   ASSERT_TRUE(rel.released);
   ASSERT_EQ(rel.promoted.size(), 2u);
   EXPECT_EQ(rel.promoted[0].holder, (Holder{low1, group}));
   EXPECT_EQ(rel.promoted[1].holder, (Holder{low2, second}));
-  EXPECT_NEAR(service.host_manager(host)->availability(), 0.4, 1e-12);
-  EXPECT_EQ(service.queued_requests(group), 1u);  // low3, for host 2
-  EXPECT_EQ(service.queued_requests(second), 0u);
-  EXPECT_NEAR(service.host_manager(host2)->availability(), 0.1, 1e-12);
-
-  // The skipped entry is intact: host 2's own release seats it.
-  const auto rel2 = service.release(chair, group);
-  ASSERT_EQ(rel2.promoted.size(), 1u);
-  EXPECT_EQ(rel2.promoted[0].holder, (Holder{low3, group}));
+  EXPECT_NEAR(service.host_manager().availability(), 0.4, 1e-12);
   EXPECT_EQ(service.queued_requests(), 0u);
 }
 
@@ -576,29 +535,24 @@ struct RegimeTally {
 
 TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
   // A seeded stream over three queueing groups and one three-regime group
-  // sharing four hosts, fed to a FloorService and a ShardedFloorService in
-  // lockstep. qos sizes range up to 0.7, so a blocked head often has
-  // fitting entries behind it; priorities 1-3 let promotions Media-Suspend;
-  // members re-request while parked, release, and leave and rejoin groups.
-  // The expected hash was recorded before the promotion pass learned to
-  // stop once its host is below beta: that early exit must change nothing.
-  // The stream runs twice, on a fresh registry each time: once with the
-  // sharded service inline, once started on 2 workers. Both executors must
-  // reproduce the hash — the started run goes through the waiting calls,
-  // merges multi-host releases in route order, and sees the registry's
-  // leave/join between its ops.
+  // sharing four hosts, fed to a ShardedFloorService. qos sizes range up to
+  // 0.7, so a blocked head often has fitting entries behind it; priorities
+  // 1-3 let promotions Media-Suspend; members re-request while parked,
+  // release, and leave and rejoin groups. The stream runs twice, on a
+  // fresh registry each time: once with the service inline, once started
+  // on 2 workers. Both executors must reproduce the hash — the started run
+  // goes through the waiting calls, merges multi-host releases in route
+  // order, and sees the registry's leave/join between its ops.
   const auto run = [](std::size_t workers) {
     sim::Simulator sim;
     clk::TrueClock clock{sim};
     GroupRegistry registry;
     const Thresholds thresholds{0.25, 0.05};
-    FloorService single{registry, clock, thresholds};
     ShardedFloorService sharded{registry, clock, thresholds};
     constexpr std::uint32_t kHosts = 4;
     constexpr std::uint32_t kGroups = 4;
     constexpr std::uint32_t kMembers = 48;
     for (std::uint32_t h = 1; h <= kHosts; ++h) {
-      single.add_host(HostId{h}, Resource{1.0, 1.0, 1.0});
       sharded.add_host(HostId{h}, Resource{1.0, 1.0, 1.0});
     }
     if (workers > 0) sharded.start(workers);
@@ -624,17 +578,14 @@ TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
     StreamHash hash{thresholds};
     RegimeTally tally;
     const auto fold_decisions = [&](const FloorRequest& r) {
-      for (const Decision& d : {single.request(r), sharded.request(r)}) {
-        hash.decision(d);
-        tally.decision(d);
-      }
+      const Decision d = sharded.request(r);
+      hash.decision(d);
+      tally.decision(d);
     };
     const auto fold_releases = [&](MemberId m, GroupId g) {
-      for (const ReleaseResult& r :
-           {single.release(m, g), sharded.release(m, g)}) {
-        hash.result(r);
-        tally.result(r);
-      }
+      const ReleaseResult r = sharded.release(m, g);
+      hash.result(r);
+      tally.result(r);
     };
 
     const double sizes[] = {0.05, 0.1, 0.15, 0.25, 0.3, 0.45, 0.7};
@@ -666,7 +617,7 @@ TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
       }
     }
     // Drain: once every member has released everywhere, nothing is left
-    // held, suspended or parked on either facade.
+    // held, suspended or parked.
     for (std::uint32_t i = 0; i < kMembers; ++i) {
       for (std::uint32_t k = 0; k < 2; ++k) {
         fold_releases(members[i], groups[(i + k) % kGroups]);
@@ -674,9 +625,8 @@ TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
     }
     sharded.drain();
     EXPECT_EQ(sharded.worker_count(), workers);
-    EXPECT_EQ(single.active_grants() + single.suspended_grants(), 0u);
     EXPECT_EQ(sharded.active_grants() + sharded.suspended_grants(), 0u);
-    EXPECT_EQ(single.queued_requests() + sharded.queued_requests(), 0u);
+    EXPECT_EQ(sharded.queued_requests(), 0u);
 
     EXPECT_GT(tally.aborted, 0u);
     EXPECT_GT(tally.degraded, 0u);
@@ -687,8 +637,8 @@ TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
     EXPECT_GT(tally.dequeued, 0u);
     return hash.value;
   };
-  EXPECT_EQ(run(0), 0xd2e145c311fe088fULL) << "inline executor";
-  EXPECT_EQ(run(2), 0xd2e145c311fe088fULL) << "started on 2 workers";
+  EXPECT_EQ(run(0), 0x06bb9e5471ead147ULL) << "inline executor";
+  EXPECT_EQ(run(2), 0x06bb9e5471ead147ULL) << "started on 2 workers";
 }
 
 // ------------------------------------------------------------ reason text
@@ -698,7 +648,6 @@ TEST_F(ServiceFixture, ExplainRendersEachReasonCodeAsItsSentence) {
   // fixture's thresholds (alpha 0.25, beta 0.0625). The literals pin each
   // sentence byte for byte, as the golden stream's hash pins them in bulk:
   // logs and reports written against the text keep reading the same.
-  service.add_host(HostId{2}, Resource{1.0, 1.0, 1.0});
   const auto queue = registry.create_group("q", FcmMode::kFreeAccess, chair,
                                            PolicyKind::kQueueing);
   const auto panel = registry.create_group("p", FcmMode::kChaired, chair);
@@ -753,11 +702,6 @@ TEST_F(ServiceFixture, ExplainRendersEachReasonCodeAsItsSentence) {
   EXPECT_EQ(rows.back().decision.parked_ahead, 2u);
   row(service.request(in(low2, 0.7, queue)), Reason::kAlreadyPending,
       "queued: request already pending in this group");
-  FloorRequest rehome = in(low2, 0.1, queue);
-  rehome.host = HostId{2};
-  row(service.request(rehome), Reason::kPendingOtherHost,
-      "queued: request already pending in this group for its original host "
-      "(cancel or release to re-home)");
   for (const auto m : {low1, low2, low3}) service.release(m, queue);
   service.release(mid, group);
 

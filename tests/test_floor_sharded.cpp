@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "clock/drift_clock.hpp"
 #include "floor/sharded_service.hpp"
+#include "obs/registry.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -164,6 +168,55 @@ TEST_F(ShardedFixture, ArrivalOrderIsPerHostNotPerConference) {
   // the arrival-order contract is per host station, which is exactly what
   // makes the queues shardable.
   EXPECT_EQ(service.request(req(b1, hostB, 0.6)).outcome, Outcome::kGranted);
+}
+
+TEST_F(ShardedFixture, RouterRefusalsCountLikeShardRefusals) {
+  // floor.requests counts every request the facade answers, so it matches
+  // the wire layer's arbitration count even when no shard decides.
+  obs::MetricsRegistry metrics;
+  obs::FloorInstruments floor(metrics);
+  service.set_observability(&floor, nullptr);
+  const auto counts = [&floor] {
+    return std::make_pair(floor.requests.value(), floor.denied.value());
+  };
+
+  const auto unknown = service.request(req(a1, HostId{99}, 0.1));
+  EXPECT_EQ(unknown.reason, Reason::kUnknownHost);
+  EXPECT_EQ(counts(), std::make_pair(std::int64_t{1}, std::int64_t{1}));
+
+  service.start(1);
+  service.stop();
+  const auto stopped = service.request(req(a1, hostA, 0.1));
+  EXPECT_EQ(stopped.reason, Reason::kNotRunning);
+  EXPECT_EQ(counts(), std::make_pair(std::int64_t{2}, std::int64_t{2}));
+}
+
+TEST(MergeReleaseResults, EmptyAccumulatorTakesTheShardsBuffers) {
+  // A release routed to one shard hands its lists over without a copy.
+  ReleaseResult shard;
+  shard.released = true;
+  shard.resumed.push_back(Holder{MemberId{1}, GroupId{1}});
+  shard.promoted.push_back(Promotion{Holder{MemberId{2}, GroupId{1}}, {}});
+  shard.dequeued.push_back(Holder{MemberId{3}, GroupId{1}});
+  const Holder* resumed = shard.resumed.data();
+  const Promotion* promoted = shard.promoted.data();
+  const Holder* dequeued = shard.dequeued.data();
+
+  ReleaseResult merged;
+  merge_release_results(merged, std::move(shard));
+  EXPECT_TRUE(merged.released);
+  EXPECT_EQ(merged.resumed.data(), resumed);
+  EXPECT_EQ(merged.promoted.data(), promoted);
+  EXPECT_EQ(merged.dequeued.data(), dequeued);
+
+  // A second shard's lists append behind the first's, in route order.
+  ReleaseResult second;
+  second.promoted.push_back(Promotion{Holder{MemberId{4}, GroupId{1}}, {}});
+  merge_release_results(merged, std::move(second));
+  ASSERT_EQ(merged.promoted.size(), 2u);
+  EXPECT_EQ(merged.promoted[0].holder, (Holder{MemberId{2}, GroupId{1}}));
+  EXPECT_EQ(merged.promoted[1].holder, (Holder{MemberId{4}, GroupId{1}}));
+  EXPECT_EQ(merged.resumed.size(), 1u);
 }
 
 }  // namespace

@@ -158,8 +158,8 @@ struct ProtoWorld {
   transport::SimTransport server_transport;
   clk::TrueClock clock;
   GroupRegistry registry;
-  FloorService service;
   HostId host{1};
+  FloorService service;
   MemberId chair;
   GroupId group;
   fproto::FloorServer server;
@@ -186,9 +186,8 @@ struct ProtoWorld {
         server_demux(network, server_node),
         server_transport(server_demux),
         clock(sim),
-        service(registry, clock, Thresholds{0.25, 0.05}),
+        service(registry, clock, Thresholds{0.25, 0.05}, host, capacity),
         server(server_transport, registry, service, {Duration::millis(120), 200}) {
-    service.add_host(host, capacity);
     chair = registry.add_member("chair", 100, host);
     group = registry.create_group("g", mode, chair, policy);
   }

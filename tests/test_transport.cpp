@@ -367,7 +367,9 @@ struct UdpWorld {
   transport::UdpEndpoint server_ep{loop, fproto::wire_schema(), 0, &wire};
   floorctl::GroupRegistry registry;
   floorctl::FloorService service{registry, clock,
-                                 resource::Thresholds{0.25, 0.05}};
+                                 resource::Thresholds{0.25, 0.05},
+                                 floorctl::HostId{1},
+                                 resource::Resource{1.0, 1.0, 1.0}};
   floorctl::MemberId chair;
   floorctl::GroupId group;
   std::unique_ptr<fproto::FloorServer> server;
@@ -380,9 +382,7 @@ struct UdpWorld {
   std::vector<std::unique_ptr<Station>> stations;
 
   UdpWorld() {
-    const floorctl::HostId host{1};
-    service.add_host(host, resource::Resource{1.0, 1.0, 1.0});
-    chair = registry.add_member("chair", 100, host);
+    chair = registry.add_member("chair", 100, service.host());
     group = registry.create_group("g", floorctl::FcmMode::kFreeAccess, chair);
     fproto::ServerConfig config;
     config.notify_retry = Duration::millis(50);
