@@ -144,7 +144,8 @@ BENCHMARK(BM_AdmissionAdmit);
 }  // namespace
 
 int main(int argc, char** argv) {
-  skew_scenario();
-  admission_scenario();
-  return dmps::bench::run_micro(argc, argv, "bench_clock_sync");
+  return dmps::bench::bench_main(argc, argv, "bench_clock_sync", [&] {
+    skew_scenario();
+    admission_scenario();
+  });
 }

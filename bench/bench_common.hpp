@@ -7,7 +7,7 @@
 // EXPERIMENTS.md can quote them directly.
 //
 // Everything printed through table_header()/row() is also recorded, and
-// run_micro() writes BENCH_<name>.json into the working directory: the
+// bench_main() writes BENCH_<name>.json into the working directory: the
 // scenario tables as string-cell arrays plus one record per micro result.
 // CI archives these files, so perf numbers accrue per PR instead of
 // vanishing into the log.
@@ -29,6 +29,13 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+
+namespace benchmark {
+// google-benchmark's --benchmark_list_tests, as Initialize() parsed it from
+// the command line or the environment. The library defines it (a plain
+// bool since 1.5); benchmark.h does not declare it.
+extern bool FLAGS_benchmark_list_tests;
+}  // namespace benchmark
 
 // Stamped by the build (CMake: git rev-parse --short HEAD); "unknown" for
 // builds outside a git checkout.
@@ -171,7 +178,7 @@ inline void record_fingerprint(const std::string& scenario, std::uint64_t value,
 
 /// Strip a `--trace-out PATH` / `--trace-out=PATH` argument (ours, not
 /// google-benchmark's) and return the path, empty when absent. Call before
-/// run_micro so benchmark::Initialize never sees the flag.
+/// bench_main so benchmark::Initialize never sees the flag.
 inline std::string take_trace_out(int& argc, char** argv) {
   std::string path;
   int keep = 1;
@@ -306,11 +313,23 @@ inline void write_json(const std::string& name,
   std::printf("\nwrote %s\n", path.c_str());
 }
 
-/// Run any registered google-benchmark micro benches after the scenario
-/// part, then emit BENCH_<name>.json with everything this binary measured.
-inline int run_micro(int argc, char** argv, const std::string& name) {
+/// A bench binary's main. google-benchmark's flags are parsed before any
+/// scenario runs, so a mistyped flag exits 1 at once and
+/// --benchmark_list_tests only lists the micro benches (the scenario
+/// tables, the million-member sweep among them, never start). Otherwise
+/// `scenarios` prints the tables, the registered micro benches run, and
+/// BENCH_<name>.json records everything this binary measured.
+template <typename Scenarios>
+int bench_main(int argc, char** argv, const std::string& name,
+               Scenarios&& scenarios) {
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (::benchmark::FLAGS_benchmark_list_tests) {
+    ::benchmark::RunSpecifiedBenchmarks();
+    ::benchmark::Shutdown();
+    return 0;
+  }
+  scenarios();
   detail::RecordingReporter reporter;
   ::benchmark::RunSpecifiedBenchmarks(&reporter);
   ::benchmark::Shutdown();

@@ -117,6 +117,7 @@ BENCHMARK(BM_SkipScenario)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  scenario();
-  return dmps::bench::run_micro(argc, argv, "bench_docpn_vs_ocpn");
+  return dmps::bench::bench_main(argc, argv, "bench_docpn_vs_ocpn", [&] {
+    scenario();
+  });
 }

@@ -89,8 +89,6 @@ using resource::Resource;
 using resource::Thresholds;
 
 struct Cluster {
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
   GroupRegistry registry;
   HostId host{1};
   FloorService service;
@@ -98,7 +96,7 @@ struct Cluster {
   std::vector<MemberId> members;
 
   explicit Cluster(int m, double capacity = 1.0)
-      : service(registry, clock, Thresholds{0.25, 0.05}, host,
+      : service(registry, Thresholds{0.25, 0.05}, host,
                 Resource{capacity, capacity, capacity}) {
     // One snapshot publish for the whole population, not one per member.
     GroupRegistry::Batch batch(registry);
@@ -846,12 +844,13 @@ BENCHMARK(BM_ArbitrateDegradedPath)->Arg(16)->Arg(128)->Unit(benchmark::kMicrose
 
 int main(int argc, char** argv) {
   const std::string trace_out = dmps::bench::take_trace_out(argc, argv);
-  regime_scenario();
-  throughput_scenario();
-  degraded_sweep_scenario();
-  queue_depth_sweep_scenario();
-  sharded_sweep_scenario();
-  parallel_strong_scaling_scenario();
-  million_member_scenario(trace_out);
-  return dmps::bench::run_micro(argc, argv, "bench_fcm_arbitrate");
+  return dmps::bench::bench_main(argc, argv, "bench_fcm_arbitrate", [&] {
+    regime_scenario();
+    throughput_scenario();
+    degraded_sweep_scenario();
+    queue_depth_sweep_scenario();
+    sharded_sweep_scenario();
+    parallel_strong_scaling_scenario();
+    million_member_scenario(trace_out);
+  });
 }

@@ -222,8 +222,9 @@ BENCHMARK(BM_VerifyPresentation)->Arg(4)->Arg(16);
 }  // namespace
 
 int main(int argc, char** argv) {
-  fig1_presentation();
-  size_sweep();
-  engine_ablation();
-  return dmps::bench::run_micro(argc, argv, "bench_fig1_schedule");
+  return dmps::bench::bench_main(argc, argv, "bench_fig1_schedule", [&] {
+    fig1_presentation();
+    size_sweep();
+    engine_ablation();
+  });
 }

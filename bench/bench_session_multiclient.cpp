@@ -271,9 +271,10 @@ BENCHMARK(BM_SessionEndToEnd)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   const std::string trace_out = dmps::bench::take_trace_out(argc, argv);
-  sweep_scenario();
-  overhead_scenario();
-  federation_scenario();
-  deterministic_federation_scenario(trace_out);
-  return dmps::bench::run_micro(argc, argv, "bench_session_multiclient");
+  return dmps::bench::bench_main(argc, argv, "bench_session_multiclient", [&] {
+    sweep_scenario();
+    overhead_scenario();
+    federation_scenario();
+    deterministic_federation_scenario(trace_out);
+  });
 }

@@ -25,8 +25,9 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
   hot          Inside `// dmps-lint: hot-begin(<name>)` .. `hot-end`
                regions (the worker drain loop, GrantStore mutation
                paths, the UDP rx path, arbitration): no `new`
-               expressions, no std::function construction, no mutation
-               of std::unordered_map members, and no text formatting
+               expressions, no std::function construction, no insert
+               into (or other mutation of) a std::unordered_map or
+               util::FlatMap member, and no text formatting
                (printf-family calls, std::to_string, string streams).
                These are the alloc-probed paths; one stray node
                allocation regresses the million-station sweep, and one
@@ -486,8 +487,11 @@ def line_of(text, needle):
 # ---------------------------------------------------------------- hot paths
 
 
+# Hash-map members whose insert can allocate: a std::unordered_map node,
+# or a util::FlatMap growing its slot array.
 UMAP_DECL_RE = re.compile(
-    r"std::unordered_map<.*?>\s+(\w+)\s*(?:DMPS_GUARDED_BY\([^)]*\))?\s*[;={]",
+    r"(?:std::unordered_map|\butil::FlatMap)<.*?>\s+(\w+)\s*"
+    r"(?:DMPS_GUARDED_BY\([^)]*\))?\s*[;={]",
     re.S)
 NEW_RE = re.compile(r"\bnew\b")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\s*<")
@@ -596,10 +600,11 @@ def check_hot(root, violations, config_errors):
                 hit = mutate_re.search(code).group(0).strip()
                 violations.append(Violation(
                     rel, idx + 1, "hot-unordered-map",
-                    f"unordered_map mutation ('{hit}') inside hot region "
-                    f"'{name}': node inserts allocate on this alloc-probed "
-                    "path (escape: dmps-lint: allow(hot-unordered-map) with "
-                    "a justification)"))
+                    f"hash-map insert or mutation ('{hit}') inside hot "
+                    f"region '{name}': an insert can allocate (a "
+                    "std::unordered_map node, a util::FlatMap growing its "
+                    "slots) on this alloc-probed path (escape: dmps-lint: "
+                    "allow(hot-unordered-map) with a justification)"))
         if region:
             config_errors.append(
                 f"{rel}: hot-begin('{region[0]}') at line {region[1]} "

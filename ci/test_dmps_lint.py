@@ -364,6 +364,24 @@ class HotRegions(LintCase):
         self.assertIn("[hot-unordered-map]", out)
         self.assertIn("routes_[", out)
 
+    def test_flat_map_insert_inside_hot_region_fails(self):
+        # A util::FlatMap member: operator[] inserts, and an insert can
+        # grow the slot array.
+        write(self.root, "include/dmps/floor/m.hpp",
+              "struct S {\n"
+              "  util::FlatMap<RouteList> routes DMPS_GUARDED_BY(mu);\n"
+              "};\n")
+        write(self.root, "src/floor/hot.cpp",
+              "// dmps-lint: hot-begin(route)\n"
+              "RouteList* f(S& s) { return s.routes.find(7); }\n"
+              "void g(S& s) { s.routes[7].push_back(h); }\n"
+              "// dmps-lint: hot-end\n")
+        status, out, _ = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 1)
+        self.assertIn("hot.cpp:3: [hot-unordered-map]", out)
+        self.assertIn("routes[", out)
+        self.assertNotIn("hot.cpp:2:", out)
+
     def test_allow_next_escape_passes(self):
         write(self.root, "include/dmps/floor/m.hpp",
               "struct S { std::unordered_map<int, int> routes_; };\n")

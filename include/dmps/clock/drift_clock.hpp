@@ -12,7 +12,8 @@
 namespace dmps::clk {
 
 /// Read-only clock interface; everything that needs "a time source"
-/// (arbiter grant stamps, sync servers) takes one of these.
+/// (the sync server's authority, a sync client's local clock) takes one of
+/// these.
 class Clock {
  public:
   virtual ~Clock() = default;

@@ -20,18 +20,18 @@
 // recycled through a free list, so slot count is bounded by peak
 // concurrency, not request volume. The same discipline extends to the rest
 // of the per-grant bookkeeping: index-map nodes are recycled through a
-// PoolAllocator, and the holder index keeps its (emptied) entries and their
-// inline SmallVec storage across release/re-request cycles — so once a
-// population has been seen, the grant+release hot loop allocates nothing.
+// PoolAllocator, and the holder index (a util::FlatMap) keeps its (emptied)
+// entries and their inline SmallVec storage across release/re-request
+// cycles — so once a population has been seen, the grant+release hot loop
+// allocates nothing.
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
-#include "clock/drift_clock.hpp"
 #include "floor/resource.hpp"
 #include "floor/types.hpp"
+#include "util/flat_map.hpp"
 #include "util/pool_alloc.hpp"
 #include "util/small_vec.hpp"
 
@@ -39,8 +39,7 @@ namespace dmps::floorctl {
 
 class GrantStore {
  public:
-  GrantStore(clk::Clock& clock, resource::Resource capacity)
-      : clock_(clock), manager_(capacity) {}
+  explicit GrantStore(resource::Resource capacity) : manager_(capacity) {}
 
   /// Re-provision the host: every grant it held is voided (the slots and
   /// both indexes are emptied, the holder index keeps its emptied
@@ -91,7 +90,6 @@ class GrantStore {
     resource::Resource amount;
     int priority = 0;
     std::uint64_t seq = 0;  // grant order; older = smaller
-    util::TimePoint granted_at;
     bool suspended = false;
     bool released = false;
   };
@@ -114,19 +112,17 @@ class GrantStore {
 
   std::size_t alloc_slot(Grant grant);
 
-  clk::Clock& clock_;
   resource::HostResourceManager manager_;
   ActiveIndex active_;        // suspend order
   SuspendedIndex suspended_;  // resume order
   std::vector<Grant> grants_;
   std::vector<std::size_t> free_slots_;  // released grant indices, reusable
-  // holder (member, group) -> its grant slots. Slots fit uint32 (bounded by
-  // peak live grants), and the common one-grant holder stays inline.
+  // holder_key(member, group) -> its grant slots. Slots fit uint32 (bounded
+  // by peak live grants), and the common one-grant holder stays inline.
   // Entries are kept (emptied) on release rather than erased: a returning
-  // holder reuses the hash node and the SmallVec storage, which is what
-  // makes the steady-state request/release cycle heap-free.
-  std::unordered_map<std::uint64_t, util::SmallVec<std::uint32_t, 2>>
-      holder_index_;
+  // holder reuses its slot and the SmallVec storage, which is what makes
+  // the steady-state request/release cycle heap-free.
+  util::FlatMap<util::SmallVec<std::uint32_t, 2>> holder_index_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -50,11 +50,11 @@ struct Group {
   FcmMode mode = FcmMode::kFreeAccess;
   PolicyKind policy = PolicyKind::kThreeRegime;
   MemberId chair;
-  std::vector<MemberId> members;  // join order, for iteration
-  // Sorted copy for O(log n) membership tests. A sorted vector (not a hash
-  // set) because every join/leave copy-on-writes the group: copying a flat
-  // vector is a memcpy, copying a hash set is a rehash.
-  std::vector<MemberId> sorted_members;
+  // Membership as one bit per member id (word id / 64, bit id % 64), sized
+  // to the highest id that ever joined: a membership test is one bit test,
+  // a join or leave flips one bit, and the copy-on-write publish of a
+  // join/leave copies N/8 bytes per group.
+  std::vector<std::uint64_t> member_bits;
 };
 
 /// One immutable, internally consistent view of the conference: member and
@@ -69,7 +69,12 @@ struct GroupSnapshot {
   bool has_group(GroupId id) const { return id.value() < groups->size(); }
   const Member& member(MemberId id) const { return members->at(id.value()); }
   const Group& group(GroupId id) const { return groups->at(id.value()); }
-  bool in_group(MemberId member, GroupId group) const;
+  bool in_group(MemberId member, GroupId group) const {
+    if (!has_group(group)) return false;
+    const std::vector<std::uint64_t>& bits = (*groups)[group.value()].member_bits;
+    const std::size_t word = member.value() / 64;
+    return word < bits.size() && ((bits[word] >> (member.value() % 64)) & 1u) != 0;
+  }
   std::size_t member_count() const { return members->size(); }
   std::size_t group_count() const { return groups->size(); }
 };

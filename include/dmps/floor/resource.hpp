@@ -52,7 +52,8 @@ struct Thresholds {
 
 class HostResourceManager {
  public:
-  explicit HostResourceManager(Resource capacity) : capacity_(capacity) {}
+  explicit HostResourceManager(Resource capacity)
+      : capacity_(capacity), availability_(compute_availability()) {}
 
   const Resource& capacity() const { return capacity_; }
   const Resource& in_use() const { return in_use_; }
@@ -60,17 +61,9 @@ class HostResourceManager {
 
   /// Free fraction of the tightest dimension, in [0, 1]. Dimensions with
   /// zero capacity are ignored (a host that advertises no memory pool
-  /// shouldn't read as starved).
-  double availability() const {
-    double avail = 1.0;
-    auto dim = [&avail](double cap, double used) {
-      if (cap > 0) avail = std::min(avail, (cap - used) / cap);
-    };
-    dim(capacity_.bandwidth, in_use_.bandwidth);
-    dim(capacity_.cpu, in_use_.cpu);
-    dim(capacity_.memory, in_use_.memory);
-    return std::max(0.0, avail);
-  }
+  /// shouldn't read as starved). Computed when in_use() changes, so a query
+  /// costs a load: arbitration reads it more often than it reserves.
+  double availability() const { return availability_; }
 
   bool can_fit(const Resource& r) const {
     const Resource f = free();
@@ -82,6 +75,7 @@ class HostResourceManager {
   bool reserve(const Resource& r) {
     if (!can_fit(r)) return false;
     in_use_ += r;
+    availability_ = compute_availability();
     return true;
   }
 
@@ -90,14 +84,27 @@ class HostResourceManager {
     in_use_.bandwidth = std::max(0.0, in_use_.bandwidth);
     in_use_.cpu = std::max(0.0, in_use_.cpu);
     in_use_.memory = std::max(0.0, in_use_.memory);
+    availability_ = compute_availability();
   }
 
  private:
   // Absorbs accumulated floating-point dust from many reserve/release pairs.
   static constexpr double kSlack = 1e-9;
 
+  double compute_availability() const {
+    double avail = 1.0;
+    auto dim = [&avail](double cap, double used) {
+      if (cap > 0) avail = std::min(avail, (cap - used) / cap);
+    };
+    dim(capacity_.bandwidth, in_use_.bandwidth);
+    dim(capacity_.cpu, in_use_.cpu);
+    dim(capacity_.memory, in_use_.memory);
+    return std::max(0.0, avail);
+  }
+
   Resource capacity_;
   Resource in_use_;
+  double availability_;  // compute_availability() of the current in_use_
 };
 
 }  // namespace dmps::resource

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "clock/drift_clock.hpp"
 #include "floor/grant_store.hpp"
 #include "floor/group.hpp"
 #include "floor/policy.hpp"
@@ -48,9 +47,8 @@ namespace dmps::floorctl {
 class FloorService : public FloorControl {
  public:
   /// The arbiter of `host`, whose resources start out as `capacity`.
-  FloorService(const GroupRegistry& registry, clk::Clock& clock,
-               resource::Thresholds thresholds, HostId host,
-               resource::Resource capacity);
+  FloorService(const GroupRegistry& registry, resource::Thresholds thresholds,
+               HostId host, resource::Resource capacity);
   // queueing_ borrows three_regime_: a copy would borrow the original's.
   FloorService(const FloorService&) = delete;
   FloorService& operator=(const FloorService&) = delete;

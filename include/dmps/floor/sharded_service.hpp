@@ -45,11 +45,11 @@
 #include <map>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "clock/drift_clock.hpp"
 #include "floor/service.hpp"
+#include "util/flat_map.hpp"
 #include "util/mpsc_mailbox.hpp"
 #include "util/small_vec.hpp"
 #include "util/sync.hpp"
@@ -61,7 +61,8 @@ class ShardedFloorService : public FloorControl {
   using DecisionCallback = std::function<void(const Decision&)>;
   using ReleaseCallback = std::function<void(const ReleaseResult&)>;
 
-  ShardedFloorService(const GroupRegistry& registry, clk::Clock& clock,
+  /// The clock argument is unused: arbitration reads no clock.
+  ShardedFloorService(const GroupRegistry& registry, clk::Clock& /*unused*/,
                       resource::Thresholds thresholds);
   ~ShardedFloorService() override;
   ShardedFloorService(const ShardedFloorService&) = delete;
@@ -145,10 +146,9 @@ class ShardedFloorService : public FloorControl {
   enum class State : std::uint8_t { kInline, kRunning, kStopped };
 
   struct Shard {
-    Shard(const GroupRegistry& registry, clk::Clock& clock,
-          resource::Thresholds thresholds, HostId host,
-          resource::Resource capacity)
-        : service(registry, clock, thresholds, host, capacity) {}
+    Shard(const GroupRegistry& registry, resource::Thresholds thresholds,
+          HostId host, resource::Resource capacity)
+        : service(registry, thresholds, host, capacity) {}
     FloorService service;
     std::size_t worker = 0;  // assigned by start()
   };
@@ -189,13 +189,14 @@ class ShardedFloorService : public FloorControl {
   static constexpr std::size_t kMailboxCapacity = 1024;
   static constexpr std::size_t kRouteStripes = 64;
   /// Route lists stay inline for the common one-or-two-host holder, and
-  /// emptied entries are kept so a returning holder reuses its hash node —
-  /// the steady-state request/release cycle allocates nothing here.
+  /// emptied entries are kept so a returning holder reuses its slot — the
+  /// steady-state request/release cycle allocates nothing here.
   using RouteList = util::SmallVec<HostId, 2>;
   struct RouteStripe {
     util::Mutex mu;
-    // holder (member, group) -> shards holding its grants or parked state.
-    std::unordered_map<std::uint64_t, RouteList> routes DMPS_GUARDED_BY(mu);
+    // holder_key(member, group) -> shards holding its grants or parked
+    // state.
+    util::FlatMap<RouteList> routes DMPS_GUARDED_BY(mu);
   };
 
   State state() const { return state_.load(std::memory_order_acquire); }
@@ -222,7 +223,6 @@ class ShardedFloorService : public FloorControl {
   void complete(Op& op, ReleaseResult&& result);
 
   const GroupRegistry& registry_;
-  clk::Clock& clock_;
   resource::Thresholds thresholds_;
   obs::FloorInstruments* obs_;
   obs::Tracer* tracer_ = nullptr;

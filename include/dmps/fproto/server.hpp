@@ -54,6 +54,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "transport/endpoint.hpp"
+#include "util/flat_map.hpp"
 
 namespace dmps::fproto {
 
@@ -145,7 +146,9 @@ class FloorServer {
   floorctl::FloorControl& service_;
   ServerConfig config_;
 
-  std::unordered_map<floorctl::MemberId::value_type, MemberRecord> records_;
+  // By member id. Never erased (a member's record outlives its requests),
+  // and a pointer into it lasts until the next first contact.
+  util::FlatMap<MemberRecord> records_;
 
   struct Notify {
     net::NodeId node;

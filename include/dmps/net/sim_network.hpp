@@ -21,6 +21,7 @@
 
 #include "sim/simulator.hpp"
 #include "util/duration.hpp"
+#include "util/flat_map.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 #include "util/small_vec.hpp"
@@ -98,15 +99,10 @@ class SimNetwork final : private sim::Simulator::Target {
   void detach(NodeId node, Demux* demux);
   void fire(std::uint32_t slot) override;  // a parked message is due
   void deliver_parked(std::uint32_t slot);
-  std::size_t probe(std::uint64_t key) const;
 
   struct Node {
     std::string name;
     Demux* demux = nullptr;
-  };
-  struct LinkSlot {
-    std::uint64_t key;  // from << 32 | to; kNoLink when empty
-    LinkQuality quality;
   };
 
   sim::Simulator& sim_;
@@ -114,10 +110,9 @@ class SimNetwork final : private sim::Simulator::Target {
   util::Rng rng_;
   LinkQuality default_link_;
   std::vector<Node> nodes_;
-  // Link overrides: open addressing with linear probing, a power-of-two
-  // size and at most half full, so a probe always ends at an empty slot.
-  std::vector<LinkSlot> links_;
-  std::size_t link_count_ = 0;
+  // Link overrides by from << 32 | to (two valid node ids never make
+  // FlatMap's empty key).
+  util::FlatMap<LinkQuality> links_;
   // In-flight messages wait here; a delivery event carries only the slot.
   std::vector<Message> parked_;
   std::vector<std::uint32_t> parked_free_;

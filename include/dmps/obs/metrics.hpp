@@ -6,9 +6,12 @@
 // steady-state allocation-free and nearly contention-free. So every
 // instrument here is a fixed-size block of atomics:
 //
-//   Counter / Gauge — 16 cache-line-padded int64 cells, striped by a
-//     per-thread lane id, written with one relaxed fetch_add. value() sums
-//     the stripes (quiescent- or approximate-read semantics, like every
+//   Counter / Gauge — 16 exclusive cache-line-padded int64 stripes plus
+//     one shared cell. The first 16 threads that ask for a lane each own a
+//     stripe and bump it with a relaxed load and store (no locked
+//     instruction: nobody else writes it); every later thread bumps the
+//     shared cell with fetch_add. Either way no update is lost. value()
+//     sums the cells (quiescent- or approximate-read semantics, like every
 //     aggregate of a started ShardedFloorService).
 //   Histogram — 121 log-linear buckets plus sum and count, all relaxed
 //     atomics. Exact under concurrency (fetch_add loses nothing); callers
@@ -27,46 +30,78 @@
 
 namespace dmps::obs {
 
+namespace detail {
+inline constexpr std::size_t kNoLane = ~std::size_t{0};
+/// The calling thread's lane, kNoLane until it first asks. Constant-
+/// initialized, so reading it is one thread-local load.
+inline thread_local std::size_t t_lane = kNoLane;
+/// The next lane nobody has taken yet.
+std::size_t next_thread_lane();
+}  // namespace detail
+
 /// Small dense id for the calling thread (assigned on first use, never
-/// reused within the process). Stripes instrument cells so concurrent
-/// writers from different threads rarely share a cache line.
-std::size_t thread_lane();
+/// reused within the process). Lanes below kExclusiveLanes own a stripe of
+/// every Counter and Gauge.
+inline std::size_t thread_lane() {
+  if (detail::t_lane == detail::kNoLane) {
+    detail::t_lane = detail::next_thread_lane();
+  }
+  return detail::t_lane;
+}
 
 namespace detail {
 struct alignas(64) PaddedAtomic {
   std::atomic<std::int64_t> v{0};
 };
-}  // namespace detail
 
-/// Monotonic event count. add() is one relaxed fetch_add on the calling
-/// thread's stripe; value() sums stripes (exact once writers quiesce).
-class Counter {
+/// The cells behind Counter and Gauge: one exclusive stripe per lane below
+/// kExclusiveLanes, each written by its one thread only, and a shared cell
+/// every other thread adds to atomically.
+class StripedSum {
  public:
-  static constexpr std::size_t kStripes = 16;
+  static constexpr std::size_t kExclusiveLanes = 16;
 
-  Counter() = default;
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
-  void add(std::int64_t n = 1) {
-    cells_[thread_lane() & (kStripes - 1)].v.fetch_add(
-        n, std::memory_order_relaxed);
+  void add(std::int64_t n) {
+    const std::size_t lane = thread_lane();
+    if (lane < kExclusiveLanes) {
+      // The single writer of this stripe: a plain add cannot race another
+      // write, and the atomic store keeps value()'s concurrent reads
+      // well-defined.
+      std::atomic<std::int64_t>& cell = stripes_[lane].v;
+      cell.store(cell.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+    } else {
+      shared_.v.fetch_add(n, std::memory_order_relaxed);
+    }
   }
 
   std::int64_t value() const {
-    std::int64_t sum = 0;
-    for (const auto& cell : cells_) {
-      sum += cell.v.load(std::memory_order_relaxed);
+    std::int64_t sum = shared_.v.load(std::memory_order_relaxed);
+    for (const auto& stripe : stripes_) {
+      sum += stripe.v.load(std::memory_order_relaxed);
     }
     return sum;
   }
 
-  void reset() {
-    for (auto& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-  }
+ private:
+  std::array<PaddedAtomic, kExclusiveLanes> stripes_;
+  PaddedAtomic shared_;
+};
+}  // namespace detail
+
+/// Monotonic event count. add() bumps the calling thread's stripe (or the
+/// shared cell); value() sums the cells (exact once writers quiesce).
+class Counter {
+ public:
+  Counter() = default;
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
+  void add(std::int64_t n = 1) { cells_.add(n); }
+  std::int64_t value() const { return cells_.value(); }
 
  private:
-  std::array<detail::PaddedAtomic, kStripes> cells_;
+  detail::StripedSum cells_;
 };
 
 /// A level that moves both ways through deltas (queue depth, in-flight
@@ -76,32 +111,16 @@ class Counter {
 /// being pushed on every transition.
 class Gauge {
  public:
-  static constexpr std::size_t kStripes = 16;
-
   Gauge() = default;
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void add(std::int64_t delta) {
-    cells_[thread_lane() & (kStripes - 1)].v.fetch_add(
-        delta, std::memory_order_relaxed);
-  }
+  void add(std::int64_t delta) { cells_.add(delta); }
   void sub(std::int64_t delta) { add(-delta); }
-
-  std::int64_t value() const {
-    std::int64_t sum = 0;
-    for (const auto& cell : cells_) {
-      sum += cell.v.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
-  void reset() {
-    for (auto& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-  }
+  std::int64_t value() const { return cells_.value(); }
 
  private:
-  std::array<detail::PaddedAtomic, kStripes> cells_;
+  detail::StripedSum cells_;
 };
 
 /// Fixed log-linear histogram for non-negative integer samples (latencies

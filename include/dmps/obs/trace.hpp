@@ -92,19 +92,21 @@ class TraceRing {
   /// Append; when full, the oldest event is overwritten and counted.
   void push(const TraceEvent& ev);
 
-  std::size_t capacity() const { return ring_.size(); }
-  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return ring_.size(); }
   std::uint64_t dropped() const { return dropped_; }
   /// Retained events oldest-first, i in [0, size()).
   const TraceEvent& at(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
+    return ring_[(head_ + i) % capacity_];
   }
   void clear();
 
  private:
+  // Reserved at construction and appended to until full, so no slot is
+  // written (and no page touched) before its first event arrives.
   std::vector<TraceEvent> ring_;
+  std::size_t capacity_;
   std::size_t head_ = 0;  // oldest retained event
-  std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
 };
 

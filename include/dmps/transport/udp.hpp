@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "clock/drift_clock.hpp"
+#include "util/flat_map.hpp"
 #include "util/sync.hpp"
 #include "obs/registry.hpp"
 #include "transport/endpoint.hpp"
@@ -130,8 +131,8 @@ class UdpLoop {
   bool stopped_ DMPS_GUARDED_BY(on_loop) = false;
 };
 
-/// The loop's timeline as a clk::Clock, so arbitration (FloorService grant
-/// stamps) can run off wall time in a daemon.
+/// The loop's timeline as a clk::Clock. Arbitration reads no clock, so in
+/// a daemon this only fills ShardedFloorService's unused clock argument.
 class LoopClock final : public clk::Clock {
  public:
   explicit LoopClock(const UdpLoop& loop) : loop_(loop) {}
@@ -221,9 +222,8 @@ class UdpEndpoint final : public Endpoint {
   };
   // NodeId value = index
   std::vector<Peer> peers_ DMPS_GUARDED_BY(loop_.on_loop);
-  // addr key -> index
-  std::unordered_map<std::uint64_t, std::uint32_t> peer_ids_
-      DMPS_GUARDED_BY(loop_.on_loop);
+  // addr key (ip << 16 | port, 48 bits: never FlatMap's empty key) -> index
+  util::FlatMap<std::uint32_t> peer_ids_ DMPS_GUARDED_BY(loop_.on_loop);
 
   // by interned MsgType value
   std::vector<Handler> handlers_ DMPS_GUARDED_BY(loop_.on_loop);

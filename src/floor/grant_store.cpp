@@ -10,7 +10,7 @@ void GrantStore::set_capacity(resource::Resource capacity) {
   suspended_.clear();
   grants_.clear();
   free_slots_.clear();
-  for (auto& [key, slots] : holder_index_) slots.clear();
+  holder_index_.for_each([](std::uint64_t, auto& slots) { slots.clear(); });
 }
 
 // dmps-lint: hot-begin(grant-store-mutate) — every grant mutation path
@@ -30,15 +30,15 @@ std::size_t GrantStore::alloc_slot(Grant grant) {
 GrantStore::HolderRelease GrantStore::release_holder(MemberId member,
                                                      GroupId group) {
   HolderRelease result;
-  const auto it = holder_index_.find(holder_key(member, group));
-  if (it == holder_index_.end() || it->second.empty()) return result;
+  auto* const slots = holder_index_.find(holder_key(member, group));
+  if (slots == nullptr || slots->empty()) return result;
 
   result.released = true;
 
   // Iterate the slot list in place, then clear it but keep the entry: the
   // loop body never touches holder_index_, and the kept storage is what
   // keeps a steady-state request/release cycle off the heap.
-  for (const std::uint32_t idx : it->second) {
+  for (const std::uint32_t idx : *slots) {
     Grant& grant = grants_[idx];
     if (grant.released) continue;
     grant.released = true;
@@ -54,7 +54,7 @@ GrantStore::HolderRelease GrantStore::release_holder(MemberId member,
     }
     free_slots_.push_back(idx);
   }
-  it->second.clear();
+  slots->clear();
   return result;
 }
 
@@ -92,10 +92,10 @@ void GrantStore::commit_grant(MemberId member, GroupId group,
                               const resource::Resource& need, int priority) {
   manager_.reserve(need);
   const std::uint64_t seq = next_seq_++;
-  const std::size_t idx = alloc_slot(
-      Grant{member, group, need, priority, seq, clock_.now(), false, false});
+  const std::size_t idx =
+      alloc_slot(Grant{member, group, need, priority, seq, false, false});
   active_.emplace(IndexKey{priority, seq}, idx);
-  // A holder's first grant inserts its index node; release_holder() keeps
+  // A holder's first grant inserts its index entry; release_holder() keeps
   // the emptied entry, so the steady request/release cycle reuses it.
   // dmps-lint: allow-next(hot-unordered-map)
   holder_index_[holder_key(member, group)].push_back(

@@ -1,6 +1,5 @@
 #include "floor/group.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -25,12 +24,22 @@ std::string_view to_string(PolicyKind kind) {
   return "unknown";
 }
 
-bool GroupSnapshot::in_group(MemberId member, GroupId group) const {
-  if (!has_group(group)) return false;
-  const Group& g = (*groups)[group.value()];
-  return std::binary_search(g.sorted_members.begin(), g.sorted_members.end(),
-                            member);
+namespace {
+/// Set (`in`) or clear `member`'s bit in the group's member_bits; false when
+/// it already had that value.
+bool flip_member_bit(Group& group, MemberId member, bool in) {
+  const std::size_t word = member.value() / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (member.value() % 64);
+  if (word >= group.member_bits.size()) {
+    if (!in) return false;
+    group.member_bits.resize(word + 1, 0);
+  }
+  std::uint64_t& bits = group.member_bits[word];
+  if (((bits & bit) != 0) == in) return false;
+  bits ^= bit;
+  return true;
 }
+}  // namespace
 
 GroupRegistry::GroupRegistry() {
   util::RecursiveMutexLock lock(mu_);
@@ -84,7 +93,8 @@ GroupId GroupRegistry::create_group(std::string name, FcmMode mode,
   if (chair.value() >= members_.size()) {
     throw std::invalid_argument("create_group: chair is not a registered member");
   }
-  groups_.push_back(Group{std::move(name), mode, policy, chair, {chair}, {chair}});
+  groups_.push_back(Group{std::move(name), mode, policy, chair, {}});
+  flip_member_bit(groups_.back(), chair, true);
   groups_dirty_ = true;
   const GroupId id(static_cast<GroupId::value_type>(groups_.size() - 1));
   publish_if_unbatched_locked();
@@ -96,12 +106,9 @@ bool GroupRegistry::join(MemberId member, GroupId group) {
   if (member.value() >= members_.size() || group.value() >= groups_.size()) {
     return false;
   }
-  Group& g = groups_[group.value()];
-  const auto at = std::lower_bound(g.sorted_members.begin(),
-                                   g.sorted_members.end(), member);
-  if (at != g.sorted_members.end() && *at == member) return false;  // already in
-  g.sorted_members.insert(at, member);
-  g.members.push_back(member);
+  if (!flip_member_bit(groups_[group.value()], member, true)) {
+    return false;  // already in
+  }
   groups_dirty_ = true;
   publish_if_unbatched_locked();
   return true;
@@ -112,11 +119,7 @@ bool GroupRegistry::leave(MemberId member, GroupId group) {
   if (group.value() >= groups_.size()) return false;
   Group& g = groups_[group.value()];
   if (member == g.chair) return false;  // the chair anchors the group
-  const auto at = std::lower_bound(g.sorted_members.begin(),
-                                   g.sorted_members.end(), member);
-  if (at == g.sorted_members.end() || *at != member) return false;
-  g.sorted_members.erase(at);
-  g.members.erase(std::find(g.members.begin(), g.members.end(), member));
+  if (!flip_member_bit(g, member, false)) return false;  // not in
   groups_dirty_ = true;
   publish_if_unbatched_locked();
   return true;

@@ -4,12 +4,12 @@
 
 namespace dmps::floorctl {
 
-FloorService::FloorService(const GroupRegistry& registry, clk::Clock& clock,
+FloorService::FloorService(const GroupRegistry& registry,
                            resource::Thresholds thresholds, HostId host,
                            resource::Resource capacity)
     : registry_(registry),
       host_(host),
-      store_(clock, capacity),
+      store_(capacity),
       three_regime_(thresholds),
       queueing_(three_regime_),
       // Resolved at construction (setup phase) so the global pack's lazy

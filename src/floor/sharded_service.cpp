@@ -37,10 +37,9 @@ Result await(Submit&& submit) {
 }  // namespace
 
 ShardedFloorService::ShardedFloorService(const GroupRegistry& registry,
-                                         clk::Clock& clock,
+                                         clk::Clock& /*unused*/,
                                          resource::Thresholds thresholds)
     : registry_(registry),
-      clock_(clock),
       thresholds_(thresholds),
       // Resolved here (setup phase) so the global pack's lazy registration
       // can never fire inside an alloc-probed worker drain.
@@ -56,8 +55,8 @@ void ShardedFloorService::add_host(HostId host, resource::Resource capacity) {
         "ShardedFloorService::add_host is setup-phase only "
         "(call before start())");
   }
-  auto [it, created] = shards_.try_emplace(host.value(), registry_, clock_,
-                                           thresholds_, host, capacity);
+  auto [it, created] =
+      shards_.try_emplace(host.value(), registry_, thresholds_, host, capacity);
   FloorService& service = it->second.service;
   if (!created) {
     service.set_capacity(capacity);
@@ -200,10 +199,10 @@ void ShardedFloorService::drop_route(MemberId member, GroupId group,
   const std::uint64_t key = holder_key(member, group);
   RouteStripe& s = stripe(key);
   util::MutexLock lock(s.mu);
-  const auto it = s.routes.find(key);
-  if (it == s.routes.end()) return;
+  RouteList* const found = s.routes.find(key);
+  if (found == nullptr) return;
   // Compact in place and keep the (possibly empty) entry.
-  auto& hosts = it->second;
+  RouteList& hosts = *found;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     if (hosts[i] != host) hosts[keep++] = hosts[i];
@@ -217,10 +216,10 @@ ShardedFloorService::RouteList ShardedFloorService::take_routes(
   RouteStripe& s = stripe(key);
   RouteList hosts;
   util::MutexLock lock(s.mu);
-  const auto it = s.routes.find(key);
-  if (it == s.routes.end()) return hosts;
-  for (const HostId host : it->second) hosts.push_back(host);
-  it->second.clear();  // keep the emptied entry (see drop_route)
+  RouteList* const found = s.routes.find(key);
+  if (found == nullptr) return hosts;
+  for (const HostId host : *found) hosts.push_back(host);
+  found->clear();  // keep the emptied entry (see drop_route)
   return hosts;
 }
 // dmps-lint: hot-end

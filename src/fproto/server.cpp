@@ -111,8 +111,7 @@ void FloorServer::handle_leave(const net::Message& msg) {
 
 // dmps-lint: hot-begin(fproto-server) — request/release bookkeeping
 FloorServer::MemberRecord* FloorServer::record_of(floorctl::MemberId member) {
-  const auto it = records_.find(member.value());
-  if (it != records_.end()) return &it->second;
+  if (MemberRecord* const record = records_.find(member.value())) return record;
   if (!registry_.has_member(member)) return nullptr;
   // First contact: once per registered member, so the insert is cold.
   // dmps-lint: allow-next(hot-unordered-map)
@@ -121,12 +120,12 @@ FloorServer::MemberRecord* FloorServer::record_of(floorctl::MemberId member) {
 
 FloorServer::MemberRecord* FloorServer::record_in(
     const floorctl::Holder& holder, Status status) {
-  const auto it = records_.find(holder.member.value());
-  if (it == records_.end() || it->second.status != status ||
-      it->second.group != holder.group) {
+  MemberRecord* const record = records_.find(holder.member.value());
+  if (record == nullptr || record->status != status ||
+      record->group != holder.group) {
     return nullptr;
   }
-  return &it->second;
+  return record;
 }
 
 void FloorServer::send_reply(net::NodeId node, const MemberRecord& record) {
@@ -259,12 +258,11 @@ void FloorServer::handle_release(const net::Message& msg) {
 
 void FloorServer::release_holder(floorctl::MemberId member,
                                  floorctl::GroupId group) {
-  const auto it = records_.find(member.value());
-  if (it == records_.end() || it->second.group != group) return;
-  MemberRecord& record = it->second;
-  if (record.status == Status::kHeld) {
-    record.status = Status::kReleased;
-  } else if (record.status != Status::kQueued) {
+  MemberRecord* const record = records_.find(member.value());
+  if (record == nullptr || record->group != group) return;
+  if (record->status == Status::kHeld) {
+    record->status = Status::kReleased;
+  } else if (record->status != Status::kQueued) {
     return;  // holds nothing and has nothing parked
   }
   const floorctl::ReleaseResult result = service_.release(member, group);

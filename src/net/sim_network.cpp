@@ -1,6 +1,5 @@
 #include "net/sim_network.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <unordered_map>
@@ -11,14 +10,6 @@ namespace dmps::net {
 namespace {
 std::uint64_t pair_key(NodeId from, NodeId to) {
   return (static_cast<std::uint64_t>(from.value()) << 32) | to.value();
-}
-
-// The key of two invalid ids: no node pair has it.
-constexpr std::uint64_t kNoLink = ~std::uint64_t{0};
-
-// Fibonacci hashing: the product's high half mixes both node ids.
-std::size_t link_hash(std::uint64_t key) {
-  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15u) >> 32);
 }
 
 // Process-wide intern table. The library is single-threaded (everything
@@ -67,35 +58,13 @@ void SimNetwork::set_link(NodeId from, NodeId to, LinkQuality quality) {
   if (from.value() >= nodes_.size() || to.value() >= nodes_.size()) {
     throw std::out_of_range("SimNetwork::set_link: unknown node");
   }
-  if (2 * (link_count_ + 1) > links_.size()) {
-    std::vector<LinkSlot> old = std::move(links_);
-    links_.assign(std::max<std::size_t>(16, 2 * old.size()), LinkSlot{kNoLink, {}});
-    for (const LinkSlot& s : old) {
-      if (s.key != kNoLink) links_[probe(s.key)] = s;
-    }
-  }
-  const std::uint64_t key = pair_key(from, to);
-  LinkSlot& slot = links_[probe(key)];
-  if (slot.key == kNoLink) {
-    slot.key = key;
-    ++link_count_;
-  }
-  slot.quality = quality;
+  links_[pair_key(from, to)] = quality;
 }
 
 // dmps-lint: hot-begin(sim-deliver) — per send: link lookup, park, post
-std::size_t SimNetwork::probe(std::uint64_t key) const {
-  // The slot holding `key`, or the empty slot that ends its probe run.
-  const std::size_t mask = links_.size() - 1;
-  std::size_t i = link_hash(key) & mask;
-  while (links_[i].key != kNoLink && links_[i].key != key) i = (i + 1) & mask;
-  return i;
-}
-
 const LinkQuality& SimNetwork::link(NodeId from, NodeId to) const {
-  if (links_.empty()) return default_link_;
-  const LinkSlot& slot = links_[probe(pair_key(from, to))];
-  return slot.key == kNoLink ? default_link_ : slot.quality;
+  const LinkQuality* quality = links_.find(pair_key(from, to));
+  return quality != nullptr ? *quality : default_link_;
 }
 
 void SimNetwork::send(Message msg) {

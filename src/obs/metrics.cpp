@@ -2,11 +2,9 @@
 
 namespace dmps::obs {
 
-std::size_t thread_lane() {
+std::size_t detail::next_thread_lane() {
   static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t lane =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return lane;
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 namespace {

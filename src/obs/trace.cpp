@@ -30,23 +30,24 @@ std::string_view to_string(Ev kind) {
 // ---------------------------------------------------------------- TraceRing
 
 TraceRing::TraceRing(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {
+  ring_.reserve(capacity_);
+}
 
 void TraceRing::push(const TraceEvent& ev) {
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = ev;
-    ++size_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(ev);  // within the reserved storage: never reallocates
     return;
   }
   // Full: overwrite the oldest so the retained window is always the newest.
   ring_[head_] = ev;
-  head_ = (head_ + 1) % ring_.size();
+  head_ = (head_ + 1) % capacity_;
   ++dropped_;
 }
 
 void TraceRing::clear() {
+  ring_.clear();  // keeps the reserved storage
   head_ = 0;
-  size_ = 0;
   dropped_ = 0;
 }
 

@@ -187,14 +187,15 @@ UdpEndpoint::~UdpEndpoint() {
 // drain_socket; the warm path is one hash lookup, no mutation.
 net::NodeId UdpEndpoint::intern_peer(std::uint32_t ip_be, std::uint16_t port_be) {
   const std::uint64_t key = addr_key(ip_be, port_be);
-  const auto it = peer_ids_.find(key);
-  if (it != peer_ids_.end()) return net::NodeId{it->second};
+  if (const std::uint32_t* const known = peer_ids_.find(key)) {
+    return net::NodeId{*known};
+  }
   const auto index = static_cast<std::uint32_t>(peers_.size());
   peers_.push_back(Peer{ip_be, port_be});
   // First datagram from an address mints its NodeId — once per peer, so
   // the insert is cold by construction.
   // dmps-lint: allow-next(hot-unordered-map)
-  peer_ids_.emplace(key, index);
+  peer_ids_[key] = index;
   return net::NodeId{index};
 }
 // dmps-lint: hot-end

@@ -20,12 +20,10 @@ using resource::Resource;
 using resource::Thresholds;
 
 struct ServiceFixture : ::testing::Test {
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
   GroupRegistry registry;
   HostId host{1};
   // beta = 1/16 so the exact-boundary cases below are binary-exact.
-  FloorService service{registry, clock, Thresholds{0.25, 0.0625}, host,
+  FloorService service{registry, Thresholds{0.25, 0.0625}, host,
                        Resource{1.0, 1.0, 1.0}};
   GroupId group;
   MemberId chair, low1, low2, low3, mid;
@@ -720,6 +718,8 @@ TEST_F(ServiceFixture, ExplainRendersEachReasonCodeAsItsSentence) {
   FloorRequest stranger = req(low1, 0.1);
   stranger.host = HostId{99};
   row(service.request(stranger), Reason::kUnknownHost, "unknown host station");
+  sim::Simulator sim;
+  clk::TrueClock clock{sim};
   ShardedFloorService stopped{registry, clock, service.thresholds()};
   stopped.add_host(host, Resource{1.0, 1.0, 1.0});
   stopped.start(1);
@@ -749,6 +749,20 @@ TEST(GroupRegistry, JoinLeaveChairRules) {
   EXPECT_FALSE(registry.leave(chair, group));  // the chair anchors the group
   EXPECT_TRUE(registry.leave(member, group));
   EXPECT_FALSE(registry.in_group(member, group));
+  // Membership bits span words: ids past the chair's first 64-bit word join,
+  // test and leave one bit each, and never touch their neighbours.
+  std::vector<MemberId> more;
+  for (int i = 0; i < 130; ++i) more.push_back(registry.add_member("x", 1, HostId{1}));
+  EXPECT_FALSE(registry.leave(more[129], group));  // past the last word: not in
+  EXPECT_TRUE(registry.join(more[128], group));
+  EXPECT_TRUE(registry.join(more[63], group));
+  EXPECT_TRUE(registry.in_group(more[128], group));
+  EXPECT_FALSE(registry.in_group(more[127], group));
+  EXPECT_FALSE(registry.in_group(more[129], group));
+  EXPECT_TRUE(registry.leave(more[128], group));
+  EXPECT_FALSE(registry.in_group(more[128], group));
+  EXPECT_TRUE(registry.in_group(more[63], group));
+  EXPECT_TRUE(registry.in_group(chair, group));
   // A group cannot be chaired by an unregistered member.
   EXPECT_THROW(registry.create_group("bad", FcmMode::kFreeAccess, MemberId{}),
                std::invalid_argument);

@@ -3,7 +3,6 @@
 #include <memory>
 #include <tuple>
 
-#include "clock/drift_clock.hpp"
 #include "fproto/agent.hpp"
 #include "fproto/codec.hpp"
 #include "fproto/server.hpp"
@@ -156,7 +155,6 @@ struct ProtoWorld {
   net::NodeId server_node;
   net::Demux server_demux;
   transport::SimTransport server_transport;
-  clk::TrueClock clock;
   GroupRegistry registry;
   HostId host{1};
   FloorService service;
@@ -185,8 +183,7 @@ struct ProtoWorld {
         server_node(network.add_node("server")),
         server_demux(network, server_node),
         server_transport(server_demux),
-        clock(sim),
-        service(registry, clock, Thresholds{0.25, 0.05}, host, capacity),
+        service(registry, Thresholds{0.25, 0.05}, host, capacity),
         server(server_transport, registry, service, {Duration::millis(120), 200}) {
     chair = registry.add_member("chair", 100, host);
     group = registry.create_group("g", mode, chair, policy);

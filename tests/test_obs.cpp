@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -38,6 +39,33 @@ TEST(ObsMetrics, CounterMergesExactlyAcrossFourThreads) {
   // Striping spreads contention; fetch_add loses nothing. The merged value
   // must be exact, not approximate.
   EXPECT_EQ(counter.value(), std::int64_t{kThreads} * kAdds);
+}
+
+TEST(ObsMetrics, CounterStaysExactPastTheExclusiveLanes) {
+  // More writers than exclusive stripes: the first 16 threads to take a
+  // lane own one each, and at least 8 of these writers share the fetch_add
+  // cell. They start together, so the shared cell is contended.
+  obs::Counter counter;
+  obs::Gauge gauge;
+  constexpr int kThreads =
+      static_cast<int>(obs::detail::StripedSum::kExclusiveLanes) + 8;
+  constexpr int kAdds = 20'000;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kAdds; ++i) {
+        counter.add();
+        gauge.add(3);
+        gauge.sub(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(counter.value(), std::int64_t{kThreads} * kAdds);
+  EXPECT_EQ(gauge.value(), std::int64_t{2} * kThreads * kAdds);
 }
 
 TEST(ObsMetrics, GaugeDeltasCancelAcrossThreads) {

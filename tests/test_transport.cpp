@@ -363,11 +363,9 @@ struct UdpWorld {
   transport::UdpLoop loop;
   obs::MetricsRegistry metrics;
   obs::WireInstruments wire{metrics};
-  transport::LoopClock clock{loop};
   transport::UdpEndpoint server_ep{loop, fproto::wire_schema(), 0, &wire};
   floorctl::GroupRegistry registry;
-  floorctl::FloorService service{registry, clock,
-                                 resource::Thresholds{0.25, 0.05},
+  floorctl::FloorService service{registry, resource::Thresholds{0.25, 0.05},
                                  floorctl::HostId{1},
                                  resource::Resource{1.0, 1.0, 1.0}};
   floorctl::MemberId chair;

@@ -4,12 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <unordered_map>
 #include <vector>
 
 #include "util/duration.hpp"
+#include "util/flat_map.hpp"
 #include "util/ids.hpp"
 #include "util/mpsc_mailbox.hpp"
 #include "util/rng.hpp"
@@ -130,6 +132,75 @@ TEST(SmallVec, AtBoundsChecksAndClearKeepsStorage) {
   v.clear();
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.capacity(), cap);
+}
+
+TEST(FlatMap, GrowthKeepsEveryKeyAndItsKeptEmptyValue) {
+  using Slots = dmps::util::SmallVec<std::uint32_t, 2>;
+  dmps::util::FlatMap<Slots> map;
+  // Each entry spills its SmallVec to the heap; odd keys are then emptied
+  // and kept, like a released holder's entry.
+  constexpr std::uint32_t kKeys = 1000;
+  int growths = 0;
+  std::size_t slots = map.slot_count();
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    Slots& value = map[std::uint64_t{k} << 32 | 7];
+    for (std::uint32_t i = 0; i < 3; ++i) value.push_back(k + i);
+    if (k % 2 == 1) value.clear();
+    if (map.slot_count() != slots) ++growths;
+    slots = map.slot_count();
+    EXPECT_LE(2 * map.size(), map.slot_count());  // at most half full
+  }
+  EXPECT_GE(growths, 6);  // 16 slots doubled to 2048
+  EXPECT_EQ(map.size(), kKeys);
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    const Slots* value = map.find(std::uint64_t{k} << 32 | 7);
+    ASSERT_NE(value, nullptr) << k;
+    if (k % 2 == 1) {
+      EXPECT_TRUE(value->empty()) << k;
+      EXPECT_GE(value->capacity(), 3u) << k;  // its storage moved with it
+    } else {
+      EXPECT_EQ(*value, (Slots{k, k + 1, k + 2})) << k;
+    }
+  }
+  std::size_t visited = 0;
+  map.for_each([&](std::uint64_t key, Slots& value) {
+    ++visited;
+    EXPECT_EQ(value.empty(), (key >> 32) % 2 == 1);
+  });
+  EXPECT_EQ(visited, kKeys);
+}
+
+TEST(FlatMap, ProbeForAMissingKeyEndsAtAnEmptySlot) {
+  dmps::util::FlatMap<int> map;
+  EXPECT_EQ(map.find(3), nullptr);  // no slots yet
+  // Eight keys fill 16 slots exactly half: the fullest the table gets.
+  for (int i = 0; i < 8; ++i) map[static_cast<std::uint64_t>(i) * 16] = i;
+  ASSERT_EQ(map.slot_count(), 16u);
+  // Every probe for a missing key walks at most the occupied run it
+  // lands in and stops at an empty slot: not found, never a wrong hit.
+  for (std::uint64_t key = 0; key < 4096; ++key) {
+    const int* found = map.find(key);
+    if (key % 16 == 0 && key < 128) {
+      ASSERT_NE(found, nullptr);
+      EXPECT_EQ(*found, static_cast<int>(key / 16));
+    } else {
+      EXPECT_EQ(found, nullptr) << key;
+    }
+  }
+  map[128] = 8;  // the ninth key grows the table before it would pass half
+  EXPECT_EQ(map.slot_count(), 32u);
+}
+
+TEST(FlatMap, RefusesTheReservedKey) {
+  using Map = dmps::util::FlatMap<int>;
+  Map map;
+  EXPECT_THROW(map[Map::kEmptyKey], std::invalid_argument);
+  map[1] = 5;
+  EXPECT_THROW(map[Map::kEmptyKey] = 6, std::invalid_argument);
+  // An empty slot is never mistaken for the reserved key's entry.
+  EXPECT_EQ(map.find(Map::kEmptyKey), nullptr);
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(*map.find(1), 5);
 }
 
 TEST(MpscMailbox, FifoOrderAndCloseSemantics) {
