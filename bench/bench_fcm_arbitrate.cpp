@@ -15,14 +15,13 @@
 //
 // Micro: arbitrate+release round-trip cost vs group size.
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <new>
 #include <string>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "clock/drift_clock.hpp"
@@ -37,11 +36,11 @@
 
 #if !defined(DMPS_SANITIZED)
 // Allocation-counting operator new: every heap allocation in this binary
-// bumps the thread-local probe the worker hot loop brackets, which is how
-// the million-member sweep PROVES its zero-steady-state-allocation claim
-// instead of asserting it in a comment. Frees are not counted (recycling
-// buffers on the worker is the design). Disabled under sanitizers — their
-// interposed allocators must keep full ownership of malloc.
+// bumps the thread-local probe the million-member sweep brackets, which is
+// how that sweep PROVES its zero-steady-state-allocation claim instead of
+// asserting it in a comment. Frees are not counted (recycling buffers is
+// the design). Disabled under sanitizers — their interposed allocators
+// must keep full ownership of malloc.
 //
 // The compiler cannot see that these replacements pair new->malloc with
 // delete->free program-wide, so silence its default-new/free mismatch
@@ -98,8 +97,6 @@ struct Cluster {
   explicit Cluster(int m, double capacity = 1.0)
       : service(registry, Thresholds{0.25, 0.05}, host,
                 Resource{capacity, capacity, capacity}) {
-    // One snapshot publish for the whole population, not one per member.
-    GroupRegistry::Batch batch(registry);
     const auto chair = registry.add_member("chair", 3, host);
     group = registry.create_group("g", FcmMode::kFreeAccess, chair);
     members.push_back(chair);
@@ -203,22 +200,17 @@ struct DegradedWorld {
   DegradedWorld(int m, int k) : cluster(2, 1.0), probe_qos(0.6) {
     // Dedicated members so priorities are exact (the Cluster ctor's cycling
     // members are unused): k fat at priority 1, the rest tiny at priority 2.
-    // Registration is batched (one snapshot publish); the preload requests
-    // run after the batch closes, against the published snapshot.
     std::vector<MemberId> preload;
     preload.reserve(static_cast<std::size_t>(m));
-    {
-      GroupRegistry::Batch batch(cluster.registry);
-      prober = cluster.registry.add_member("prober", 3, cluster.host);
-      (void)cluster.registry.join(prober, cluster.group);
-      for (int i = 0; i < m; ++i) {
-        const bool is_fat = i < k;
-        const auto member = cluster.registry.add_member(
-            (is_fat ? "fat" : "tiny") + std::to_string(i), is_fat ? 1 : 2,
-            cluster.host);
-        (void)cluster.registry.join(member, cluster.group);
-        preload.push_back(member);
-      }
+    prober = cluster.registry.add_member("prober", 3, cluster.host);
+    (void)cluster.registry.join(prober, cluster.group);
+    for (int i = 0; i < m; ++i) {
+      const bool is_fat = i < k;
+      const auto member = cluster.registry.add_member(
+          (is_fat ? "fat" : "tiny") + std::to_string(i), is_fat ? 1 : 2,
+          cluster.host);
+      (void)cluster.registry.join(member, cluster.group);
+      preload.push_back(member);
     }
     const double fat = 0.4 / k;
     const double tiny = 0.4 / (m - k);
@@ -363,18 +355,15 @@ void sharded_sweep_scenario() {
     constexpr int kPerHost = 256;
     constexpr int kResident = 64;  // grants held for the whole run
     std::vector<std::vector<MemberId>> members(hosts);
-    {
-      GroupRegistry::Batch batch(registry);
-      for (int h = 0; h < hosts; ++h) {
-        const HostId host{static_cast<std::uint32_t>(h + 1)};
-        service.add_host(host, Resource{1e9, 1e9, 1e9});
-        for (int i = 0; i < kPerHost; ++i) {
-          const auto member = registry.add_member(
-              "m" + std::to_string(h) + "_" + std::to_string(i), 1 + (i % 3),
-              host);
-          (void)registry.join(member, group);
-          members[h].push_back(member);
-        }
+    for (int h = 0; h < hosts; ++h) {
+      const HostId host{static_cast<std::uint32_t>(h + 1)};
+      service.add_host(host, Resource{1e9, 1e9, 1e9});
+      for (int i = 0; i < kPerHost; ++i) {
+        const auto member = registry.add_member(
+            "m" + std::to_string(h) + "_" + std::to_string(i), 1 + (i % 3),
+            host);
+        (void)registry.join(member, group);
+        members[h].push_back(member);
       }
     }
     for (int h = 0; h < hosts; ++h) {
@@ -416,219 +405,16 @@ void sharded_sweep_scenario() {
   }
 }
 
-/// One conference world for the strong-scaling sweep: kShards hosts, each
-/// preloaded like DegradedWorld (kFat fat priority-1 holders worth 0.4 of
-/// the host plus tiny priority-2 holders worth another 0.4), with one
-/// priority-3 prober per host whose 0.6 request Media-Suspends the fat
-/// holders and whose release Media-Resumes them. Every probe+release pair
-/// is therefore a real degraded-path arbitration (ordered-index victim walk
-/// + resume sweep), the workload shards scale on.
-struct ScalingWorld {
-  static constexpr int kShards = 16;
-  static constexpr int kFat = 16;
-#ifdef DMPS_SANITIZER_THREAD
-  // TSan slows the sweep ~10x; shrink the load so the tsan CI job still
-  // runs every scenario end to end.
-  static constexpr int kTiny = 96;
-  static constexpr int kPairsPerShard = 150;
-#else
-  static constexpr int kTiny = 384;
-  static constexpr int kPairsPerShard = 2500;
-#endif
-
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
-  GroupRegistry registry;
-  GroupId group;
-  std::vector<HostId> hosts;
-  std::vector<MemberId> probers;                // one per host
-  std::vector<std::vector<MemberId>> preload;   // per host, fat first
-
-  ScalingWorld() {
-    GroupRegistry::Batch batch(registry);
-    const auto chair = registry.add_member("chair", 3, HostId{1});
-    group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-    for (int h = 0; h < kShards; ++h) {
-      const HostId host{static_cast<std::uint32_t>(h + 1)};
-      hosts.push_back(host);
-      const auto prober = registry.add_member("p" + std::to_string(h), 3, host);
-      (void)registry.join(prober, group);
-      probers.push_back(prober);
-      preload.emplace_back();
-      for (int i = 0; i < kFat + kTiny; ++i) {
-        const bool is_fat = i < kFat;
-        const auto member = registry.add_member(
-            (is_fat ? "fat" : "tiny") + std::to_string(h) + "_" +
-                std::to_string(i),
-            is_fat ? 1 : 2, host);
-        (void)registry.join(member, group);
-        preload.back().push_back(member);
-      }
-    }
-  }
-
-  FloorRequest make_request(MemberId member, HostId host, double qos) const {
-    FloorRequest r;
-    r.group = group;
-    r.member = member;
-    r.host = host;
-    r.qos = media::QosRequirement{qos, qos, qos};
-    return r;
-  }
-
-  /// Seat the resident population on `service` (inline, before any
-  /// start()).
-  void populate(ShardedFloorService& service) {
-    const double fat_qos = 0.4 / kFat;
-    const double tiny_qos = 0.4 / kTiny;
-    for (int h = 0; h < kShards; ++h) {
-      service.add_host(hosts[static_cast<std::size_t>(h)],
-                       Resource{1.0, 1.0, 1.0});
-    }
-    for (int h = 0; h < kShards; ++h) {
-      const auto& members = preload[static_cast<std::size_t>(h)];
-      for (int i = 0; i < kFat + kTiny; ++i) {
-        const bool is_fat = i < kFat;
-        const auto d = service.request(make_request(
-            members[static_cast<std::size_t>(i)],
-            hosts[static_cast<std::size_t>(h)], is_fat ? fat_qos : tiny_qos));
-        if (d.outcome != Outcome::kGranted &&
-            d.outcome != Outcome::kGrantedDegraded) {
-          std::fprintf(stderr, "scaling preload failed: %s\n",
-                       explain(d, service.thresholds()).c_str());
-          std::abort();
-        }
-      }
-    }
-  }
-};
-
-void parallel_strong_scaling_scenario() {
-  // The ROADMAP scale item, measured: shards execute on real threads. Same
-  // total request load in every row — kShards shards x kPairsPerShard
-  // degraded probe+release pairs — first on an inline ShardedFloorService
-  // (the baseline the speedup column divides by), then on one started with
-  // 1..16 worker threads. The producer pipelines each shard's probe and
-  // release into the shard's mailbox (per-shard FIFO makes that safe);
-  // completions are counted by callback.
-  dmps::bench::table_header(
-      "ALG-FCM: parallel shard execution, strong scaling (16 shards, fixed "
-      "total degraded-arbitration load, workers = threads owning the shards)",
-      "mode      | workers | pairs_total | wall_ms | pairs_per_sec | "
-      "speedup_vs_seq | hw_threads");
-  const int total_pairs = ScalingWorld::kShards * ScalingWorld::kPairsPerShard;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const double probe_qos = 0.6;
-
-  // Sequential baseline: the PR-4 sharded path, one thread doing it all.
-  double seq_wall_ms = 0.0;
-  {
-    ScalingWorld world;
-    ShardedFloorService service{world.registry, world.clock,
-                                Thresholds{0.25, 0.05}};
-    world.populate(service);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < ScalingWorld::kPairsPerShard; ++i) {
-      for (int h = 0; h < ScalingWorld::kShards; ++h) {
-        const auto d = service.request(world.make_request(
-            world.probers[static_cast<std::size_t>(h)],
-            world.hosts[static_cast<std::size_t>(h)], probe_qos));
-        if (d.outcome != Outcome::kGrantedDegraded) {
-          std::fprintf(stderr, "scaling probe not degraded: %s\n",
-                       explain(d, service.thresholds()).c_str());
-          std::abort();
-        }
-        service.release(world.probers[static_cast<std::size_t>(h)],
-                        world.group);
-      }
-    }
-    seq_wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    dmps::bench::row("%-9s | %7d | %11d | %7.1f | %13.0f | %14s | %10u",
-                     "seq", 1, total_pairs, seq_wall_ms,
-                     total_pairs / (seq_wall_ms / 1000.0), "1.00", hw);
-  }
-
-  for (const std::size_t workers : {1u, 2u, 4u, 8u, 16u}) {
-    ScalingWorld world;
-    ShardedFloorService service{world.registry, world.clock,
-                                Thresholds{0.25, 0.05}};
-    world.populate(service);  // inline, then hand the shards to workers
-    service.start(workers);
-
-    std::atomic<long> degraded{0};
-    std::atomic<long> other{0};
-    std::atomic<long> released{0};
-    const auto on_decision = [&](const Decision& d) {
-      if (d.outcome == Outcome::kGrantedDegraded) {
-        degraded.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        other.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    const auto on_release = [&](const ReleaseResult&) {
-      released.fetch_add(1, std::memory_order_relaxed);
-    };
-
-    // Producers partition the shards (disjoint mailboxes keep per-shard
-    // FIFO), so op issue cost does not serialize the sweep at high worker
-    // counts the way one producer thread would.
-    const std::size_t producers = std::min<std::size_t>(workers, 4);
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      std::vector<std::thread> issue;
-      issue.reserve(producers);
-      for (std::size_t p = 0; p < producers; ++p) {
-        issue.emplace_back([&, p] {
-          for (int i = 0; i < ScalingWorld::kPairsPerShard; ++i) {
-            for (std::size_t h = p; h < ScalingWorld::kShards;
-                 h += producers) {
-              service.request(world.make_request(world.probers[h],
-                                                 world.hosts[h], probe_qos),
-                              on_decision);
-              service.release_on(world.hosts[h], world.probers[h],
-                                 world.group, on_release);
-            }
-          }
-        });
-      }
-      for (std::thread& thread : issue) thread.join();
-    }
-    service.drain();
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    // The load is only a measurement if every pair really ran the degraded
-    // path and came back.
-    if (degraded.load() != total_pairs || other.load() != 0 ||
-        released.load() != total_pairs || service.suspended_grants() != 0) {
-      std::fprintf(stderr,
-                   "parallel scaling invariant violated at workers=%zu "
-                   "(degraded=%ld other=%ld released=%ld suspended=%zu)\n",
-                   workers, degraded.load(), other.load(), released.load(),
-                   service.suspended_grants());
-      std::abort();
-    }
-    service.stop();
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2f", seq_wall_ms / wall_ms);
-    dmps::bench::row("%-9s | %7zu | %11d | %7.1f | %13.0f | %14s | %10u",
-                     "parallel", workers, total_pairs, wall_ms,
-                     total_pairs / (wall_ms / 1000.0), speedup, hw);
-  }
-}
-
 void million_member_scenario(const std::string& trace_out) {
   // The memory-diet acceptance run: a whole conference population — one
-  // million member stations by default — spread over 64 host shards folded
-  // onto a handful of workers, driven twice through per-op callbacks
-  // (request + release_on, pipelined into the shard mailboxes).
+  // million member stations by default — spread over 64 host shards and
+  // driven twice through request + release on the sharded facade.
   // Pass 1 is first-touch: it builds every holder-index entry, route entry
   // and pooled index node (that is where the RSS goes). Pass 2 replays the
-  // identical stream against the warm structures and must execute with
-  // ZERO heap allocations on the worker hot loop — enforced via the
-  // alloc-probe operator-new hook, not eyeballed.
+  // identical stream against the warm structures and must perform ZERO
+  // heap allocations, and so must the leave + join pairs run against the
+  // warm registry after it — enforced via the alloc-probe operator-new
+  // hook, not eyeballed.
   std::size_t member_count =
 #ifdef DMPS_SANITIZED
       50'000;  // sanitizers multiply both memory and time ~10x
@@ -640,83 +426,60 @@ void million_member_scenario(const std::string& trace_out) {
     if (parsed > 0) member_count = static_cast<std::size_t>(parsed);
   }
   constexpr std::size_t kShards = 64;
-  // Drain every kDrainEvery members: bounds outstanding grants so peak RSS
-  // reflects the member population, not an unbounded grant backlog racing
-  // ahead of its releases.
-  constexpr std::size_t kDrainEvery = 32768;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t workers = std::min<std::size_t>(hw > 0 ? hw : 1, 8);
+  constexpr std::size_t kLeaveJoinPairs = 65'536;
 
   dmps::bench::table_header(
-      "ALG-FCM: million-station memory diet (per-op request+release over "
-      "64 shards, two passes: cold first-touch, then warm steady state "
-      "which must not allocate on the worker hot loop)",
-      "members | shards | workers | drain_every | pass1_wall_ms | "
-      "pass2_wall_ms | pass2_us_per_op | hot_loop_allocs | peak_rss_mb | "
+      "ALG-FCM: million-station memory diet (request+release over 64 "
+      "shards, two passes: cold first-touch, then warm steady state; then "
+      "leave+join pairs on the warm registry; neither warm bracket may "
+      "allocate)",
+      "members | shards | pass1_wall_ms | pass2_wall_ms | pass2_us_per_op | "
+      "warm_allocs | leave_join_ns | leave_join_allocs | peak_rss_mb | "
       "alloc_probe");
 
   sim::Simulator sim;
   clk::TrueClock clock{sim};
   GroupRegistry registry;
   // Metrics and tracing stay ON during the alloc-probed warm pass: striped
-  // atomics, a preallocated ring per worker, and a fingerprint table whose
-  // keys all exist after pass 1 — so pass 2 proves observability itself is
+  // counters, a preallocated ring, and a fingerprint table whose keys all
+  // exist after pass 1 — so pass 2 proves observability itself is
   // allocation-free, not just tolerated. Actor ids are bucketed to 12 bits
-  // (4096 fingerprint keys instead of one per station) and no time source
-  // is set (pure-throughput run; fingerprints never read timestamps).
+  // (4096 fingerprint keys per shard at most instead of one per station)
+  // and no time source is set (pure-throughput run; fingerprints never
+  // read timestamps).
   obs::MetricsRegistry metrics;
-  // dmps-lint: obs-register-begin — per-sweep setup, before workers spawn.
+  // dmps-lint: obs-register-begin — per-sweep setup, before either pass.
   obs::FloorInstruments instruments(metrics);
   // dmps-lint: obs-register-end
-  obs::TraceHub trace(workers, 4096);
-  for (std::size_t w = 0; w < trace.size(); ++w) {
-    trace.tracer(w).set_actor_mask(0xFFFu);
-    trace.tracer(w).reserve_actors(4096);
-  }
+  obs::Tracer tracer(4096);
+  tracer.set_actor_mask(0xFFFu);
+  tracer.reserve_actors(4096);
   ShardedFloorService service{registry, clock, Thresholds{0.25, 0.05}};
-  service.set_observability(&instruments, nullptr);
+  service.set_observability(&instruments, &tracer);
   std::vector<HostId> hosts;
   for (std::size_t h = 0; h < kShards; ++h) {
     hosts.push_back(HostId{static_cast<std::uint32_t>(h + 1)});
     service.add_host(hosts.back(), Resource{1e9, 1e9, 1e9});
   }
-  GroupId group;
   std::vector<MemberId> members;
   members.reserve(member_count);
-  {
-    GroupRegistry::Batch batch(registry);  // one snapshot publish for all
-    const auto chair = registry.add_member("chair", 3, hosts[0]);
-    group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-    for (std::size_t i = 0; i < member_count; ++i) {
-      const auto member = registry.add_member(
-          "m" + std::to_string(i), 1 + static_cast<int>(i % 3),
-          hosts[i % kShards]);
-      (void)registry.join(member, group);
-      members.push_back(member);
-    }
+  const auto chair = registry.add_member("chair", 3, hosts[0]);
+  const GroupId group = registry.create_group("g", FcmMode::kFreeAccess, chair);
+  for (std::size_t i = 0; i < member_count; ++i) {
+    const auto member = registry.add_member(
+        "m" + std::to_string(i), 1 + static_cast<int>(i % 3),
+        hosts[i % kShards]);
+    (void)registry.join(member, group);
+    members.push_back(member);
   }
   // Every instrument is registered (the pack did it at construction);
-  // freeze so a lazy registration inside the probed loop throws instead of
+  // freeze so a lazy registration inside the probed pass throws instead of
   // silently allocating.
   metrics.freeze();
-  service.start(workers, &trace);
 
-  std::atomic<long> granted{0};
-  std::atomic<long> other{0};
-  std::atomic<long> released{0};
-  // Two captured references at most: std::function keeps such completions
-  // inline, so submitting an op allocates nothing either.
-  const auto on_decision = [&granted, &other](const Decision& d) {
-    if (d.outcome == Outcome::kGranted) {
-      granted.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      other.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  const auto on_release = [&released](const ReleaseResult& result) {
-    if (result.released) released.fetch_add(1, std::memory_order_relaxed);
-  };
-
+  long granted = 0;
+  long other = 0;
+  long released = 0;
   const auto run_pass = [&]() -> double {
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < member_count; ++i) {
@@ -725,33 +488,52 @@ void million_member_scenario(const std::string& trace_out) {
       r.member = members[i];
       r.host = hosts[i % kShards];
       r.qos = media::QosRequirement{0.001, 0.001, 0.001};
-      service.request(r, on_decision);
-      service.release_on(r.host, r.member, group, on_release);
-      if ((i + 1) % kDrainEvery == 0) service.drain();
+      if (service.request(r).outcome == Outcome::kGranted) {
+        ++granted;
+      } else {
+        ++other;
+      }
+      if (service.release(r.member, group).released) ++released;
     }
-    service.drain();
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
   };
 
   const double pass1_ms = run_pass();
-  const std::uint64_t warm_base = service.hot_loop_allocations();
+  const std::uint64_t warm_base = util::alloc_probe_count();
   const double pass2_ms = run_pass();
-  const std::uint64_t hot_allocs = service.hot_loop_allocations() - warm_base;
-  service.stop();
+  const std::uint64_t warm_allocs = util::alloc_probe_count() - warm_base;
+
+  // A wire Join or Leave on the warm registry flips one membership bit, so
+  // a pair costs the same at any population and allocates nothing.
+  const std::size_t pairs = std::min(member_count, kLeaveJoinPairs);
+  const std::uint64_t churn_base = util::alloc_probe_count();
+  const auto c0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const MemberId member = members[(i * 7919) % member_count];
+    if (!registry.leave(member, group) || !registry.join(member, group)) {
+      std::fprintf(stderr, "million sweep: leave+join pair %zu refused\n", i);
+      std::abort();
+    }
+  }
+  const double leave_join_ns =
+      std::chrono::duration<double, std::nano>(
+          std::chrono::steady_clock::now() - c0)
+          .count() /
+      static_cast<double>(pairs);
+  const std::uint64_t leave_join_allocs = util::alloc_probe_count() - churn_base;
 
   const long expected = 2 * static_cast<long>(member_count);
-  if (granted.load() != expected || other.load() != 0 ||
-      released.load() != expected) {
+  if (granted != expected || other != 0 || released != expected) {
     std::fprintf(stderr,
                  "million sweep invariant violated "
                  "(granted=%ld other=%ld released=%ld expected=%ld)\n",
-                 granted.load(), other.load(), released.load(), expected);
+                 granted, other, released, expected);
     std::abort();
   }
   // Double-entry bookkeeping: the registry's striped counters must merge
-  // to exactly what the callbacks counted (both passes, request + release).
+  // to exactly what the loop counted (both passes, request + release).
   if (metrics.value("floor.requests") != expected ||
       metrics.value("floor.granted") != expected ||
       metrics.value("floor.releases") != expected) {
@@ -766,11 +548,12 @@ void million_member_scenario(const std::string& trace_out) {
   }
 #if !defined(DMPS_SANITIZED)
   const bool probe_active = true;
-  if (hot_allocs != 0) {
+  if (warm_allocs != 0 || leave_join_allocs != 0) {
     std::fprintf(stderr,
-                 "million sweep: steady-state pass performed %llu heap "
-                 "allocation(s) on the worker hot loop (must be 0)\n",
-                 static_cast<unsigned long long>(hot_allocs));
+                 "million sweep: the warm pass performed %llu and the "
+                 "leave+join pairs %llu heap allocation(s) (both must be 0)\n",
+                 static_cast<unsigned long long>(warm_allocs),
+                 static_cast<unsigned long long>(leave_join_allocs));
     std::abort();
   }
 #else
@@ -780,31 +563,29 @@ void million_member_scenario(const std::string& trace_out) {
   const double us_per_op =
       pass2_ms * 1000.0 / (2.0 * static_cast<double>(member_count));
   dmps::bench::row(
-      "%7zu | %6zu | %7zu | %11zu | %13.1f | %13.1f | %15.3f | %15llu | "
-      "%11llu | %11s",
-      member_count, kShards, workers, kDrainEvery, pass1_ms, pass2_ms,
-      us_per_op,
-      static_cast<unsigned long long>(hot_allocs),
+      "%7zu | %6zu | %13.1f | %13.1f | %15.3f | %11llu | %13.1f | "
+      "%17llu | %11llu | %11s",
+      member_count, kShards, pass1_ms, pass2_ms, us_per_op,
+      static_cast<unsigned long long>(warm_allocs), leave_join_ns,
+      static_cast<unsigned long long>(leave_join_allocs),
       static_cast<unsigned long long>(dmps::bench::peak_rss_kb() / 1024),
       probe_active ? "on" : "off");
-  // The merged fingerprint is order-insensitive per (shard, actor) key, so
-  // thread interleavings cannot change it: deterministic. The member count
-  // is part of the scenario name — sanitizer builds and DMPS_MILLION_MEMBERS
-  // runs produce differently-keyed (hence incomparable) fingerprints rather
-  // than false gate failures.
+  // The member count is part of the scenario name — sanitizer builds and
+  // DMPS_MILLION_MEMBERS runs produce differently-keyed (hence
+  // incomparable) fingerprints rather than false gate failures.
   char scenario[64];
   std::snprintf(scenario, sizeof(scenario), "million/m%zu", member_count);
-  dmps::bench::record_fingerprint(scenario, trace.fingerprint(),
+  dmps::bench::record_fingerprint(scenario, tracer.fingerprint(),
                                   /*deterministic=*/true);
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);
     if (!out) {
       std::fprintf(stderr, "bench: cannot write %s\n", trace_out.c_str());
     } else {
-      trace.write_chrome_trace(out);
-      std::printf("wrote %s (chrome trace, %llu events dropped from rings)\n",
+      tracer.write_chrome_trace(out);
+      std::printf("wrote %s (chrome trace, %llu events dropped from the ring)\n",
                   trace_out.c_str(),
-                  static_cast<unsigned long long>(trace.dropped()));
+                  static_cast<unsigned long long>(tracer.dropped()));
     }
   }
 }
@@ -850,7 +631,6 @@ int main(int argc, char** argv) {
     degraded_sweep_scenario();
     queue_depth_sweep_scenario();
     sharded_sweep_scenario();
-    parallel_strong_scaling_scenario();
     million_member_scenario(trace_out);
   });
 }

@@ -12,7 +12,7 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
                FloorInstruments/WireInstruments pack construction) is
                only legal inside `// dmps-lint: obs-register-begin` ..
                `obs-register-end` regions — the init/ctor regions that
-               run before workers spawn. Everywhere else a new name
+               run before any hot path. Everywhere else a new name
                would first-allocate inside a hot loop.
   wire-schema  Every fproto::MsgKind enumerator must appear in the
                wire_type() table (src/fproto/codec.cpp), in the
@@ -23,8 +23,8 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
                interop bug until a daemon drops the frame. docs/WIRE.md's
                kind table and frame-limits table must match the code.
   hot          Inside `// dmps-lint: hot-begin(<name>)` .. `hot-end`
-               regions (the worker drain loop, GrantStore mutation
-               paths, the UDP rx path, arbitration): no `new`
+               regions (the sharded facade's routing, GrantStore
+               mutation paths, the UDP rx path, arbitration): no `new`
                expressions, no std::function construction, no insert
                into (or other mutation of) a std::unordered_map or
                util::FlatMap member, and no text formatting
@@ -241,7 +241,7 @@ def check_obs(root, violations, config_errors):
                 rel, idx + 1, "obs-register",
                 f"instrument creation ('{hit.group(0).strip()}') outside an "
                 "obs-register region: registration must happen in init/ctor "
-                "code before workers spawn (DESIGN.md §7, §10) — wrap the "
+                "code before any hot path runs (DESIGN.md §7, §10) — wrap the "
                 "init region in '// dmps-lint: obs-register-begin/end' or "
                 "move the call"))
         if in_region:

@@ -186,7 +186,7 @@ class ObsRegister(LintCase):
         self.assertEqual(status, 1)
         self.assertIn("obs-register", out)
         self.assertIn("src/floor/svc.cpp:2", out)
-        self.assertIn("before workers spawn", out)
+        self.assertIn("before any hot path runs", out)
 
     def test_marked_region_passes(self):
         write(self.root, "src/floor/svc.cpp",

@@ -11,17 +11,12 @@
 // or QueueingPolicy. Servers (fproto::FloorServer), sessions and benches
 // consume exactly this interface and never see grant slots or policy
 // internals. Several hosts are arbitrated by ShardedFloorService, which
-// keeps one FloorService per host station (inline or on a shard worker
-// thread) and routes each operation to it.
+// keeps one FloorService per host station and routes each operation to it.
 //
-// Conference state is read through immutable GroupSnapshots only: each
-// request arbitrates against the service's cached snapshot, refreshed with
-// one epoch probe when the registry moved. The service never mutates the
-// registry, so a FloorService is safe to drive from its own worker thread
-// while membership churns elsewhere — it simply keeps arbitrating against
-// the snapshot it read. The snapshot cache makes each instance
-// single-owner: exactly one thread may operate a given FloorService at a
-// time.
+// Conference state is read straight from the GroupRegistry: membership,
+// the group's mode, chair and policy, and the member's priority. The
+// service never mutates the registry. Like the registry, a FloorService is
+// single-threaded: it runs on the thread that owns the conference.
 //
 // Freed capacity is handled through one capacity-change hook: sweep()
 // re-runs Media-Resume and queueing promotions until a fixpoint — a
@@ -33,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "floor/grant_store.hpp"
 #include "floor/group.hpp"
@@ -63,8 +57,7 @@ class FloorService : public FloorControl {
     return store_.manager();
   }
 
-  /// FCM-Arbitrate: decide one floor request under the group's discipline,
-  /// against the registry's latest snapshot.
+  /// FCM-Arbitrate: decide one floor request under the group's discipline.
   Decision request(const FloorRequest& request) override;
 
   /// Release every floor `member` holds in `group` and drop its parked
@@ -90,8 +83,8 @@ class FloorService : public FloorControl {
 
   /// Observability (DESIGN.md §7). Instruments default to the process-
   /// global FloorInstruments pack; a session passes its own. The tracer is
-  /// optional (nullptr = no event stream). Owner-thread calls, like every
-  /// other mutation — set both before the service starts arbitrating.
+  /// optional (nullptr = no event stream). Set both before the service
+  /// starts arbitrating.
   void set_instruments(obs::FloorInstruments* instruments) {
     obs_ = instruments != nullptr ? instruments : &obs::FloorInstruments::global();
   }
@@ -100,23 +93,19 @@ class FloorService : public FloorControl {
 
  private:
   void sweep_into(ReleaseResult& out);
-  Decision decide(const GroupSnapshot& snapshot, const FloorRequest& request);
+  Decision decide(const FloorRequest& request);
   /// Fold a release/sweep result into counters and the trace.
   void record_result(const ReleaseResult& result, std::uint32_t shard_hint);
-  /// The cached snapshot, refreshed when the registry's epoch moved. Owner-
-  /// thread only (one epoch probe per call, no shared_ptr churn).
-  const GroupSnapshot& refreshed_snapshot();
 
   const GroupRegistry& registry_;
-  std::shared_ptr<const GroupSnapshot> snapshot_;  // cache for refreshed_snapshot
   HostId host_;
   GrantStore store_;
   ThreeRegimePolicy three_regime_;
   QueueingPolicy queueing_;
   obs::FloorInstruments* obs_;
   obs::Tracer* tracer_ = nullptr;
-  /// Decide-latency sampling phase (owner-thread only): one timed decide
-  /// per 64 keeps the steady-state cost of the histogram near zero.
+  /// Decide-latency sampling phase: one timed decide per 64 keeps the
+  /// steady-state cost of the histogram near zero.
   std::uint32_t decide_sample_ = 0;
 };
 

@@ -97,7 +97,6 @@ enum class Reason : std::uint8_t {
   kParkedBehind,      // queued: behind `parked_ahead` entries in the group
   kNotMember,         // denied: the requester is not in the group
   kUnknownHost,       // denied: not a host station the service arbitrates
-  kNotRunning,        // denied: the sharded service has stopped
 };
 
 struct Decision {
@@ -142,11 +141,10 @@ class FloorControl {
   virtual ReleaseResult release(MemberId member, GroupId group) = 0;
 };
 
-/// Fold one shard's release result into an accumulated one — the single
-/// merge rule ShardedFloorService applies under both of its executors, so
-/// a new ReleaseResult field cannot be dropped by one and kept by the
-/// other. An empty list takes the shard's buffer instead of copying it, so
-/// a release routed to one shard hands its lists over whole.
+/// Fold one shard's release result into an accumulated one: the merge rule
+/// ShardedFloorService::release applies per routed shard, in route order.
+/// An empty list takes the shard's buffer instead of copying it, so a
+/// release routed to one shard hands its lists over whole.
 inline void merge_release_results(ReleaseResult& into, ReleaseResult&& from) {
   const auto append = [](auto& list, auto& more) {
     if (list.empty()) {

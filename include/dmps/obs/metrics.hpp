@@ -1,18 +1,19 @@
 #pragma once
 // dmps::obs metric instruments: Counter, Gauge, Histogram.
 //
-// Design constraints (DESIGN.md §7): the instrumented hot path — the floor
-// service's shard workers inside their alloc-probed drain loop — must stay
-// steady-state allocation-free and nearly contention-free. So every
-// instrument here is a fixed-size block of atomics:
+// Design constraints (DESIGN.md §7): the instrumented hot paths — floor
+// arbitration inside the alloc-probed million sweep, the daemon's loop,
+// perf's load threads — must stay steady-state allocation-free and nearly
+// contention-free. So every instrument here is a fixed-size block of
+// atomics:
 //
 //   Counter / Gauge — 16 exclusive cache-line-padded int64 stripes plus
 //     one shared cell. The first 16 threads that ask for a lane each own a
 //     stripe and bump it with a relaxed load and store (no locked
 //     instruction: nobody else writes it); every later thread bumps the
 //     shared cell with fetch_add. Either way no update is lost. value()
-//     sums the cells (quiescent- or approximate-read semantics, like every
-//     aggregate of a started ShardedFloorService).
+//     sums the cells (exact once writers quiesce, approximate while they
+//     run).
 //   Histogram — 121 log-linear buckets plus sum and count, all relaxed
 //     atomics. Exact under concurrency (fetch_add loses nothing); callers
 //     that need to bound the per-op cost sample before recording (the
@@ -20,8 +21,8 @@
 //
 // Instruments never allocate after construction and are neither copyable
 // nor movable — a MetricsRegistry owns them at stable addresses and hands
-// out references. Pre-register everything before spawning workers; the
-// hot loop then only ever touches preallocated atomics.
+// out references. Pre-register everything before the hot path runs; it
+// then only ever touches preallocated atomics.
 
 #include <array>
 #include <atomic>

@@ -13,7 +13,7 @@
 // nothing.
 //
 // The pre-registration rule (DESIGN.md §7): register every instrument
-// before spawning workers, then freeze(). A frozen registry refuses new
+// before the hot path runs, then freeze(). A frozen registry refuses new
 // registrations with std::logic_error — catching the "first increment
 // allocates inside the alloc-probed hot loop" bug at the source. Lookups
 // and increments are always allowed.
@@ -118,7 +118,6 @@ struct FloorInstruments {
   Counter& routes_recorded;    // floor.routes_recorded
   Counter& route_fanout;       // floor.route_fanout (shards per release)
   Histogram& decide_latency_ns;  // floor.decide_latency_ns (1-in-64 sampled)
-  Histogram& mailbox_drain;      // floor.mailbox_drain (ops per pop_all)
 
   explicit FloorInstruments(MetricsRegistry& registry);
   static FloorInstruments& global();

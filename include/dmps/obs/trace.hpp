@@ -3,37 +3,32 @@
 //
 // TraceRing — a bounded single-writer ring of typed TraceEvents. Overflow
 // overwrites the OLDEST events (the newest window is what a post-mortem
-// wants) and counts drops. One ring belongs to one thread; a started
-// ShardedFloorService gives each worker its own ring through a TraceHub.
+// wants) and counts drops. One ring belongs to one thread.
 //
 // Tracer — one ring plus an online fingerprint accumulator and an optional
 // time source (sim-time for sessions, unset = 0 for pure-throughput
 // benches). emit() is the single hot-path entry: stamp, push, fold. After
 // reserve_actors(), a warm emit() performs zero heap allocations — rings
 // are preallocated and the accumulator is a fixed open-addressing table —
-// so tracing can stay on inside the alloc-probed million sweep.
+// so tracing can stay on inside the alloc-probed million sweep. Export is
+// Chrome trace-event JSON ({"traceEvents":[...]}, loadable in
+// chrome://tracing or Perfetto; pid = shard, tid = actor).
 //
 // Fingerprint (the inet-style regression hash): per (shard, actor) key the
 // accumulator keeps a commutative mod-2^64 sum of each event's mix64 hash
-// — ORDER-INSENSITIVE within a station, so thread interleavings across
-// stations cannot change it. The scenario fingerprint then combines the
-// per-key sums ORDER-SENSITIVELY in canonical (sorted-key) order with a
-// chained mix. Timestamps and floats never enter the hash (ids, kinds,
-// args and integer values only), so the fingerprint is bit-identical
-// across compilers and across runs of any deterministic scenario.
-// Mailbox drain events are trace-only (kFingerprintMask): their cadence
-// depends on thread timing even when the decisions don't.
-//
-// TraceHub — N tracers (one per worker) plus merged-fingerprint and
-// Chrome trace-event export ({"traceEvents":[...]}, loadable in
-// chrome://tracing or Perfetto; pid = shard, tid = actor).
+// — ORDER-INSENSITIVE within a station, so how events from different
+// stations interleave cannot change it. The scenario fingerprint then
+// combines the per-key sums ORDER-SENSITIVELY in canonical (sorted-key)
+// order with a chained mix. Timestamps and floats never enter the hash
+// (ids, kinds, args and integer values only), so the fingerprint is
+// bit-identical across compilers and across runs of any deterministic
+// scenario. Every event kind is folded.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/sync.hpp"
@@ -55,21 +50,13 @@ enum class Ev : std::uint8_t {
   kRetransmit,      // fproto retransmission (client op or server notify)
   kDupDrop,         // duplicate/stale message suppressed
   kReplayHit,       // server answered a duplicate from its stored reply
-  kMailboxDrain,    // worker drained a backlog (value = size; trace-only)
-  kCount,
 };
 
 std::string_view to_string(Ev kind);
 
-/// Events folded into the fingerprint. Mailbox cadence is thread-timing-
-/// dependent even in deterministic scenarios, so drains stay trace-only.
-constexpr std::uint32_t kFingerprintMask =
-    ((1u << static_cast<unsigned>(Ev::kCount)) - 1u) &
-    ~(1u << static_cast<unsigned>(Ev::kMailboxDrain));
-
 struct TraceEvent {
   std::int64_t ts_us = 0;  // time-source stamp; 0 when no source is set
-  std::int64_t value = 0;  // event payload (request id, pass count, size)
+  std::int64_t value = 0;  // event payload (request id, pass count)
   std::uint32_t actor = 0;  // member/station id
   std::uint32_t shard = 0;  // host/shard id (0 when unknown)
   Ev kind = Ev::kRequest;
@@ -123,9 +110,6 @@ class FingerprintAccumulator {
   /// Canonical combine: per-key sums in sorted-key order through a chained
   /// mix. Snapshot-time only (sorts a copy of the live keys).
   std::uint64_t fingerprint() const;
-  /// Append the live (key, sum) pairs (unsorted) — TraceHub merges tracers
-  /// through this.
-  void collect(std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const;
   std::size_t key_count() const { return used_; }
   void clear();
 
@@ -138,11 +122,6 @@ class FingerprintAccumulator {
   std::vector<std::uint8_t> occupied_;
   std::size_t used_ = 0;
 };
-
-/// Combine per-(shard, actor) sums into one scenario fingerprint: sort by
-/// key, chain-mix. The one combine rule Tracer and TraceHub share.
-std::uint64_t combine_fingerprint(
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> entries);
 
 class Tracer {
  public:
@@ -177,7 +156,7 @@ class Tracer {
     ev.kind = kind;
     ev.arg = arg;
     ring_.push(ev);
-    if ((kFingerprintMask >> static_cast<unsigned>(kind)) & 1u) fp_.fold(ev);
+    fp_.fold(ev);
   }
 
   const TraceRing& ring() const {
@@ -189,52 +168,22 @@ class Tracer {
     return ring_.dropped();
   }
   std::uint64_t fingerprint() const;
-  void collect_fingerprint(
-      std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const {
-    writer_.assert_held();
-    fp_.collect(out);
-  }
   /// Chrome trace-event JSON of this tracer's retained ring.
   void write_chrome_trace(std::ostream& out) const;
   void clear();
 
+ private:
   /// The single-writer affinity capability (DESIGN.md §10). Every entry
   /// point asserts it, so the "one ring, one thread" comment up top is a
   /// -Wthread-safety-checked contract: a second code path reaching ring_
   /// or fp_ without going through an asserting entry point is a build
-  /// break. The role ships unbound (the runtime check is inert) because
-  /// ownership legitimately migrates — workers emit, then the hub merges
-  /// after join; binding is available for components that never hand off.
-  util::ThreadRole& writer_role() const { return writer_; }
-
- private:
+  /// break. The role is never bound, so its debug-build thread check is
+  /// inert: a tracer is written by whichever one thread drives its owner.
   mutable util::ThreadRole writer_;
   TraceRing ring_ DMPS_GUARDED_BY(writer_);
   FingerprintAccumulator fp_ DMPS_GUARDED_BY(writer_);
   std::function<std::int64_t()> now_ DMPS_GUARDED_BY(writer_);
   std::uint32_t actor_mask_ DMPS_GUARDED_BY(writer_) = ~0u;
-};
-
-class TraceHub {
- public:
-  TraceHub(std::size_t tracers, std::size_t ring_capacity = 8192);
-
-  std::size_t size() const { return tracers_.size(); }
-  Tracer& tracer(std::size_t i) { return tracers_[i]; }
-  const Tracer& tracer(std::size_t i) const { return tracers_[i]; }
-
-  void set_time_source(const std::function<std::int64_t()>& now_us);
-
-  /// Merged scenario fingerprint: per-key sums summed across tracers, then
-  /// the canonical sorted-key combine. Quiescent-state read.
-  std::uint64_t fingerprint() const;
-  std::uint64_t dropped() const;
-  /// One Chrome trace with every tracer's retained events.
-  void write_chrome_trace(std::ostream& out) const;
-  void clear();
-
- private:
-  std::vector<Tracer> tracers_;
 };
 
 }  // namespace dmps::obs

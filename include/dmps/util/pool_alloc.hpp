@@ -12,8 +12,8 @@
 // seen its peak population, steady-state insert/erase cycles allocate
 // nothing.
 //
-// Scope, deliberately narrow: single-threaded containers only (the
-// per-shard index maps are worker-owned), and the pool recycles exactly
+// Scope, deliberately narrow: single-threaded containers only (each
+// per-shard index map belongs to its shard), and the pool recycles exactly
 // one node size — the first single-object allocation claims it; anything
 // else (array allocations, differently-sized rebinds) passes through to
 // the global heap untouched.

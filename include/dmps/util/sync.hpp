@@ -7,7 +7,6 @@
 // instead of raw std::mutex; the wrappers add no state and no behavior.
 
 #include <cassert>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 
@@ -22,85 +21,23 @@ class DMPS_CAPABILITY("mutex") Mutex {
   void unlock() DMPS_RELEASE() { mu_.unlock(); }
   bool try_lock() DMPS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  // For condition-variable waits; the capability bookkeeping lives on the
-  // scoped MutexLock that wraps this.
-  std::mutex& native() { return mu_; }
-
  private:
   std::mutex mu_;
 };
 
-// A std::recursive_mutex the analysis knows about. The analysis itself
-// cannot model re-entrant acquisition (that needs clang 20's reentrant
-// capabilities), so the one place that nests — GroupRegistry::Batch —
-// is opted out explicitly and documented; everything else uses this
-// exactly like Mutex and stays checked.
-class DMPS_CAPABILITY("mutex") RecursiveMutex {
- public:
-  void lock() DMPS_ACQUIRE() { mu_.lock(); }
-  void unlock() DMPS_RELEASE() { mu_.unlock(); }
-  bool try_lock() DMPS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
- private:
-  std::recursive_mutex mu_;
-};
-
-// std::lock_guard / std::unique_lock replacement for Mutex. Always owns
-// the lock for its full scope (no deferred/adopted modes — nothing in
-// the codebase needs them, and fewer modes means the analysis models it
-// exactly).
+// std::lock_guard replacement for Mutex. Always owns the lock for its
+// full scope (no deferred/adopted modes — nothing in the codebase needs
+// them, and fewer modes means the analysis models it exactly).
 class DMPS_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) DMPS_ACQUIRE(mu) : lock_(mu.native()), mu_(mu) {}
-  ~MutexLock() DMPS_RELEASE() = default;
+  explicit MutexLock(Mutex& mu) DMPS_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  ~MutexLock() DMPS_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  // Condition-variable plumbing; only CondVar::wait should touch this.
-  std::unique_lock<std::mutex>& native() { return lock_; }
-  Mutex& mutex() { return mu_; }
-
  private:
-  std::unique_lock<std::mutex> lock_;
   Mutex& mu_;
-};
-
-// std::lock_guard replacement for RecursiveMutex.
-class DMPS_SCOPED_CAPABILITY RecursiveMutexLock {
- public:
-  explicit RecursiveMutexLock(RecursiveMutex& mu) DMPS_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~RecursiveMutexLock() DMPS_RELEASE() { mu_.unlock(); }
-
-  RecursiveMutexLock(const RecursiveMutexLock&) = delete;
-  RecursiveMutexLock& operator=(const RecursiveMutexLock&) = delete;
-
- private:
-  RecursiveMutex& mu_;
-};
-
-// Condition variable paired with Mutex/MutexLock. wait() names the mutex
-// explicitly so the analysis checks the exact capability the caller
-// holds (it cannot see through an accessor on the lock object); the
-// MutexLock supplies the std::unique_lock the std primitive needs. The
-// capability is treated as held across the wait, which matches the
-// std::condition_variable contract (reacquired before return). Callers
-// use explicit while-loops, not predicate lambdas — lambdas don't
-// inherit the enclosing function's capability set, while the loop body
-// is analyzed in place.
-class CondVar {
- public:
-  void wait([[maybe_unused]] Mutex& mu, MutexLock& lock) DMPS_REQUIRES(mu) {
-    assert(&lock.mutex() == &mu);
-    cv_.wait(lock.native());
-  }
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 // A data-less capability naming a thread-affinity contract ("the loop
@@ -114,7 +51,7 @@ class CondVar {
 class DMPS_CAPABILITY("role") ThreadRole {
  public:
   // Bind (or re-bind) the role to the calling thread. Called where the
-  // owning thread is decided: loop entry, worker main, tracer handout.
+  // owning thread is decided, such as a loop's entry.
   void bind_to_current_thread() { owner_ = std::this_thread::get_id(); }
 
   // Entry points of the owning thread call this; past it, the analysis

@@ -2,7 +2,7 @@
 // Clang thread-safety analysis macros (DESIGN.md §10).
 //
 // These wrap clang's capability attributes so the locking contracts the
-// floor stack states in comments ("guarded by mu_", "worker thread only",
+// stack states in comments ("guarded by mu_", "loop thread only",
 // "setup phase only") become compile-time checkable: the clang CI leg
 // builds with -Wthread-safety -Werror, so touching a guarded field without
 // its lock is a build break, not a TSan roll of the dice. Under gcc (and
@@ -30,10 +30,8 @@
 //                             become unreachable from foreign code paths
 //                             (the transport::UdpLoop / obs::Tracer
 //                             "one thread drives this" contract).
-//   DMPS_NO_THREAD_SAFETY_ANALYSIS — opt a function out; reserved for
-//                             recursive acquisition the analysis cannot
-//                             model (GroupRegistry::Batch) and documented
-//                             per use (§10 suppression policy).
+// There is no opt-out macro: a function the analysis cannot check is
+// restructured until it can.
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -62,5 +60,3 @@
 #define DMPS_ASSERT_CAPABILITY(x) \
   DMPS_THREAD_ANNOTATION(assert_capability(x))
 #define DMPS_RETURN_CAPABILITY(x) DMPS_THREAD_ANNOTATION(lock_returned(x))
-#define DMPS_NO_THREAD_SAFETY_ANALYSIS \
-  DMPS_THREAD_ANNOTATION(no_thread_safety_analysis)

@@ -53,8 +53,6 @@ std::string explain(const Decision& decision,
       return "requester is not a member of the group";
     case Reason::kUnknownHost:
       return "unknown host station";
-    case Reason::kNotRunning:
-      return "floor service is not running";
   }
   return {};
 }

@@ -13,29 +13,20 @@ FloorService::FloorService(const GroupRegistry& registry,
       three_regime_(thresholds),
       queueing_(three_regime_),
       // Resolved at construction (setup phase) so the global pack's lazy
-      // registration can never fire inside an alloc-probed worker loop.
+      // registration can never fire inside an alloc-probed run.
       obs_(&obs::FloorInstruments::global()) {}
-
-const GroupSnapshot& FloorService::refreshed_snapshot() {
-  const std::uint64_t epoch = registry_.epoch();
-  if (snapshot_ == nullptr || snapshot_->epoch != epoch) {
-    snapshot_ = registry_.snapshot();
-  }
-  return *snapshot_;
-}
 
 // dmps-lint: hot-begin(floor-decide) — every floor request and every
 // release's sweep: validation, counters and trace carry codes; nothing here
 // formats or allocates text.
 Decision FloorService::request(const FloorRequest& request) {
-  const GroupSnapshot& snapshot = refreshed_snapshot();
   obs_->requests.add();
   // 1-in-64 sampled decide latency: two clock reads per sampled op keeps
   // the histogram's steady-state cost invisible next to arbitration.
   const bool timed = (decide_sample_++ & 63u) == 0u;
   const auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
-  const Decision decision = decide(snapshot, request);
+  const Decision decision = decide(request);
   if (timed) {
     obs_->decide_latency_ns.record(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -64,11 +55,10 @@ Decision FloorService::request(const FloorRequest& request) {
   return decision;
 }
 
-Decision FloorService::decide(const GroupSnapshot& snapshot,
-                              const FloorRequest& request) {
+Decision FloorService::decide(const FloorRequest& request) {
   Decision decision;
-  if (!snapshot.has_member(request.member) ||
-      !snapshot.in_group(request.member, request.group)) {
+  if (!registry_.has_member(request.member) ||
+      !registry_.in_group(request.member, request.group)) {
     decision.reason = Reason::kNotMember;
     return decision;
   }
@@ -76,7 +66,7 @@ Decision FloorService::decide(const GroupSnapshot& snapshot,
     decision.reason = Reason::kUnknownHost;
     return decision;
   }
-  const Group& group = snapshot.group(request.group);
+  const Group& group = registry_.group(request.group);
   // Who may take the floor comes before what the host can give: a chaired
   // group, or a request asking for chaired arbitration, admits only the
   // chair. Anyone else is refused outright, never parked.
@@ -85,7 +75,7 @@ Decision FloorService::decide(const GroupSnapshot& snapshot,
     decision.reason = Reason::kNotChair;
     return decision;
   }
-  const int priority = snapshot.member(request.member).priority;
+  const int priority = registry_.member(request.member).priority;
   return group.policy == PolicyKind::kQueueing
              ? queueing_.decide(request, priority, store_)
              : three_regime_.decide(request, priority, store_);

@@ -105,10 +105,8 @@ Presentation::Presentation(SessionConfig config)
     endpoints_.push_back(std::move(endpoint));
   }
 
-  // Bulk setup: register the moderator, the group and every station member
-  // under one Batch, so the whole construction is one copy-on-write
-  // snapshot publish instead of one per member.
-  floorctl::GroupRegistry::Batch batch(registry_);
+  // The conference: the moderator chairs one group, which every station
+  // member registered below joins.
   chair_ = registry_.add_member("moderator", 1'000'000, endpoints_[0].host);
   group_ = registry_.create_group("session", floorctl::FcmMode::kFreeAccess,
                                   chair_, config_.policy);

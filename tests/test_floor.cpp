@@ -536,107 +536,94 @@ TEST(GoldenQueueingStream, DecisionsAndReleasesMatchTheRecordedHash) {
   // sharing four hosts, fed to a ShardedFloorService. qos sizes range up to
   // 0.7, so a blocked head often has fitting entries behind it; priorities
   // 1-3 let promotions Media-Suspend; members re-request while parked,
-  // release, and leave and rejoin groups. The stream runs twice, on a
-  // fresh registry each time: once with the service inline, once started
-  // on 2 workers. Both executors must reproduce the hash — the started run
-  // goes through the waiting calls, merges multi-host releases in route
-  // order, and sees the registry's leave/join between its ops.
-  const auto run = [](std::size_t workers) {
-    sim::Simulator sim;
-    clk::TrueClock clock{sim};
-    GroupRegistry registry;
-    const Thresholds thresholds{0.25, 0.05};
-    ShardedFloorService sharded{registry, clock, thresholds};
-    constexpr std::uint32_t kHosts = 4;
-    constexpr std::uint32_t kGroups = 4;
-    constexpr std::uint32_t kMembers = 48;
-    for (std::uint32_t h = 1; h <= kHosts; ++h) {
-      sharded.add_host(HostId{h}, Resource{1.0, 1.0, 1.0});
-    }
-    if (workers > 0) sharded.start(workers);
-    std::vector<GroupId> groups;
-    std::vector<MemberId> members;
-    {
-      GroupRegistry::Batch batch(registry);
-      const MemberId chair = registry.add_member("chair", 3, HostId{1});
-      for (std::uint32_t g = 0; g < kGroups; ++g) {
-        groups.push_back(registry.create_group(
-            "g" + std::to_string(g), FcmMode::kFreeAccess, chair,
-            g + 1 < kGroups ? PolicyKind::kQueueing : PolicyKind::kThreeRegime));
-      }
-      for (std::uint32_t i = 0; i < kMembers; ++i) {
-        members.push_back(registry.add_member("m" + std::to_string(i),
-                                              1 + static_cast<int>(i % 3),
-                                              HostId{1 + i % kHosts}));
-        registry.join(members.back(), groups[i % kGroups]);
-        registry.join(members.back(), groups[(i + 1) % kGroups]);
-      }
-    }
+  // release, and leave and rejoin groups. Multi-host releases merge in
+  // route order, and every op sees the registry's leave/join before it.
+  sim::Simulator sim;
+  clk::TrueClock clock{sim};
+  GroupRegistry registry;
+  const Thresholds thresholds{0.25, 0.05};
+  ShardedFloorService sharded{registry, clock, thresholds};
+  constexpr std::uint32_t kHosts = 4;
+  constexpr std::uint32_t kGroups = 4;
+  constexpr std::uint32_t kMembers = 48;
+  for (std::uint32_t h = 1; h <= kHosts; ++h) {
+    sharded.add_host(HostId{h}, Resource{1.0, 1.0, 1.0});
+  }
+  std::vector<GroupId> groups;
+  std::vector<MemberId> members;
+  const MemberId chair = registry.add_member("chair", 3, HostId{1});
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    groups.push_back(registry.create_group(
+        "g" + std::to_string(g), FcmMode::kFreeAccess, chair,
+        g + 1 < kGroups ? PolicyKind::kQueueing : PolicyKind::kThreeRegime));
+  }
+  for (std::uint32_t i = 0; i < kMembers; ++i) {
+    members.push_back(registry.add_member("m" + std::to_string(i),
+                                          1 + static_cast<int>(i % 3),
+                                          HostId{1 + i % kHosts}));
+    registry.join(members.back(), groups[i % kGroups]);
+    registry.join(members.back(), groups[(i + 1) % kGroups]);
+  }
 
-    StreamHash hash{thresholds};
-    RegimeTally tally;
-    const auto fold_decisions = [&](const FloorRequest& r) {
-      const Decision d = sharded.request(r);
-      hash.decision(d);
-      tally.decision(d);
-    };
-    const auto fold_releases = [&](MemberId m, GroupId g) {
-      const ReleaseResult r = sharded.release(m, g);
-      hash.result(r);
-      tally.result(r);
-    };
-
-    const double sizes[] = {0.05, 0.1, 0.15, 0.25, 0.3, 0.45, 0.7};
-    util::Rng rng(12);
-    for (int op = 0; op < 4000; ++op) {
-      const std::uint32_t i = static_cast<std::uint32_t>(rng.index(kMembers));
-      const MemberId member = members[i];
-      const GroupId group = groups[(i + (rng.chance(0.5) ? 1 : 0)) % kGroups];
-      if (!registry.in_group(member, group)) {  // left earlier: come back
-        hash.u64(registry.join(member, group) ? 1 : 0);
-        continue;
-      }
-      const double roll = rng.uniform();
-      if (roll < 0.55) {
-        FloorRequest r;
-        r.group = group;
-        r.member = member;
-        r.host = rng.chance(0.8)
-                     ? HostId{1 + i % kHosts}
-                     : HostId{1 + static_cast<std::uint32_t>(rng.index(kHosts))};
-        const double q = sizes[rng.index(std::size(sizes))];
-        r.qos = media::QosRequirement{q, q, q};
-        fold_decisions(r);
-      } else if (roll < 0.93) {
-        fold_releases(member, group);
-      } else {  // leave: everything held or parked in the group goes first
-        fold_releases(member, group);
-        hash.u64(registry.leave(member, group) ? 1 : 0);
-      }
-    }
-    // Drain: once every member has released everywhere, nothing is left
-    // held, suspended or parked.
-    for (std::uint32_t i = 0; i < kMembers; ++i) {
-      for (std::uint32_t k = 0; k < 2; ++k) {
-        fold_releases(members[i], groups[(i + k) % kGroups]);
-      }
-    }
-    sharded.drain();
-    EXPECT_EQ(sharded.worker_count(), workers);
-    EXPECT_EQ(sharded.active_grants() + sharded.suspended_grants(), 0u);
-    EXPECT_EQ(sharded.queued_requests(), 0u);
-
-    EXPECT_GT(tally.aborted, 0u);
-    EXPECT_GT(tally.degraded, 0u);
-    EXPECT_GT(tally.denied, 0u);
-    EXPECT_GT(tally.queued, 0u);
-    EXPECT_GT(tally.promoted, 0u);
-    EXPECT_GT(tally.suspending_promotions, 0u);
-    EXPECT_GT(tally.dequeued, 0u);
-    return hash.value;
+  StreamHash hash{thresholds};
+  RegimeTally tally;
+  const auto fold_decisions = [&](const FloorRequest& r) {
+    const Decision d = sharded.request(r);
+    hash.decision(d);
+    tally.decision(d);
   };
-  EXPECT_EQ(run(0), 0x06bb9e5471ead147ULL) << "inline executor";
-  EXPECT_EQ(run(2), 0x06bb9e5471ead147ULL) << "started on 2 workers";
+  const auto fold_releases = [&](MemberId m, GroupId g) {
+    const ReleaseResult r = sharded.release(m, g);
+    hash.result(r);
+    tally.result(r);
+  };
+
+  const double sizes[] = {0.05, 0.1, 0.15, 0.25, 0.3, 0.45, 0.7};
+  util::Rng rng(12);
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint32_t i = static_cast<std::uint32_t>(rng.index(kMembers));
+    const MemberId member = members[i];
+    const GroupId group = groups[(i + (rng.chance(0.5) ? 1 : 0)) % kGroups];
+    if (!registry.in_group(member, group)) {  // left earlier: come back
+      hash.u64(registry.join(member, group) ? 1 : 0);
+      continue;
+    }
+    const double roll = rng.uniform();
+    if (roll < 0.55) {
+      FloorRequest r;
+      r.group = group;
+      r.member = member;
+      r.host = rng.chance(0.8)
+                   ? HostId{1 + i % kHosts}
+                   : HostId{1 + static_cast<std::uint32_t>(rng.index(kHosts))};
+      const double q = sizes[rng.index(std::size(sizes))];
+      r.qos = media::QosRequirement{q, q, q};
+      fold_decisions(r);
+    } else if (roll < 0.93) {
+      fold_releases(member, group);
+    } else {  // leave: everything held or parked in the group goes first
+      fold_releases(member, group);
+      hash.u64(registry.leave(member, group) ? 1 : 0);
+    }
+  }
+  // Drain: once every member has released everywhere, nothing is left
+  // held, suspended or parked.
+  for (std::uint32_t i = 0; i < kMembers; ++i) {
+    for (std::uint32_t k = 0; k < 2; ++k) {
+      fold_releases(members[i], groups[(i + k) % kGroups]);
+    }
+  }
+  EXPECT_EQ(sharded.active_grants() + sharded.suspended_grants(), 0u);
+  EXPECT_EQ(sharded.queued_requests(), 0u);
+
+  EXPECT_GT(tally.aborted, 0u);
+  EXPECT_GT(tally.degraded, 0u);
+  EXPECT_GT(tally.denied, 0u);
+  EXPECT_GT(tally.queued, 0u);
+  EXPECT_GT(tally.promoted, 0u);
+  EXPECT_GT(tally.suspending_promotions, 0u);
+  EXPECT_GT(tally.dequeued, 0u);
+  EXPECT_EQ(hash.value, 0x06bb9e5471ead147ULL);
 }
 
 // ------------------------------------------------------------ reason text
@@ -718,14 +705,6 @@ TEST_F(ServiceFixture, ExplainRendersEachReasonCodeAsItsSentence) {
   FloorRequest stranger = req(low1, 0.1);
   stranger.host = HostId{99};
   row(service.request(stranger), Reason::kUnknownHost, "unknown host station");
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
-  ShardedFloorService stopped{registry, clock, service.thresholds()};
-  stopped.add_host(host, Resource{1.0, 1.0, 1.0});
-  stopped.start(1);
-  stopped.stop();
-  row(stopped.request(req(low1, 0.1)), Reason::kNotRunning,
-      "floor service is not running");
   row(Decision{}, Reason::kNone, "");
 
   std::set<Reason> covered;
@@ -734,7 +713,7 @@ TEST_F(ServiceFixture, ExplainRendersEachReasonCodeAsItsSentence) {
     EXPECT_EQ(explain(r.decision, service.thresholds()), r.text);
     covered.insert(r.reason);
   }
-  EXPECT_EQ(covered.size(), static_cast<std::size_t>(Reason::kNotRunning) + 1)
+  EXPECT_EQ(covered.size(), static_cast<std::size_t>(Reason::kUnknownHost) + 1)
       << "every Reason needs a row here";
 }
 
@@ -779,71 +758,6 @@ TEST(GroupRegistry, PolicySelectionLivesOnTheGroup) {
   EXPECT_TRUE(registry.set_policy(g1, PolicyKind::kQueueing));
   EXPECT_EQ(registry.group(g1).policy, PolicyKind::kQueueing);
   EXPECT_FALSE(registry.set_policy(GroupId{99}, PolicyKind::kQueueing));
-}
-
-TEST(GroupSnapshot, MutationsBumpTheEpochAndOldSnapshotsStayFrozen) {
-  GroupRegistry registry;
-  const auto before = registry.snapshot();
-  EXPECT_EQ(before->epoch, registry.epoch());
-  EXPECT_EQ(before->member_count(), 0u);
-
-  const auto chair = registry.add_member("chair", 3, HostId{1});
-  const auto snap1 = registry.snapshot();
-  EXPECT_GT(snap1->epoch, before->epoch);
-  const auto group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-  const auto member = registry.add_member("m", 1, HostId{1});
-  EXPECT_TRUE(registry.join(member, group));
-
-  // The old snapshots were never touched: immutability is the contract
-  // shard worker threads rely on while membership churns.
-  EXPECT_EQ(before->member_count(), 0u);
-  EXPECT_EQ(before->group_count(), 0u);
-  EXPECT_EQ(snap1->member_count(), 1u);
-  EXPECT_FALSE(snap1->in_group(member, group));
-
-  const auto now = registry.snapshot();
-  EXPECT_TRUE(now->in_group(member, group));
-  EXPECT_EQ(now->member(member).priority, 1);
-
-  // A failed mutation publishes nothing.
-  const auto epoch = registry.epoch();
-  EXPECT_FALSE(registry.join(member, group));  // already in
-  EXPECT_EQ(registry.epoch(), epoch);
-}
-
-TEST(GroupSnapshot, GroupOnlyMutationsShareTheMemberTable) {
-  GroupRegistry registry;
-  const auto chair = registry.add_member("chair", 3, HostId{1});
-  const auto member = registry.add_member("m", 1, HostId{1});
-  const auto group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-  const auto before = registry.snapshot();
-  EXPECT_TRUE(registry.join(member, group));
-  const auto after = registry.snapshot();
-  // join is the common runtime mutation; it copy-on-writes the group table
-  // but structurally shares the member table with the prior snapshot.
-  EXPECT_EQ(before->members.get(), after->members.get());
-  EXPECT_NE(before->groups.get(), after->groups.get());
-}
-
-TEST(GroupSnapshot, BatchScopesManyMutationsIntoOnePublish) {
-  GroupRegistry registry;
-  const auto epoch0 = registry.epoch();
-  MemberId chair, member;
-  GroupId group;
-  {
-    GroupRegistry::Batch batch(registry);
-    chair = registry.add_member("chair", 3, HostId{1});
-    group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-    member = registry.add_member("m", 1, HostId{1});
-    EXPECT_TRUE(registry.join(member, group));
-    // Nothing published yet: readers still see the pre-batch world.
-    EXPECT_EQ(registry.epoch(), epoch0);
-    EXPECT_EQ(registry.snapshot()->member_count(), 0u);
-  }
-  // One epoch bump for the whole batch, and the world is all there.
-  EXPECT_EQ(registry.epoch(), epoch0 + 1);
-  EXPECT_TRUE(registry.in_group(member, group));
-  EXPECT_EQ(registry.member_count(), 2u);
 }
 
 }  // namespace

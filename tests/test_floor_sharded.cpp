@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "clock/drift_clock.hpp"
 #include "floor/sharded_service.hpp"
@@ -75,6 +77,13 @@ TEST_F(ShardedFixture, HostsArbitrateIndependently) {
   const auto on_b = service.request(req(b1, hostB, 0.3));
   EXPECT_EQ(on_b.outcome, Outcome::kGranted);  // unaffected shard
   EXPECT_TRUE(on_b.suspended.empty());
+
+  // The senior's release through the facade undoes its Media-Suspend.
+  const auto rel = service.release(a2, group);
+  EXPECT_TRUE(rel.released);
+  EXPECT_EQ(rel.resumed, (std::vector<Holder>{{a1, group}}));
+  EXPECT_EQ(service.suspended_grants(), 0u);
+  EXPECT_EQ(service.active_grants(), 2u);  // a1 on A, b1 on B
 }
 
 TEST_F(ShardedFixture, ReleaseRoutesToTheShardsTheMemberUsed) {
@@ -91,6 +100,31 @@ TEST_F(ShardedFixture, ReleaseRoutesToTheShardsTheMemberUsed) {
   EXPECT_DOUBLE_EQ(service.host_manager(hostB)->availability(), 1.0);
   // Idempotent, like the unsharded facade.
   EXPECT_FALSE(service.release(a1, group).released);
+
+  // A holder on three hosts, granted in the order B, C, A: its one release
+  // frees all three, and the merged result lists each shard's Media-Resume
+  // in that route order, not in host order.
+  const HostId hostC{3};
+  service.add_host(hostC, Resource{1.0, 1.0, 1.0});
+  const auto c1 = registry.add_member("c1", 1, hostC);
+  ASSERT_TRUE(registry.join(c1, group));
+  ASSERT_EQ(service.request(req(a1, hostA, 0.8)).outcome, Outcome::kGranted);
+  ASSERT_EQ(service.request(req(b1, hostB, 0.8)).outcome, Outcome::kGranted);
+  ASSERT_EQ(service.request(req(c1, hostC, 0.8)).outcome, Outcome::kGranted);
+  for (const HostId host : {hostB, hostC, hostA}) {
+    ASSERT_EQ(service.request(req(chair, host, 0.9)).outcome,
+              Outcome::kGrantedDegraded);
+  }
+  EXPECT_EQ(service.suspended_grants(), 3u);
+  const auto all = service.release(chair, group);
+  EXPECT_TRUE(all.released);
+  EXPECT_EQ(all.resumed,
+            (std::vector<Holder>{{b1, group}, {c1, group}, {a1, group}}));
+  EXPECT_EQ(service.suspended_grants(), 0u);
+  EXPECT_EQ(service.active_grants(), 3u);
+  for (const HostId host : {hostA, hostB, hostC}) {
+    EXPECT_DOUBLE_EQ(service.host_manager(host)->availability(), 0.2);
+  }
 }
 
 struct ShardedQueueingFixture : ShardedFixture {
@@ -168,6 +202,28 @@ TEST_F(ShardedFixture, ArrivalOrderIsPerHostNotPerConference) {
   // the arrival-order contract is per host station, which is exactly what
   // makes the queues shardable.
   EXPECT_EQ(service.request(req(b1, hostB, 0.6)).outcome, Outcome::kGranted);
+
+  // More waiters park behind a1 on host A; each facade release promotes
+  // exactly the next one in arrival order.
+  std::vector<MemberId> waiters{a1};
+  for (int i = 0; i < 4; ++i) {
+    const auto waiter = registry.add_member("w" + std::to_string(i), 1, hostA);
+    ASSERT_TRUE(registry.join(waiter, group));
+    ASSERT_EQ(service.request(req(waiter, hostA, 0.6)).outcome,
+              Outcome::kQueued);
+    waiters.push_back(waiter);
+  }
+  std::vector<MemberId> promoted;
+  MemberId current = a2;
+  for (std::size_t round = 0; round < waiters.size(); ++round) {
+    const auto rel = service.release(current, group);
+    ASSERT_EQ(rel.promoted.size(), 1u) << "round " << round;
+    current = rel.promoted[0].holder.member;
+    promoted.push_back(current);
+  }
+  EXPECT_EQ(promoted, waiters);
+  EXPECT_TRUE(service.release(current, group).released);
+  EXPECT_EQ(service.queued_requests(), 0u);
 }
 
 TEST_F(ShardedFixture, RouterRefusalsCountLikeShardRefusals) {
@@ -183,12 +239,6 @@ TEST_F(ShardedFixture, RouterRefusalsCountLikeShardRefusals) {
   const auto unknown = service.request(req(a1, HostId{99}, 0.1));
   EXPECT_EQ(unknown.reason, Reason::kUnknownHost);
   EXPECT_EQ(counts(), std::make_pair(std::int64_t{1}, std::int64_t{1}));
-
-  service.start(1);
-  service.stop();
-  const auto stopped = service.request(req(a1, hostA, 0.1));
-  EXPECT_EQ(stopped.reason, Reason::kNotRunning);
-  EXPECT_EQ(counts(), std::make_pair(std::int64_t{2}, std::int64_t{2}));
 }
 
 TEST(MergeReleaseResults, EmptyAccumulatorTakesTheShardsBuffers) {

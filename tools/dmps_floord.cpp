@@ -106,27 +106,24 @@ int main(int argc, char** argv) {
   transport::UdpEndpoint endpoint(loop, fproto::wire_schema(), opt.port,
                                   &wire);
 
-  // The conference, pre-registered under one snapshot publish.
+  // The conference, pre-registered; members join their groups over the
+  // wire.
   floorctl::GroupRegistry registry;
-  floorctl::MemberId chair;
+  const floorctl::MemberId chair =
+      registry.add_member("moderator", 1'000'000, floorctl::HostId{1});
   std::vector<floorctl::MemberId> members;
+  members.reserve(static_cast<std::size_t>(opt.members));
+  for (int i = 0; i < opt.members; ++i) {
+    members.push_back(registry.add_member(
+        "m" + std::to_string(i), 1 + (i % 3),
+        floorctl::HostId{static_cast<std::uint32_t>(opt.topology.host_of(i))}));
+  }
   std::vector<floorctl::GroupId> groups;
-  {
-    floorctl::GroupRegistry::Batch batch(registry);
-    chair = registry.add_member("moderator", 1'000'000,
-                                floorctl::HostId{1});
-    members.reserve(static_cast<std::size_t>(opt.members));
-    for (int i = 0; i < opt.members; ++i) {
-      members.push_back(registry.add_member(
-          "m" + std::to_string(i), 1 + (i % 3),
-          floorctl::HostId{static_cast<std::uint32_t>(opt.topology.host_of(i))}));
-    }
-    groups.reserve(static_cast<std::size_t>(opt.topology.groups));
-    for (int g = 0; g < opt.topology.groups; ++g) {
-      groups.push_back(registry.create_group("g" + std::to_string(g),
-                                             floorctl::FcmMode::kFreeAccess,
-                                             chair, opt.policy));
-    }
+  groups.reserve(static_cast<std::size_t>(opt.topology.groups));
+  for (int g = 0; g < opt.topology.groups; ++g) {
+    groups.push_back(registry.create_group("g" + std::to_string(g),
+                                           floorctl::FcmMode::kFreeAccess,
+                                           chair, opt.policy));
   }
 
   // The per-host-sharded floor core: requests route by FloorRequest::host.
