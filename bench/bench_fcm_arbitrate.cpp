@@ -7,11 +7,12 @@
 //   abort     (avail < beta)          : Abort-Arbitrate.
 // Reports outcome distribution per regime plus arbitration throughput, and
 // sweeps the degraded path over active-grant counts M with the suspension
-// count k held fixed: the GrantStore indexes active grants by
-// (priority, seq), so victim selection costs O(k log M) — latency must
-// track k, not M. A queue-depth sweep times one release, promotion and
-// re-request against Q parked entries: the promotion pass stops once the
-// host falls below beta, so only the queue's membership scans grow with Q.
+// count k held fixed: the GrantStore threads active grants into
+// per-priority lists in grant order, so victim selection walks k grants —
+// latency must track k, not M. A queue-depth sweep times one release,
+// promotion and re-request against Q parked entries: the promotion pass
+// stops once the host falls below beta, and the parked index finds a
+// member's entry without a scan, so a cycle's cost must stay flat in Q.
 //
 // Micro: arbitrate+release round-trip cost vs group size.
 
@@ -249,10 +250,11 @@ struct DegradedWorld {
 void degraded_sweep_scenario() {
   // The ROADMAP perf item, measured: victim selection must scale with the
   // number of suspensions k, not with the active-grant count M. Before the
-  // GrantStore index, every arbitration scanned (and sorted) all M grants.
+  // GrantStore kept its grants in order, every arbitration scanned (and
+  // sorted) all M grants.
   dmps::bench::table_header(
       "ALG-FCM: degraded-path arbitration latency vs active grants M and "
-      "suspensions k (index makes it O(k log M))",
+      "suspensions k (per-priority grant lists make it O(k))",
       "active_grants_M | suspensions_k | probes | avg_us | max_us");
   for (const int m : {1'000, 10'000, 100'000}) {
     for (const int k : {4, 64}) {
@@ -287,8 +289,8 @@ void queue_depth_sweep_scenario() {
   // holder, whose freed 0.25 promotes the queue head and drops the host
   // straight back below beta, then re-requests that holder at the tail.
   // Every entry behind the head would now Abort-Arbitrate, so the
-  // promotion pass stops there: what cost grows with Q is only the linear
-  // membership scans in QueueingPolicy::decide and cancel.
+  // promotion pass stops there, and QueueingPolicy finds a member's parked
+  // entry through its index: nothing in a cycle grows with Q.
   dmps::bench::table_header(
       "ALG-FCM: queue promotion vs parked entries Q (one cycle = release "
       "the oldest holder, promote the head, re-request at the tail)",
@@ -409,12 +411,12 @@ void million_member_scenario(const std::string& trace_out) {
   // The memory-diet acceptance run: a whole conference population — one
   // million member stations by default — spread over 64 host shards and
   // driven twice through request + release on the sharded facade.
-  // Pass 1 is first-touch: it builds every holder-index entry, route entry
-  // and pooled index node (that is where the RSS goes). Pass 2 replays the
-  // identical stream against the warm structures and must perform ZERO
-  // heap allocations, and so must the leave + join pairs run against the
-  // warm registry after it — enforced via the alloc-probe operator-new
-  // hook, not eyeballed.
+  // Pass 1 is first-touch: it builds every holder-index entry, grows the
+  // per-member route vector and the grant pools (that is where the RSS
+  // goes). Pass 2 replays the identical stream against the warm structures
+  // and must perform ZERO heap allocations, and so must the leave + join
+  // pairs run against the warm registry after it — enforced via the
+  // alloc-probe operator-new hook, not eyeballed.
   std::size_t member_count =
 #ifdef DMPS_SANITIZED
       50'000;  // sanitizers multiply both memory and time ~10x
@@ -605,7 +607,7 @@ BENCHMARK(BM_ArbitrateGrantRelease)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_ArbitrateDegradedPath(benchmark::State& state) {
   // Degraded arbitration with ~M/8 suspensions per probe: cost follows the
-  // suspension count (the ordered-index walk), not the grant population.
+  // suspension count (the grant-list walk), not the grant population.
   const int m = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();

@@ -29,6 +29,10 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
                into (or other mutation of) a std::unordered_map or
                util::FlatMap member, and no text formatting
                (printf-family calls, std::to_string, string streams).
+               A map member's name is checked only in the file that
+               declares it and in the .cpp files that include that
+               header directly, so an unrelated member elsewhere that
+               happens to share the name is not flagged.
                These are the alloc-probed paths; one stray node
                allocation regresses the million-station sweep, and one
                formatted sentence per decision once cost a third of the
@@ -502,12 +506,30 @@ FORMAT_RE = re.compile(
     r"(?:std::)?(?:basic_)?[io]?stringstream\b)")
 
 
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
+
+
 def collect_umap_members(root):
-    names = set()
+    """{member name: set of the declaring files, as root-relative posix
+    paths} for every std::unordered_map or util::FlatMap member."""
+    decls = {}
     for path in iter_cxx_files(root, LAYER_DIRS):
+        rel = path.relative_to(root).as_posix()
         for m in UMAP_DECL_RE.finditer(path.read_text()):
-            names.add(m.group(1))
-    return names
+            decls.setdefault(m.group(1), set()).add(rel)
+    return decls
+
+
+def umap_names_in_scope(rel, text, decls):
+    """The map member names the hot rule checks in file `rel`: the ones
+    it declares itself and, for a .cpp, the ones declared in a header it
+    includes directly (`#include "floor/x.hpp"` names
+    include/dmps/floor/x.hpp)."""
+    scope = {rel.as_posix()}
+    if rel.suffix in (".cpp", ".cc"):
+        scope.update("include/dmps/" + inc
+                     for inc in QUOTED_INCLUDE_RE.findall(text))
+    return sorted(name for name, files in decls.items() if files & scope)
 
 
 def parse_hot_regions(design_path):
@@ -535,16 +557,18 @@ def check_hot(root, violations, config_errors):
             "(see §10.3)")
         declared = set()
     seen = set()
-    umap_members = collect_umap_members(root)
-    mutate_re = None
-    if umap_members:
-        alts = "|".join(re.escape(n) for n in sorted(umap_members))
-        mutate_re = re.compile(
-            r"\b(?:%s)\s*(?:\[|\.\s*(?:insert|emplace|try_emplace|erase|"
-            r"clear|operator\[\])\s*\()" % alts)
+    umap_decls = collect_umap_members(root)
     for path in iter_cxx_files(root, HOT_DIRS):
         rel = path.relative_to(root)
-        lines = path.read_text().splitlines()
+        text = path.read_text()
+        lines = text.splitlines()
+        mutate_re = None
+        umap_names = umap_names_in_scope(rel, text, umap_decls)
+        if umap_names:
+            alts = "|".join(re.escape(n) for n in umap_names)
+            mutate_re = re.compile(
+                r"\b(?:%s)\s*(?:\[|\.\s*(?:insert|emplace|try_emplace|"
+                r"erase|clear|operator\[\])\s*\()" % alts)
         region = None  # (name, begin_line)
         for idx, raw in enumerate(lines):
             m = MARKER_RE.search(raw)

@@ -352,10 +352,12 @@ class HotRegions(LintCase):
         self.assertIn("[hot-std-function]", out)
 
     def test_unordered_map_mutation_inside_hot_region_fails(self):
-        # Member declared in a header; mutated inside a hot region.
+        # Member declared in a header; mutated inside a hot region of a
+        # .cpp that includes it.
         write(self.root, "include/dmps/floor/m.hpp",
               "struct S { std::unordered_map<int, int> routes_; };\n")
         write(self.root, "src/floor/hot.cpp",
+              '#include "floor/m.hpp"\n'
               "// dmps-lint: hot-begin(route)\n"
               "void f(S& s) { s.routes_[7] = 1; }\n"
               "// dmps-lint: hot-end\n")
@@ -372,20 +374,55 @@ class HotRegions(LintCase):
               "  util::FlatMap<RouteList> routes DMPS_GUARDED_BY(mu);\n"
               "};\n")
         write(self.root, "src/floor/hot.cpp",
+              '#include "floor/m.hpp"\n'
               "// dmps-lint: hot-begin(route)\n"
               "RouteList* f(S& s) { return s.routes.find(7); }\n"
               "void g(S& s) { s.routes[7].push_back(h); }\n"
               "// dmps-lint: hot-end\n")
         status, out, _ = self.run_lint(self.root, ["hot"])
         self.assertEqual(status, 1)
-        self.assertIn("hot.cpp:3: [hot-unordered-map]", out)
+        self.assertIn("hot.cpp:4: [hot-unordered-map]", out)
         self.assertIn("routes[", out)
-        self.assertNotIn("hot.cpp:2:", out)
+        self.assertNotIn("hot.cpp:3:", out)
+
+    def test_map_name_is_scoped_to_its_declaring_header(self):
+        # A FlatMap named parked_ in one class, and an unrelated vector of
+        # the same name in another file's hot region: only code that
+        # includes the map's header is checked for it.
+        write(self.root, "include/dmps/floor/queue.hpp",
+              "struct Queue { util::FlatMap<std::uint32_t> parked_; };\n")
+        write(self.root, "src/floor/queue.cpp",
+              '#include "floor/queue.hpp"\n'
+              "// dmps-lint: hot-begin(route)\n"
+              "void park(Queue& q) { q.parked_[7] = 1; }\n"
+              "// dmps-lint: hot-end\n")
+        write(self.root, "include/dmps/floor/net.hpp",
+              "struct Net { std::vector<Msg> parked_; };\n")
+        write(self.root, "src/floor/net.cpp",
+              '#include "floor/net.hpp"\n'
+              "// dmps-lint: hot-begin(drain)\n"
+              "void drain(Net& n) { n.parked_[0] = m; n.parked_.clear(); }\n"
+              "// dmps-lint: hot-end\n")
+        status, out, _ = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 1)
+        self.assertIn("queue.cpp:3: [hot-unordered-map]", out)
+        self.assertNotIn("net.cpp", out)
+
+    def test_map_declared_in_the_cpp_itself_is_checked_there(self):
+        write(self.root, "src/floor/hot.cpp",
+              "struct Local { util::FlatMap<int> slots_; };\n"
+              "// dmps-lint: hot-begin(route)\n"
+              "void f(Local& l) { l.slots_[3] = 1; }\n"
+              "// dmps-lint: hot-end\n")
+        status, out, _ = self.run_lint(self.root, ["hot"])
+        self.assertEqual(status, 1)
+        self.assertIn("hot.cpp:3: [hot-unordered-map]", out)
 
     def test_allow_next_escape_passes(self):
         write(self.root, "include/dmps/floor/m.hpp",
               "struct S { std::unordered_map<int, int> routes_; };\n")
         write(self.root, "src/floor/hot.cpp",
+              '#include "floor/m.hpp"\n'
               "// dmps-lint: hot-begin(route)\n"
               "void f(S& s) {\n"
               "  // dmps-lint: allow-next(hot-unordered-map)\n"

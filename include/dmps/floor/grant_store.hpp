@@ -3,36 +3,41 @@
 //
 // A store serves exactly one host (ShardedFloorService keeps one
 // FloorService, and so one store, per host). It holds the host's resource
-// manager plus two ordered indexes over the live grants:
+// manager and its grant slots, and threads every live grant into one of
+// two lists of its priority's bucket:
 //
-//   active    — keyed (priority asc, seq asc): Media-Suspend victim
-//               selection walks from the front (lowest priority, then
-//               oldest) and stops as soon as the request fits, so choosing
-//               k victims among M active grants costs O(k log M), never a
-//               full scan;
-//   suspended — keyed (priority desc, seq asc): Media-Resume re-admits from
-//               the front (highest priority, then oldest) as capacity
-//               allows.
+//   active    — buckets walked in ascending priority, each list oldest
+//               first: Media-Suspend victim selection walks from the front
+//               (lowest priority, then oldest) and stops as soon as the
+//               request fits, so choosing k victims touches k grants, never
+//               the M others;
+//   suspended — buckets walked in descending priority, each list oldest
+//               first: Media-Resume re-admits from the front (highest
+//               priority, then oldest) as capacity allows.
+//
+// Each list runs in ascending grant `seq`. A new grant has the largest seq
+// and appends; a suspended or resumed grant keeps its seq and is linked in
+// at its place, so both walks visit grants in exact (priority, seq) order,
+// and victims, resumes and every availability are the same as an ordered
+// map's (tests/test_floor_reference.cpp checks it). The buckets are few
+// (one per distinct priority ever granted) and kept, emptied, for the
+// life of the store.
 //
 // Policies never touch grant slots directly: they move grants through
 // exactly the operations the disciplines are written in (can_fit /
 // suspend_to_fit / commit_grant / resume_suspended). Released slots are
 // recycled through a free list, so slot count is bounded by peak
-// concurrency, not request volume. The same discipline extends to the rest
-// of the per-grant bookkeeping: index-map nodes are recycled through a
-// PoolAllocator, and the holder index (a util::FlatMap) keeps its (emptied)
-// entries and their inline SmallVec storage across release/re-request
-// cycles — so once a population has been seen, the grant+release hot loop
-// allocates nothing.
+// concurrency, not request volume. The holder index (a util::FlatMap)
+// keeps its (emptied) entries and their inline SmallVec storage across
+// release/re-request cycles — so once a population has been seen, the
+// grant+release hot loop allocates nothing.
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "floor/resource.hpp"
 #include "floor/types.hpp"
 #include "util/flat_map.hpp"
-#include "util/pool_alloc.hpp"
 #include "util/small_vec.hpp"
 
 namespace dmps::floorctl {
@@ -42,8 +47,8 @@ class GrantStore {
   explicit GrantStore(resource::Resource capacity) : manager_(capacity) {}
 
   /// Re-provision the host: every grant it held is voided (the slots and
-  /// both indexes are emptied, the holder index keeps its emptied
-  /// entries) and `capacity` starts out free.
+  /// lists are emptied, the holder index keeps its emptied entries) and
+  /// `capacity` starts out free.
   void set_capacity(resource::Resource capacity);
   const resource::HostResourceManager& manager() const { return manager_; }
 
@@ -57,7 +62,7 @@ class GrantStore {
   /// even suspending every junior holder is not enough, nothing changes and
   /// the return is false. Suspended holders are appended to `suspended`.
   bool suspend_to_fit(const resource::Resource& need, int priority,
-                      std::vector<Holder>& suspended);
+                      HolderList& suspended);
 
   /// Reserve `need` and record the grant as active.
   void commit_grant(MemberId member, GroupId group,
@@ -65,7 +70,7 @@ class GrantStore {
 
   /// Media-Resume: re-admit suspended holders, highest priority first, as
   /// capacity allows; holders that still do not fit stay suspended.
-  void resume_suspended(std::vector<Holder>& resumed);
+  void resume_suspended(HolderList& resumed);
 
   /// Release every grant (active or suspended) that `member` holds in
   /// `group`, giving active grants' capacity back. Reports whether capacity
@@ -77,51 +82,64 @@ class GrantStore {
   };
   HolderRelease release_holder(MemberId member, GroupId group);
 
-  std::size_t active_grants() const { return active_.size(); }
-  std::size_t suspended_grants() const { return suspended_.size(); }
+  std::size_t active_grants() const { return active_count_; }
+  std::size_t suspended_grants() const { return suspended_count_; }
   /// Allocated grant slots (recycled via a free list; stays bounded by the
   /// peak number of simultaneously live grants, not total request volume).
   std::size_t grant_slots() const { return grants_.size(); }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
   struct Grant {
     MemberId member;
     GroupId group;
     resource::Resource amount;
-    int priority = 0;
     std::uint64_t seq = 0;  // grant order; older = smaller
+    std::uint32_t bucket = 0;  // index into buckets_: the grant's priority
+    // Neighbours in the bucket's active or suspended list (kNone at an end).
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;
     bool suspended = false;
     bool released = false;
   };
 
-  /// (priority, seq) — seq is unique, so the pair is a total order.
-  using IndexKey = std::pair<int, std::uint64_t>;
-  /// Media-Resume order: highest priority first, then oldest.
-  struct ResumeOrder {
-    bool operator()(const IndexKey& a, const IndexKey& b) const {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    }
+  /// A list of grant slots threaded through Grant::prev/next, seq ascending.
+  struct List {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+  };
+  struct Bucket {
+    int priority = 0;
+    List active;
+    List suspended;
   };
 
-  /// Index-map nodes come from a per-map free-list pool (one malloc per
-  /// node only until the host's peak grant population has been seen).
-  using IndexAlloc = util::PoolAllocator<std::pair<const IndexKey, std::size_t>>;
-  using ActiveIndex = std::map<IndexKey, std::size_t, std::less<IndexKey>, IndexAlloc>;
-  using SuspendedIndex = std::map<IndexKey, std::size_t, ResumeOrder, IndexAlloc>;
-
-  std::size_t alloc_slot(Grant grant);
+  std::uint32_t alloc_slot(const Grant& grant);
+  /// The bucket of `priority`, created at its first grant.
+  std::uint32_t bucket_of(int priority);
+  List& list_of(const Grant& grant) {
+    Bucket& bucket = buckets_[grant.bucket];
+    return grant.suspended ? bucket.suspended : bucket.active;
+  }
+  void unlink(List& list, std::uint32_t idx);
+  /// Link `idx` into `list` at its seq's place.
+  void link_in_order(List& list, std::uint32_t idx);
 
   resource::HostResourceManager manager_;
-  ActiveIndex active_;        // suspend order
-  SuspendedIndex suspended_;  // resume order
   std::vector<Grant> grants_;
-  std::vector<std::size_t> free_slots_;  // released grant indices, reusable
-  // holder_key(member, group) -> its grant slots. Slots fit uint32 (bounded
-  // by peak live grants), and the common one-grant holder stays inline.
-  // Entries are kept (emptied) on release rather than erased: a returning
-  // holder reuses its slot and the SmallVec storage, which is what makes
-  // the steady-state request/release cycle heap-free.
+  std::vector<std::uint32_t> free_slots_;  // released grant indices, reusable
+  // One bucket per distinct priority, in creation order (grants name them
+  // by index), and the same indexes sorted by ascending priority: the
+  // suspend walk reads it forwards, the resume walk backwards.
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> by_priority_;
+  std::size_t active_count_ = 0;
+  std::size_t suspended_count_ = 0;
+  // holder_key(member, group) -> its grant slots. The common one-grant
+  // holder stays inline. Entries are kept (emptied) on release rather than
+  // erased: a returning holder reuses its slot and the SmallVec storage,
+  // which is what makes the steady-state request/release cycle heap-free.
   util::FlatMap<util::SmallVec<std::uint32_t, 2>> holder_index_;
   std::uint64_t next_seq_ = 0;
 };

@@ -26,15 +26,21 @@
 // instead of scoped to whichever group happened to release.
 //
 // Each FloorService owns one ThreeRegimePolicy and one QueueingPolicy that
-// borrows it; the queues are the only state, shared by every group.
+// borrows it; the queues are the only state, shared by every group. Every
+// parked request sits in one slot array (released slots are recycled
+// through a free list), and each group's queue is a FIFO threaded through
+// those slots, held in a vector by group id. A per-(member, group) index
+// names the slot a holder has parked, so a re-request and a cancel find it
+// without scanning the queue.
 
 #include <cstddef>
-#include <deque>
-#include <map>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "floor/grant_store.hpp"
 #include "floor/types.hpp"
+#include "util/flat_map.hpp"
 
 namespace dmps::floorctl {
 
@@ -92,15 +98,42 @@ class QueueingPolicy {
   std::size_t total_queued() const { return total_queued_; }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
   struct Parked {
     FloorRequest request;
     int priority = 0;
+    // Neighbours in the group's FIFO (kNone at an end).
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;
+  };
+  /// One group's FIFO, threaded through parked_: head is the oldest entry.
+  struct Queue {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    std::size_t size = 0;
   };
 
+  /// The decision for a request to a group with entries parked: refresh
+  /// the member's own entry, or park behind the others.
+  Decision park_behind(const FloorRequest& request, int priority,
+                       double availability);
+  /// Append a new entry at the tail of the request's group queue.
+  void park(const FloorRequest& request, int priority);
+  /// Unlink the entry in `idx` from its queue and recycle its slot.
+  void drop(std::uint32_t idx);
+
   const ThreeRegimePolicy& rule_;  // the resource rule queueing is layered on
-  // Ordered by group id so promotion sweeps visit groups deterministically;
-  // holds non-empty queues only.
-  std::map<GroupId::value_type, std::deque<Parked>> queues_;
+  std::vector<Parked> parked_;
+  std::vector<std::uint32_t> free_parked_;  // recycled parked_ slots
+  // By group id, so promotion sweeps visit groups in ascending id order;
+  // grown to a group's id when it first parks.
+  std::vector<Queue> queues_;
+  // holder_key(member, group) -> the holder's parked_ slot, or kNone. At
+  // most one entry per holder is ever parked (a re-request refreshes it).
+  // Entries are kept at kNone when their request leaves the queue, so a
+  // holder that parks again reuses its entry.
+  util::FlatMap<std::uint32_t> parked_index_;
   std::size_t total_queued_ = 0;
 };
 

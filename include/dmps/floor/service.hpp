@@ -3,7 +3,7 @@
 // system talks floor control to.
 //
 // A FloorService arbitrates exactly one host: it owns that host's
-// GrantStore (resource manager, grants, indexes) and its queues. It
+// GrantStore (resource manager, grants, grant lists) and its queues. It
 // validates requests (membership, and that the request names its host:
 // any other host is Reason::kUnknownHost), runs the chair gate — a chaired
 // group, or a request asking for chaired arbitration, admits only the
@@ -62,7 +62,14 @@ class FloorService : public FloorControl {
 
   /// Release every floor `member` holds in `group` and drop its parked
   /// requests, then sweep if the release freed capacity or dropped one.
-  ReleaseResult release(MemberId member, GroupId group) override;
+  ReleaseResult release(MemberId member, GroupId group) override {
+    ReleaseResult result;
+    release_into(member, group, result);
+    return result;
+  }
+  /// release(), appending to `out`: ShardedFloorService folds every shard
+  /// a holder was routed to into one result this way, in route order.
+  void release_into(MemberId member, GroupId group, ReleaseResult& out);
 
   /// Capacity-change hook: Media-Resume suspended holders and promote
   /// queued requests until quiescent, regardless of which group (or
@@ -92,10 +99,21 @@ class FloorService : public FloorControl {
   obs::Tracer* tracer() const { return tracer_; }
 
  private:
+  /// How long a result's lists were before this service appended to them.
+  struct Marks {
+    std::size_t resumed = 0;
+    std::size_t promoted = 0;
+  };
+  static Marks marks_of(const ReleaseResult& result) {
+    return Marks{result.resumed.size(), result.promoted.size()};
+  }
+
   void sweep_into(ReleaseResult& out);
   Decision decide(const FloorRequest& request);
-  /// Fold a release/sweep result into counters and the trace.
-  void record_result(const ReleaseResult& result, std::uint32_t shard_hint);
+  /// Fold what this service appended to `result` since `from` into
+  /// counters and the trace.
+  void record_result(const ReleaseResult& result, Marks from,
+                     std::uint32_t shard_hint);
 
   const GroupRegistry& registry_;
   HostId host_;

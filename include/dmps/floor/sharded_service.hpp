@@ -6,28 +6,33 @@
 // core, and is the one way to arbitrate several hosts. Each registered
 // host gets a *shard* — the FloorService of that host, with its own
 // GrantStore, policies and queueing state — and every operation is
-// routed by host: request/sweep by FloorRequest::host, release by a
-// holder-route map recorded when the shard accepted the request. Shards
+// routed by host: request/sweep by FloorRequest::host, release by the
+// routes recorded when shards accepted the member's requests. Shards
 // share one GroupRegistry, so a single conference (groups, members, chairs)
 // federates across all of them. dmps_floord puts its one fproto::FloorServer
 // in front of this facade; session::Presentation binds one server to each
 // shard via shard(host).
 //
+// Both lookups are array accesses: shards sit in a vector indexed by host
+// id (the topology numbers its hosts densely, from 1 in every tool), and
+// routes are per-member state in a vector indexed by the registry's dense
+// member id.
+//
 // Every call runs on the caller's thread and returns its result directly
 // (DESIGN.md §5b): one serial arbiter per conference, like a BFCP floor
 // control server. Not thread-safe, exactly like a FloorService. release()
-// merges per-shard results in route order.
+// folds the routed shards' results into one, in route order.
 //
 // Cross-host promotion needs no extra machinery here: a queued request
 // lives in the shard of the host it asked for, and that shard's
 // capacity-change sweep promotes it the moment capacity frees there.
 
 #include <cstddef>
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "clock/drift_clock.hpp"
 #include "floor/service.hpp"
-#include "util/flat_map.hpp"
 #include "util/small_vec.hpp"
 
 namespace dmps::floorctl {
@@ -42,7 +47,9 @@ class ShardedFloorService : public FloorControl {
 
   /// Register a host station and its capacity. First sight of a host
   /// creates its shard; re-registering re-provisions the shard
-  /// (FloorService::set_capacity: its grants are voided).
+  /// (FloorService::set_capacity: its grants are voided). Host ids index
+  /// the shard vector, so number hosts densely; the invalid id is refused
+  /// (std::invalid_argument).
   void add_host(HostId host, resource::Resource capacity);
 
   /// The per-host shard, or nullptr for an unknown host. This is the seam
@@ -67,7 +74,7 @@ class ShardedFloorService : public FloorControl {
   void set_observability(obs::FloorInstruments* instruments,
                          obs::Tracer* tracer);
 
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t shard_count() const { return shard_count_; }
   const resource::Thresholds& thresholds() const { return thresholds_; }
 
   // Aggregates over every shard.
@@ -78,10 +85,16 @@ class ShardedFloorService : public FloorControl {
   std::size_t queued_requests(GroupId group) const;
 
  private:
-  /// Route lists stay inline for the common one-or-two-host holder, and
-  /// emptied entries are kept so a returning holder reuses its slot — the
-  /// steady-state request/release cycle allocates nothing here.
-  using RouteList = util::SmallVec<HostId, 2>;
+  /// One shard holding state (a grant or a parked request) for the member
+  /// in `group`.
+  struct Route {
+    GroupId group;
+    HostId host;
+  };
+  /// A member's routes in the order shards first accepted them. The
+  /// common one-route member stays inline, and the list is kept, emptied,
+  /// so the steady-state request/release cycle allocates nothing here.
+  using RouteList = util::SmallVec<Route, 1>;
 
   void record_route(MemberId member, GroupId group, HostId host);
 
@@ -89,10 +102,13 @@ class ShardedFloorService : public FloorControl {
   resource::Thresholds thresholds_;
   obs::FloorInstruments* obs_;
   obs::Tracer* tracer_ = nullptr;
-  // Ordered by host id, so aggregates are deterministic.
-  std::map<HostId::value_type, FloorService> shards_;
-  // holder_key(member, group) -> shards holding its grants or parked state.
-  util::FlatMap<RouteList> routes_;
+  // By host id (null where no host is registered): aggregates visit
+  // shards in ascending host id, so they are deterministic.
+  std::vector<std::unique_ptr<FloorService>> shards_;
+  std::size_t shard_count_ = 0;
+  // By member id; grown to the registry's member count at the first route
+  // past its end.
+  std::vector<RouteList> routes_;
 };
 
 }  // namespace dmps::floorctl

@@ -2,8 +2,8 @@
 // Floor-control vocabulary shared by the whole dmps::floorctl layer.
 //
 // The floor-control core is three separable pieces (see DESIGN.md §5):
-//   GrantStore          — one host's resource manager, grant slots and
-//                         (priority, seq) indexes
+//   GrantStore          — one host's resource manager and grant slots,
+//                         threaded into per-priority lists
 //   policies            — ThreeRegimePolicy (the paper's rule) and
 //                         QueueingPolicy (BFCP-style queueing)
 //   FloorService        — one host's arbiter: it gates chaired requests and
@@ -14,13 +14,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "media/media.hpp"
 #include "util/ids.hpp"
+#include "util/small_vec.hpp"
 
 namespace dmps::floorctl {
 
@@ -74,8 +72,8 @@ struct Holder {
 };
 
 /// The canonical map key for a floor holding; every component indexing
-/// state by (member, group) — grant-store slots, server-side request
-/// routing — must use this one packing.
+/// state by (member, group) — grant-store slots, parked requests — must
+/// use this one packing.
 inline std::uint64_t holder_key(MemberId member, GroupId group) {
   return (static_cast<std::uint64_t>(member.value()) << 32) | group.value();
 }
@@ -99,12 +97,18 @@ enum class Reason : std::uint8_t {
   kUnknownHost,       // denied: not a host station the service arbitrates
 };
 
+/// The holders a decision or a release names. Inline up to eight: a host
+/// whose grants are each at least an eighth of its capacity never names
+/// more in one decision or release, so deciding and releasing there
+/// allocates nothing. A longer list spills to the heap.
+using HolderList = util::SmallVec<Holder, 8>;
+
 struct Decision {
   Outcome outcome = Outcome::kDenied;
   Reason reason = Reason::kNone;
   /// Earlier requests parked in the same group (Reason::kParkedBehind).
   std::size_t parked_ahead = 0;
-  std::vector<Holder> suspended;  // holders Media-Suspended for this grant
+  HolderList suspended;  // holders Media-Suspended for this grant
   double availability_before = 0.0;
   double availability_after = 0.0;
 };
@@ -118,11 +122,13 @@ struct Promotion {
 };
 
 struct ReleaseResult {
-  bool released = false;        // false: the member held nothing in the group
-  std::vector<Holder> resumed;  // holders Media-Resumed by the freed capacity
-  std::vector<Promotion> promoted;  // queued requests granted by the release
-  std::vector<Holder> dequeued;     // the releasing member's parked requests,
-                                    // dropped without a grant
+  bool released = false;  // false: the member held nothing in the group
+  HolderList resumed;     // holders Media-Resumed by the freed capacity
+  // Queued requests the release granted: inline up to four, one freed
+  // slot's worth on a host whose grants are each a quarter of it.
+  util::SmallVec<Promotion, 4> promoted;
+  HolderList dequeued;  // the releasing member's parked requests, dropped
+                        // without a grant
 };
 
 /// The narrow arbitration seam wire servers consume: decide one request,
@@ -140,24 +146,5 @@ class FloorControl {
   /// Release everything `member` holds in `group`, wherever it was granted.
   virtual ReleaseResult release(MemberId member, GroupId group) = 0;
 };
-
-/// Fold one shard's release result into an accumulated one: the merge rule
-/// ShardedFloorService::release applies per routed shard, in route order.
-/// An empty list takes the shard's buffer instead of copying it, so a
-/// release routed to one shard hands its lists over whole.
-inline void merge_release_results(ReleaseResult& into, ReleaseResult&& from) {
-  const auto append = [](auto& list, auto& more) {
-    if (list.empty()) {
-      list = std::move(more);
-      return;
-    }
-    list.insert(list.end(), std::make_move_iterator(more.begin()),
-                std::make_move_iterator(more.end()));
-  };
-  into.released |= from.released;
-  append(into.resumed, from.resumed);
-  append(into.promoted, from.promoted);
-  append(into.dequeued, from.dequeued);
-}
 
 }  // namespace dmps::floorctl

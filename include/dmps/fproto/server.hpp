@@ -24,7 +24,8 @@
 // to the Grant and pushes it once — the poll replays it if the push is
 // lost, so promotions need no extra reliability machinery.
 //
-// One record per member (DESIGN §6.5a). The protocol contract — one
+// One record per member (DESIGN §6.5a), in a vector indexed by the
+// registry's dense member id. The protocol contract — one
 // FloorAgent per member, one group, one operation in flight, request ids
 // `member << 32 | seq` with a monotonic seq — leaves at most one live
 // request per member, so that is all the server keeps: the member's home
@@ -45,7 +46,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "floor/group.hpp"
 #include "floor/service.hpp"
@@ -94,7 +95,7 @@ class FloorServer {
   /// Member records: one per member this server heard from (created at
   /// its Join, or at a first Request/Release), each holding only the
   /// latest decided request — bounded by member count, not request volume.
-  std::size_t decided_records() const { return records_.size(); }
+  std::size_t decided_records() const { return contacted_; }
 
  private:
   /// Where a member's latest decided request stands.
@@ -107,13 +108,23 @@ class FloorServer {
   };
   /// Everything the server remembers about one member.
   struct MemberRecord {
-    net::NodeId station;  // home station: learned from Join and Request
     std::uint64_t request_id = 0;  // the latest decided request
-    floorctl::GroupId group;       // ... and its group
-    Status status = Status::kNone;
     // The decision fields the stored reply is re-encoded from.
-    floorctl::Outcome outcome = floorctl::Outcome::kDenied;
     double availability = 0.0;
+    floorctl::Outcome outcome = floorctl::Outcome::kDenied;
+    net::NodeId station;      // home station: learned from Join and Request
+    floorctl::GroupId group;  // the latest decided request's group
+    Status status = Status::kNone;
+    bool contacted = false;  // the member has reached this server
+  };
+  /// A Media-Suspend/Resume awaiting its ack. The frame is re-encoded from
+  /// (notify id, request id) at every (re)transmission.
+  struct Notify {
+    std::uint64_t request_id = 0;
+    transport::TimerId retry_timer = 0;
+    net::NodeId node;
+    MsgKind kind = MsgKind::kSuspend;
+    int tries = 1;
   };
 
   void handle_join(const net::Message& msg);
@@ -126,13 +137,19 @@ class FloorServer {
   /// The member's record, created at first contact; nullptr when the
   /// registry does not know the member.
   MemberRecord* record_of(floorctl::MemberId member);
+  /// The member's record if it has reached this server, else nullptr.
+  MemberRecord* find_record(floorctl::MemberId member) {
+    return member.value() < records_.size() && records_[member.value()].contacted
+               ? &records_[member.value()]
+               : nullptr;
+  }
   /// The record of `holder` while its latest request, in holder.group, is
   /// `status`; nullptr otherwise (e.g. decided by another server).
   MemberRecord* record_in(const floorctl::Holder& holder, Status status);
   /// The stored reply to the record's request: Grant, Queued or Deny.
   void send_reply(net::NodeId node, const MemberRecord& record);
   void release_holder(floorctl::MemberId member, floorctl::GroupId group);
-  void send_suspends(const std::vector<floorctl::Holder>& suspended);
+  void send_suspends(const floorctl::HolderList& suspended);
   /// One datagram on the wire: member counter, instrument pack, send.
   void transmit(net::NodeId node, net::MsgType type, const net::Payload& ints);
   /// A duplicate answered from stored state (request replay, release
@@ -140,24 +157,24 @@ class FloorServer {
   void replay_hit(floorctl::MemberId member, floorctl::HostId host);
   void notify(const MemberRecord& holder, MsgKind kind);
   void notify_tick(std::uint64_t notify_id);
+  void notify_ack(std::uint64_t notify_id);
+  void send_notify(std::uint64_t notify_id, const Notify& pending);
 
   transport::Endpoint& ep_;
   floorctl::GroupRegistry& registry_;
   floorctl::FloorControl& service_;
   ServerConfig config_;
 
-  // By member id. Never erased (a member's record outlives its requests),
-  // and a pointer into it lasts until the next first contact.
-  util::FlatMap<MemberRecord> records_;
+  // By member id, grown to the registry's member count at the first
+  // contact past its end. Never shrunk (a member's record outlives its
+  // requests), and a pointer into it lasts until that growth.
+  std::vector<MemberRecord> records_;
+  std::size_t contacted_ = 0;  // records whose member reached this server
 
-  struct Notify {
-    net::NodeId node;
-    MsgKind kind = MsgKind::kSuspend;
-    net::Payload ints;
-    int tries = 1;
-    transport::TimerId retry_timer = 0;
-  };
-  std::unordered_map<std::uint64_t, Notify> pending_notifies_;  // by notify id
+  // By notify id. Ids run 1, 2, 3, ... for the server's life and are never
+  // reused; an acked or abandoned entry is erased, so the table is sized by
+  // the peak number of unacked notifications.
+  util::FlatMap<Notify> pending_notifies_;
   std::uint64_t next_notify_id_ = 1;
 
   std::uint64_t sends_ = 0;

@@ -76,9 +76,9 @@ class UdpLoop {
   /// (DESIGN.md §10): every mutating entry point asserts this role, so the
   /// timer wheel, fd table and stop flag are unreachable without it —
   /// "one thread drives the loop" is a -Wthread-safety build break to
-  /// violate, not a comment. A loop thread may bind_to_current_thread()
-  /// to add a debug-build runtime check; unbound, the asserts are free.
-  /// Endpoints on this loop guard their own state with the same role.
+  /// violate, not a comment. The asserts are static and cost nothing at
+  /// run time. Endpoints on this loop guard their own state with the same
+  /// role.
   util::ThreadRole on_loop;
 
   /// Nanoseconds of steady time since this loop was constructed. The one

@@ -1,20 +1,24 @@
 #pragma once
-// FlatMap: an insert-only hash table from 64-bit keys to values.
+// FlatMap: a hash table from 64-bit keys to values.
 //
-// Every per-operation map in the library only ever finds or inserts: an
+// Most per-operation maps in the library only ever find or insert: an
 // entry whose state goes quiet is kept, emptied, so a returning key reuses
 // it (SimNetwork's link overrides, GrantStore's holder index,
-// ShardedFloorService's route stripes, FloorServer's member records,
-// UdpEndpoint's peer ids). Without erase, one flat array serves them all:
-// open addressing with linear probing over a power-of-two slot count kept
-// at most half full, so every probe ends at an empty slot, and a
-// multiplicative hash. A lookup is one multiply, one mask and a short scan
-// of adjacent slots: no division by a prime, no node to chase.
+// QueueingPolicy's parked index, UdpEndpoint's peer ids). One flat array
+// serves them all: open addressing with linear probing over a power-of-two
+// slot count kept at most half full, so every probe ends at an empty slot,
+// and a multiplicative hash. A lookup is one multiply, one mask and a short
+// scan of adjacent slots: no division by a prime, no node to chase. The
+// one map whose keys do not return — FloorServer's pending notifications,
+// keyed by a notify id minted once — erases instead: erase() shifts the
+// rest of the probe run back, so no tombstone lengthens later probes, and
+// the slot array, sized by the peak population, is kept.
 //
 // kEmptyKey marks an empty slot, so it cannot be stored: operator[] throws
 // std::invalid_argument for it, and find() never finds it. Inserting a new
-// key may grow the table, which moves every entry: a pointer or reference
-// to a value stays valid only until the next insert of a new key.
+// key may grow the table and erasing may shift entries, either of which
+// moves entries: a pointer or reference to a value stays valid only until
+// the next insert of a new key or the next erase.
 
 #include <algorithm>
 #include <cstddef>
@@ -57,6 +61,32 @@ class FlatMap {
       ++size_;
     }
     return slot.value;
+  }
+
+  /// Remove `key` and its value; false when it was not stored.
+  bool erase(std::uint64_t key) {
+    if (slots_.empty()) return false;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = probe(key);
+    if (slots_[hole].key == kEmptyKey) return false;
+    // Backward shift: walk the probe run past the hole, and move back into
+    // it every entry whose home slot does not lie cyclically in
+    // (hole, entry] — the entries a probe from their home would otherwise
+    // no longer reach across the emptied slot.
+    for (std::size_t i = (hole + 1) & mask; slots_[i].key != kEmptyKey;
+         i = (i + 1) & mask) {
+      const std::size_t home = hash(slots_[i].key) & mask;
+      const bool reachable = hole <= i ? (hole < home && home <= i)
+                                       : (hole < home || home <= i);
+      if (reachable) continue;
+      slots_[hole].key = slots_[i].key;
+      slots_[hole].value = std::move(slots_[i].value);
+      hole = i;
+    }
+    slots_[hole].key = kEmptyKey;
+    slots_[hole].value = V{};
+    --size_;
+    return true;
   }
 
   /// Call visit(key, value) for every stored entry, in slot order.

@@ -6,9 +6,7 @@
 // locking discipline checked by clang's -Wthread-safety holds these
 // instead of raw std::mutex; the wrappers add no state and no behavior.
 
-#include <cassert>
 #include <mutex>
-#include <thread>
 
 #include "util/thread_annotations.hpp"
 
@@ -19,7 +17,6 @@ class DMPS_CAPABILITY("mutex") Mutex {
  public:
   void lock() DMPS_ACQUIRE() { mu_.lock(); }
   void unlock() DMPS_RELEASE() { mu_.unlock(); }
-  bool try_lock() DMPS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;
@@ -44,24 +41,13 @@ class DMPS_SCOPED_CAPABILITY MutexLock {
 // thread", "this tracer's writer"). Fields declared
 // DMPS_GUARDED_BY(role_) can only be reached through functions that
 // assert_held() the role — so a foreign thread calling into, say,
-// UdpLoop's internals is a -Wthread-safety build break. In debug builds
-// assert_held() also checks the calling thread at runtime once the role
-// has been bound with bind_to_current_thread(); release builds pay one
-// relaxed load and a branch that the optimizer sees through.
+// UdpLoop's internals is a -Wthread-safety build break. The check is
+// static only: assert_held() is empty and costs nothing at run time.
 class DMPS_CAPABILITY("role") ThreadRole {
  public:
-  // Bind (or re-bind) the role to the calling thread. Called where the
-  // owning thread is decided, such as a loop's entry.
-  void bind_to_current_thread() { owner_ = std::this_thread::get_id(); }
-
   // Entry points of the owning thread call this; past it, the analysis
   // treats the role as held.
-  void assert_held() const DMPS_ASSERT_CAPABILITY(this) {
-    assert(owner_ == std::thread::id{} || owner_ == std::this_thread::get_id());
-  }
-
- private:
-  std::thread::id owner_{};
+  void assert_held() const DMPS_ASSERT_CAPABILITY(this) {}
 };
 
 }  // namespace dmps::util

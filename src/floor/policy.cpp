@@ -1,7 +1,7 @@
 #include "floor/policy.hpp"
 
 #include <cstdio>
-#include <iterator>
+#include <utility>
 
 namespace dmps::floorctl {
 
@@ -107,35 +107,12 @@ Decision ThreeRegimePolicy::decide(const FloorRequest& request, int priority,
 
 Decision QueueingPolicy::decide(const FloorRequest& request, int priority,
                                 GrantStore& store) {
-  // Only a parked request creates its group's queue: a grant in a group
-  // with nothing parked touches no queue node.
-  const auto it = queues_.find(request.group.value());
-  if (it != queues_.end()) {
-    Decision decision;
-    decision.outcome = Outcome::kQueued;
-    decision.availability_before = store.availability();
-    decision.availability_after = decision.availability_before;
-    auto& queue = it->second;
-    // A member already parked in this group re-requesting (e.g. a new
-    // attempt after its station recovered) keeps its queue position.
-    for (Parked& parked : queue) {
-      if (parked.request.member == request.member) {
-        parked.request = request;
-        parked.priority = priority;
-        decision.reason = Reason::kAlreadyPending;
-        return decision;
-      }
-    }
-    // Arrival order is a contract: while earlier requests sit parked, a
-    // newcomer parks behind them even if it would fit right now — deciding
-    // it immediately would queue-jump.
-    decision.reason = Reason::kParkedBehind;
-    decision.parked_ahead = queue.size();
-    queue.push_back(Parked{request, priority});
-    ++total_queued_;
-    return decision;
+  // A group with nothing parked touches no queue state: its request goes
+  // straight to the three-regime rule.
+  const std::size_t g = request.group.value();
+  if (g < queues_.size() && queues_[g].size > 0) {
+    return park_behind(request, priority, store.availability());
   }
-
   Decision decision = rule_.decide(request, priority, store);
   if (decision.outcome == Outcome::kGranted ||
       decision.outcome == Outcome::kGrantedDegraded) {
@@ -144,10 +121,83 @@ Decision QueueingPolicy::decide(const FloorRequest& request, int priority,
   // BFCP-style moderation: park the refusal instead of bouncing the client
   // into a retry loop; freed capacity grants it from the queue. The base
   // rule's code stays: it says why the request could not be granted now.
-  queues_[request.group.value()].push_back(Parked{request, priority});
-  ++total_queued_;
+  park(request, priority);
   decision.outcome = Outcome::kQueued;
   return decision;
+}
+
+Decision QueueingPolicy::park_behind(const FloorRequest& request,
+                                    int priority, double availability) {
+  Decision decision;
+  decision.outcome = Outcome::kQueued;
+  decision.availability_before = availability;
+  decision.availability_after = availability;
+  // A member already parked in this group re-requesting (e.g. a new
+  // attempt after its station recovered) keeps its queue position.
+  const std::uint32_t* const slot =
+      parked_index_.find(holder_key(request.member, request.group));
+  if (slot != nullptr && *slot != kNone) {
+    Parked& parked = parked_[*slot];
+    parked.request = request;
+    parked.priority = priority;
+    decision.reason = Reason::kAlreadyPending;
+    return decision;
+  }
+  // Arrival order is a contract: while earlier requests sit parked, a
+  // newcomer parks behind them even if it would fit right now — deciding
+  // it immediately would queue-jump.
+  decision.reason = Reason::kParkedBehind;
+  decision.parked_ahead = queues_[request.group.value()].size;
+  park(request, priority);
+  return decision;
+}
+
+void QueueingPolicy::park(const FloorRequest& request, int priority) {
+  std::uint32_t idx;
+  if (!free_parked_.empty()) {
+    idx = free_parked_.back();
+    free_parked_.pop_back();
+  } else {
+    idx = static_cast<std::uint32_t>(parked_.size());
+    parked_.emplace_back();
+    free_parked_.reserve(parked_.capacity());  // it never outgrows the pool
+  }
+  const std::size_t g = request.group.value();
+  if (g >= queues_.size()) queues_.resize(g + 1);  // the group's first park
+  Queue& queue = queues_[g];
+  parked_[idx] = Parked{request, priority, queue.tail, kNone};
+  if (queue.tail != kNone) {
+    parked_[queue.tail].next = idx;
+  } else {
+    queue.head = idx;
+  }
+  queue.tail = idx;
+  ++queue.size;
+  ++total_queued_;
+  // A holder's first park inserts its index entry; later parks find the
+  // entry kept at kNone.
+  // dmps-lint: allow-next(hot-unordered-map)
+  parked_index_[holder_key(request.member, request.group)] = idx;
+}
+
+void QueueingPolicy::drop(std::uint32_t idx) {
+  Parked& parked = parked_[idx];
+  Queue& queue = queues_[parked.request.group.value()];
+  if (parked.prev != kNone) {
+    parked_[parked.prev].next = parked.next;
+  } else {
+    queue.head = parked.next;
+  }
+  if (parked.next != kNone) {
+    parked_[parked.next].prev = parked.prev;
+  } else {
+    queue.tail = parked.prev;
+  }
+  --queue.size;
+  --total_queued_;
+  *parked_index_.find(holder_key(parked.request.member, parked.request.group)) =
+      kNone;
+  free_parked_.push_back(idx);
 }
 
 void QueueingPolicy::promote(GrantStore& store, ReleaseResult& out) {
@@ -160,54 +210,40 @@ void QueueingPolicy::promote(GrantStore& store, ReleaseResult& out) {
   // availability, so the rest of the walk would decide Abort-Arbitrate for
   // each entry, change nothing and throw the decisions away.
   const double beta = rule_.thresholds().beta;
-  if (store.availability() < beta) return;
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    auto& queue = it->second;
-    bool starved = false;
-    for (auto parked = queue.begin(); parked != queue.end() && !starved;) {
-      Decision decision =
-          rule_.decide(parked->request, parked->priority, store);
-      if (decision.outcome != Outcome::kGranted &&
-          decision.outcome != Outcome::kGrantedDegraded) {
-        ++parked;
-        continue;
+  if (total_queued_ == 0 || store.availability() < beta) return;
+  for (const Queue& queue : queues_) {
+    for (std::uint32_t idx = queue.head; idx != kNone;) {
+      const Parked& parked = parked_[idx];
+      const std::uint32_t next = parked.next;
+      Decision decision = rule_.decide(parked.request, parked.priority, store);
+      if (decision.outcome == Outcome::kGranted ||
+          decision.outcome == Outcome::kGrantedDegraded) {
+        out.promoted.push_back(Promotion{
+            Holder{parked.request.member, parked.request.group},
+            std::move(decision)});
+        drop(idx);
+        if (store.availability() < beta) return;
       }
-      out.promoted.push_back(Promotion{
-          Holder{parked->request.member, parked->request.group},
-          std::move(decision)});
-      parked = queue.erase(parked);
-      --total_queued_;
-      starved = store.availability() < beta;
+      idx = next;
     }
-    it = queue.empty() ? queues_.erase(it) : std::next(it);
-    if (starved) return;
   }
 }
 
 bool QueueingPolicy::cancel(MemberId member, GroupId group,
                             ReleaseResult& out) {
-  const auto it = queues_.find(group.value());
-  if (it == queues_.end()) return false;
-  auto& queue = it->second;
-  const std::size_t before = queue.size();
-  for (auto parked = queue.begin(); parked != queue.end();) {
-    if (parked->request.member != member) {
-      ++parked;
-      continue;
-    }
-    out.dequeued.push_back(Holder{member, group});
-    parked = queue.erase(parked);
-    --total_queued_;
-  }
-  const bool dropped = queue.size() != before;
-  if (queue.empty()) queues_.erase(it);
-  return dropped;
+  if (total_queued_ == 0) return false;
+  const std::uint32_t* const slot =
+      parked_index_.find(holder_key(member, group));
+  if (slot == nullptr || *slot == kNone) return false;
+  out.dequeued.push_back(Holder{member, group});
+  drop(*slot);
+  return true;
 }
 // dmps-lint: hot-end
 
 std::size_t QueueingPolicy::queued(GroupId group) const {
-  const auto it = queues_.find(group.value());
-  return it == queues_.end() ? 0 : it->second.size();
+  const std::size_t g = group.value();
+  return g < queues_.size() ? queues_[g].size : 0;
 }
 
 }  // namespace dmps::floorctl

@@ -81,53 +81,54 @@ Decision FloorService::decide(const FloorRequest& request) {
              : three_regime_.decide(request, priority, store_);
 }
 
-ReleaseResult FloorService::release(MemberId member, GroupId group) {
-  ReleaseResult result;
+void FloorService::release_into(MemberId member, GroupId group,
+                                ReleaseResult& out) {
+  const Marks marks = marks_of(out);
   const GrantStore::HolderRelease freed = store_.release_holder(member, group);
-  result.released = freed.released;
+  out.released |= freed.released;
   // A releasing (or leaving) member abandons its parked requests too. Sweep
   // when the release freed capacity or dropped a parked request: a dequeue
   // frees no capacity, but it can unblock fitting entries parked behind
   // it, and no later release would ever sweep for them.
-  const bool dropped = queueing_.cancel(member, group, result);
+  const bool dropped = queueing_.cancel(member, group, out);
   const bool swept = freed.freed || dropped;
-  if (swept) sweep_into(result);
+  if (swept) sweep_into(out);
   obs_->releases.add();
   const std::uint32_t shard_hint = swept ? host_.value() : 0u;
-  if (tracer_ != nullptr && result.released) {
+  if (tracer_ != nullptr && freed.released) {
     tracer_->emit(obs::Ev::kRelease, member.value(), shard_hint);
   }
-  record_result(result, shard_hint);
-  return result;
+  record_result(out, marks, shard_hint);
 }
 
 ReleaseResult FloorService::sweep() {
   ReleaseResult result;
   obs_->sweeps.add();
   sweep_into(result);
-  record_result(result, host_.value());
+  record_result(result, Marks{}, host_.value());
   return result;
 }
 
-void FloorService::record_result(const ReleaseResult& result,
+void FloorService::record_result(const ReleaseResult& result, Marks from,
                                  std::uint32_t shard_hint) {
-  if (!result.resumed.empty()) {
-    obs_->resumes.add(static_cast<std::int64_t>(result.resumed.size()));
-  }
-  if (!result.promoted.empty()) {
-    obs_->promotions.add(static_cast<std::int64_t>(result.promoted.size()));
-  }
-  for (const Promotion& promotion : result.promoted) {
-    if (!promotion.decision.suspended.empty()) {
+  const std::size_t resumed = result.resumed.size() - from.resumed;
+  const std::size_t promoted = result.promoted.size() - from.promoted;
+  if (resumed != 0) obs_->resumes.add(static_cast<std::int64_t>(resumed));
+  if (promoted != 0) obs_->promotions.add(static_cast<std::int64_t>(promoted));
+  const Promotion* const promotions = result.promoted.data() + from.promoted;
+  for (std::size_t i = 0; i < promoted; ++i) {
+    if (!promotions[i].decision.suspended.empty()) {
       obs_->suspends.add(
-          static_cast<std::int64_t>(promotion.decision.suspended.size()));
+          static_cast<std::int64_t>(promotions[i].decision.suspended.size()));
     }
   }
   if (tracer_ == nullptr) return;
-  for (const Holder& holder : result.resumed) {
-    tracer_->emit(obs::Ev::kResume, holder.member.value(), shard_hint);
+  for (std::size_t i = from.resumed; i < result.resumed.size(); ++i) {
+    tracer_->emit(obs::Ev::kResume, result.resumed[i].member.value(),
+                  shard_hint);
   }
-  for (const Promotion& promotion : result.promoted) {
+  for (std::size_t i = 0; i < promoted; ++i) {
+    const Promotion& promotion = promotions[i];
     tracer_->emit(obs::Ev::kPromote, promotion.holder.member.value(),
                   shard_hint,
                   static_cast<std::uint8_t>(promotion.decision.outcome));

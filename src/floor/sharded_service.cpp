@@ -1,8 +1,18 @@
 #include "floor/sharded_service.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace dmps::floorctl {
+
+namespace {
+/// The router's own refusal. Built apart, so request() returns one named
+/// decision and the copy is elided on both paths.
+Decision unknown_host() {
+  Decision decision;
+  decision.reason = Reason::kUnknownHost;
+  return decision;
+}
+}  // namespace
 
 ShardedFloorService::ShardedFloorService(const GroupRegistry& registry,
                                          clk::Clock& /*unused*/,
@@ -14,15 +24,19 @@ ShardedFloorService::ShardedFloorService(const GroupRegistry& registry,
       obs_(&obs::FloorInstruments::global()) {}
 
 void ShardedFloorService::add_host(HostId host, resource::Resource capacity) {
-  auto [it, created] =
-      shards_.try_emplace(host.value(), registry_, thresholds_, host, capacity);
-  FloorService& service = it->second;
-  if (!created) {
-    service.set_capacity(capacity);
+  if (!host.valid()) {
+    throw std::invalid_argument("add_host: the invalid host id");
+  }
+  if (host.value() >= shards_.size()) shards_.resize(host.value() + std::size_t{1});
+  std::unique_ptr<FloorService>& slot = shards_[host.value()];
+  if (slot != nullptr) {
+    slot->set_capacity(capacity);
     return;
   }
-  service.set_instruments(obs_);
-  service.set_tracer(tracer_);
+  slot = std::make_unique<FloorService>(registry_, thresholds_, host, capacity);
+  slot->set_instruments(obs_);
+  slot->set_tracer(tracer_);
+  ++shard_count_;
 }
 
 void ShardedFloorService::set_observability(obs::FloorInstruments* instruments,
@@ -30,15 +44,11 @@ void ShardedFloorService::set_observability(obs::FloorInstruments* instruments,
   obs_ = instruments != nullptr ? instruments
                                 : &obs::FloorInstruments::global();
   tracer_ = tracer;
-  for (auto& [id, service] : shards_) {
-    service.set_instruments(obs_);
-    service.set_tracer(tracer_);
+  for (const auto& service : shards_) {
+    if (service == nullptr) continue;
+    service->set_instruments(obs_);
+    service->set_tracer(tracer_);
   }
-}
-
-FloorService* ShardedFloorService::shard(HostId host) {
-  const auto it = shards_.find(host.value());
-  return it != shards_.end() ? &it->second : nullptr;
 }
 
 const resource::HostResourceManager* ShardedFloorService::host_manager(
@@ -48,8 +58,12 @@ const resource::HostResourceManager* ShardedFloorService::host_manager(
 }
 
 // dmps-lint: hot-begin(shard-execute) — every request and release the
-// facade routes: one shard lookup, one route-map probe, no allocation on
+// facade routes: one shard index, one route-list walk, no allocation on
 // the warm path.
+FloorService* ShardedFloorService::shard(HostId host) {
+  return host.value() < shards_.size() ? shards_[host.value()].get() : nullptr;
+}
+
 Decision ShardedFloorService::request(const FloorRequest& request) {
   FloorService* owner = shard(request.host);
   if (owner == nullptr) {
@@ -57,9 +71,7 @@ Decision ShardedFloorService::request(const FloorRequest& request) {
     // request the facade answered.
     obs_->requests.add();
     obs_->denied.add();
-    Decision decision;
-    decision.reason = Reason::kUnknownHost;
-    return decision;
+    return unknown_host();
   }
   Decision decision = owner->request(request);
   if (decision.outcome == Outcome::kGranted ||
@@ -74,31 +86,39 @@ Decision ShardedFloorService::request(const FloorRequest& request) {
 
 ReleaseResult ShardedFloorService::release(MemberId member, GroupId group) {
   ReleaseResult result;
-  // One probe: the holder's routes are walked in place, then emptied and
-  // kept, so a returning holder reuses the entry.
-  RouteList* const hosts = routes_.find(holder_key(member, group));
-  if (hosts == nullptr || hosts->empty()) return result;
-  obs_->route_fanout.add(static_cast<std::int64_t>(hosts->size()));
-  for (const HostId host : *hosts) {
-    merge_release_results(result, shard(host)->release(member, group));
+  if (member.value() >= routes_.size()) return result;
+  // Walk the member's routes in place: each one in `group` is released on
+  // its shard, straight into `result`, and the others are compacted to the
+  // front, so the list keeps its order and its storage.
+  RouteList& routes = routes_[member.value()];
+  std::size_t kept = 0;
+  std::int64_t fanout = 0;
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    const Route route = routes[i];
+    if (route.group != group) {
+      routes[kept++] = route;
+      continue;
+    }
+    ++fanout;
+    shards_[route.host.value()]->release_into(member, group, result);
   }
-  hosts->clear();
+  if (fanout == 0) return result;
+  while (routes.size() > kept) routes.pop_back();
+  obs_->route_fanout.add(fanout);
   return result;
 }
-// dmps-lint: hot-end
 
-// dmps-lint: hot-begin(route-map) — runs per accepted request; the warm
-// path finds the kept-empty entry.
 void ShardedFloorService::record_route(MemberId member, GroupId group,
                                        HostId host) {
-  // First route for a holder inserts its entry; every later request finds
-  // the kept-empty entry and stays off the heap.
-  // dmps-lint: allow-next(hot-unordered-map)
-  RouteList& hosts = routes_[holder_key(member, group)];
-  if (std::find(hosts.begin(), hosts.end(), host) == hosts.end()) {
-    hosts.push_back(host);
-    obs_->routes_recorded.add();
+  // The decision came from a shard, so the member is registered: the first
+  // route past the vector's end grows it to the whole registry at once.
+  if (member.value() >= routes_.size()) routes_.resize(registry_.member_count());
+  RouteList& routes = routes_[member.value()];
+  for (const Route& route : routes) {
+    if (route.group == group && route.host == host) return;
   }
+  routes.push_back(Route{group, host});
+  obs_->routes_recorded.add();
 }
 // dmps-lint: hot-end
 
@@ -111,36 +131,40 @@ ReleaseResult ShardedFloorService::sweep(HostId host) {
 
 std::size_t ShardedFloorService::active_grants() const {
   std::size_t total = 0;
-  for (const auto& [id, service] : shards_) total += service.active_grants();
+  for (const auto& service : shards_) {
+    if (service != nullptr) total += service->active_grants();
+  }
   return total;
 }
 
 std::size_t ShardedFloorService::suspended_grants() const {
   std::size_t total = 0;
-  for (const auto& [id, service] : shards_) {
-    total += service.suspended_grants();
+  for (const auto& service : shards_) {
+    if (service != nullptr) total += service->suspended_grants();
   }
   return total;
 }
 
 std::size_t ShardedFloorService::grant_slots() const {
   std::size_t total = 0;
-  for (const auto& [id, service] : shards_) total += service.grant_slots();
+  for (const auto& service : shards_) {
+    if (service != nullptr) total += service->grant_slots();
+  }
   return total;
 }
 
 std::size_t ShardedFloorService::queued_requests() const {
   std::size_t total = 0;
-  for (const auto& [id, service] : shards_) {
-    total += service.queued_requests();
+  for (const auto& service : shards_) {
+    if (service != nullptr) total += service->queued_requests();
   }
   return total;
 }
 
 std::size_t ShardedFloorService::queued_requests(GroupId group) const {
   std::size_t total = 0;
-  for (const auto& [id, service] : shards_) {
-    total += service.queued_requests(group);
+  for (const auto& service : shards_) {
+    if (service != nullptr) total += service->queued_requests(group);
   }
   return total;
 }

@@ -49,9 +49,9 @@ FloorServer::FloorServer(transport::Endpoint& endpoint, floorctl::GroupRegistry&
 }
 
 FloorServer::~FloorServer() {
-  for (auto& [id, pending] : pending_notifies_) {
+  pending_notifies_.for_each([this](std::uint64_t, Notify& pending) {
     if (pending.retry_timer != 0) ep_.cancel(pending.retry_timer);
-  }
+  });
   for (const MsgKind kind :
        {MsgKind::kJoin, MsgKind::kLeave, MsgKind::kRequest, MsgKind::kRelease,
         MsgKind::kSuspendAck, MsgKind::kResumeAck}) {
@@ -111,16 +111,21 @@ void FloorServer::handle_leave(const net::Message& msg) {
 
 // dmps-lint: hot-begin(fproto-server) — request/release bookkeeping
 FloorServer::MemberRecord* FloorServer::record_of(floorctl::MemberId member) {
-  if (MemberRecord* const record = records_.find(member.value())) return record;
+  if (MemberRecord* const record = find_record(member)) return record;
   if (!registry_.has_member(member)) return nullptr;
-  // First contact: once per registered member, so the insert is cold.
-  // dmps-lint: allow-next(hot-unordered-map)
-  return &records_[member.value()];
+  // First contact: once per registered member, so the growth is cold.
+  if (member.value() >= records_.size()) {
+    records_.resize(registry_.member_count());
+  }
+  MemberRecord& record = records_[member.value()];
+  record.contacted = true;
+  ++contacted_;
+  return &record;
 }
 
 FloorServer::MemberRecord* FloorServer::record_in(
     const floorctl::Holder& holder, Status status) {
-  MemberRecord* const record = records_.find(holder.member.value());
+  MemberRecord* const record = find_record(holder.member);
   if (record == nullptr || record->status != status ||
       record->group != holder.group) {
     return nullptr;
@@ -223,7 +228,7 @@ void FloorServer::handle_request(const net::Message& msg) {
   send_suspends(decision.suspended);
 }
 
-void FloorServer::send_suspends(const std::vector<floorctl::Holder>& suspended) {
+void FloorServer::send_suspends(const floorctl::HolderList& suspended) {
   // Only holders granted through this server are tracked; others have no
   // wire state.
   for (const floorctl::Holder& holder : suspended) {
@@ -258,7 +263,7 @@ void FloorServer::handle_release(const net::Message& msg) {
 
 void FloorServer::release_holder(floorctl::MemberId member,
                                  floorctl::GroupId group) {
-  MemberRecord* const record = records_.find(member.value());
+  MemberRecord* const record = find_record(member);
   if (record == nullptr || record->group != group) return;
   if (record->status == Status::kHeld) {
     record->status = Status::kReleased;
@@ -316,11 +321,9 @@ void FloorServer::release_holder(floorctl::MemberId member,
 void FloorServer::notify(const MemberRecord& holder, MsgKind kind) {
   const std::uint64_t notify_id = next_notify_id_++;
   Notify pending;
+  pending.request_id = holder.request_id;
   pending.node = holder.station;
   pending.kind = kind;
-  pending.ints = kind == MsgKind::kSuspend
-                     ? encode(SuspendMsg{notify_id, holder.request_id})
-                     : encode(ResumeMsg{notify_id, holder.request_id});
   if (kind == MsgKind::kSuspend) {
     ++suspends_sent_;
     wire_->server_suspends.add();
@@ -328,50 +331,55 @@ void FloorServer::notify(const MemberRecord& holder, MsgKind kind) {
     ++resumes_sent_;
     wire_->server_resumes.add();
   }
-  transmit(pending.node, wire_type(kind), pending.ints);
+  send_notify(notify_id, pending);
   pending.retry_timer = ep_.schedule_in(
       config_.notify_retry, [this, notify_id] { notify_tick(notify_id); });
-  pending_notifies_.emplace(notify_id, std::move(pending));
+  pending_notifies_[notify_id] = pending;
+}
+
+void FloorServer::send_notify(std::uint64_t notify_id, const Notify& pending) {
+  transmit(pending.node, wire_type(pending.kind),
+           pending.kind == MsgKind::kSuspend
+               ? encode(SuspendMsg{notify_id, pending.request_id})
+               : encode(ResumeMsg{notify_id, pending.request_id}));
 }
 
 void FloorServer::notify_tick(std::uint64_t notify_id) {
-  const auto it = pending_notifies_.find(notify_id);
-  if (it == pending_notifies_.end()) return;  // acked in the meantime
-  Notify& pending = it->second;
-  pending.retry_timer = 0;
-  if (pending.tries >= config_.notify_max_tries) {
+  Notify* const pending = pending_notifies_.find(notify_id);
+  if (pending == nullptr) return;  // acked in the meantime
+  pending->retry_timer = 0;
+  if (pending->tries >= config_.notify_max_tries) {
     ++notifies_abandoned_;
-    pending_notifies_.erase(it);
+    pending_notifies_.erase(notify_id);
     return;
   }
-  ++pending.tries;
+  ++pending->tries;
   ++notify_retransmits_;
   wire_->server_notify_retransmits.add();
   if (tracer_ != nullptr) {
     tracer_->emit(obs::Ev::kRetransmit, 0, 0, 1,
                   static_cast<std::int64_t>(notify_id));
   }
-  transmit(pending.node, wire_type(pending.kind), pending.ints);
-  pending.retry_timer = ep_.schedule_in(
+  send_notify(notify_id, *pending);
+  pending->retry_timer = ep_.schedule_in(
       config_.notify_retry, [this, notify_id] { notify_tick(notify_id); });
+}
+
+void FloorServer::notify_ack(std::uint64_t notify_id) {
+  const Notify* const pending = pending_notifies_.find(notify_id);
+  if (pending == nullptr) return;  // duplicate ack
+  if (pending->retry_timer != 0) ep_.cancel(pending->retry_timer);
+  pending_notifies_.erase(notify_id);
 }
 
 void FloorServer::handle_suspend_ack(const net::Message& msg) {
   const auto ack = decode_suspend_ack(msg);
-  if (!ack) return;
-  const auto it = pending_notifies_.find(ack->notify_id);
-  if (it == pending_notifies_.end()) return;  // duplicate ack
-  if (it->second.retry_timer != 0) ep_.cancel(it->second.retry_timer);
-  pending_notifies_.erase(it);
+  if (ack) notify_ack(ack->notify_id);
 }
 
 void FloorServer::handle_resume_ack(const net::Message& msg) {
   const auto ack = decode_resume_ack(msg);
-  if (!ack) return;
-  const auto it = pending_notifies_.find(ack->notify_id);
-  if (it == pending_notifies_.end()) return;
-  if (it->second.retry_timer != 0) ep_.cancel(it->second.retry_timer);
-  pending_notifies_.erase(it);
+  if (ack) notify_ack(ack->notify_id);
 }
 
 }  // namespace dmps::fproto

@@ -1,13 +1,13 @@
 #include "transport/timer_wheel.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace dmps::transport {
 
 TimerWheel::TimerWheel(util::Duration tick, std::size_t slots)
     : tick_(tick.raw_nanos() > 0 ? tick : util::Duration::millis(1)),
-      slots_(slots > 0 ? slots : 1),
-      slot_listed_(slots_.size(), false) {}
+      slots_(slots > 0 ? slots : 1) {}
 
 std::uint64_t TimerWheel::schedule_at(util::TimePoint due,
                                       std::function<void()> cb) {
@@ -20,21 +20,92 @@ std::uint64_t TimerWheel::schedule_at(util::TimePoint due,
       t <= 0 ? 0 : static_cast<std::uint64_t>((t + per - 1) / per);
   if (due_tick < cursor_) due_tick = cursor_;
 
-  const std::uint64_t id = next_id_++;
-  const std::size_t slot = due_tick % slots_.size();
-  if (!slot_listed_[slot]) {
-    slot_listed_[slot] = true;
-    listed_.push_back(slot);
+  std::uint32_t idx;
+  if (!free_entries_.empty()) {
+    idx = free_entries_.back();
+    free_entries_.pop_back();
+  } else {
+    idx = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+    free_entries_.reserve(entries_.capacity());  // it never outgrows the pool
   }
-  slots_[slot].push_back(Entry{id, due_tick, std::move(cb)});
-  live_.insert(id);
+  Entry& entry = entries_[idx];
+  entry.due_tick = due_tick;
+  entry.cb = std::move(cb);
+  link_tail(static_cast<std::uint32_t>(due_tick % slots_.size()), idx);
+  entry.id = mint_id(idx);
+  return entry.id;
+}
+
+void TimerWheel::link_tail(std::uint32_t list, std::uint32_t idx) {
+  List& to = list_of(list);
+  Entry& entry = entries_[idx];
+  entry.list = list;
+  entry.prev = to.tail;
+  entry.next = kNone;
+  if (to.tail != kNone) {
+    entries_[to.tail].next = idx;
+  } else {
+    to.head = idx;
+  }
+  to.tail = idx;
+}
+
+void TimerWheel::unlink(std::uint32_t idx) {
+  Entry& entry = entries_[idx];
+  List& from = list_of(entry.list);
+  if (entry.prev != kNone) {
+    entries_[entry.prev].next = entry.next;
+  } else {
+    from.head = entry.next;
+  }
+  if (entry.next != kNone) {
+    entries_[entry.next].prev = entry.prev;
+  } else {
+    from.tail = entry.prev;
+  }
+  entry.prev = kNone;
+  entry.next = kNone;
+}
+
+TimerWheel::Live* TimerWheel::find_live(std::uint64_t id) {
+  if (id == 0 || live_.empty()) return nullptr;
+  Live& live = live_[id & (live_.size() - 1)];
+  return live.id == id ? &live : nullptr;
+}
+
+std::uint64_t TimerWheel::mint_id(std::uint32_t entry) {
+  if (2 * (live_count_ + 1) > live_.size()) {
+    // Double, keeping every armed id: ids apart in the old low bits stay
+    // apart in the new ones.
+    std::vector<Live> old = std::move(live_);
+    live_.assign(std::max<std::size_t>(64, 2 * old.size()), Live{});
+    for (const Live& live : old) {
+      if (live.id != 0) live_[live.id & (live_.size() - 1)] = live;
+    }
+  }
+  const std::size_t mask = live_.size() - 1;
+  while (live_[next_id_ & mask].id != 0) ++next_id_;  // its slot is taken
+  const std::uint64_t id = next_id_++;
+  live_[id & mask] = Live{id, entry};
+  ++live_count_;
   return id;
 }
 
+void TimerWheel::release_entry(std::uint32_t idx) {
+  unlink(idx);
+  entries_[idx].cb = nullptr;  // whatever it captured goes now
+  free_entries_.push_back(idx);
+}
+
 bool TimerWheel::cancel(std::uint64_t id) {
-  // The slot entry stays behind as a tombstone; the next pass over its slot
-  // sweeps it, or advance() drops it once nothing is armed. O(1) either way.
-  return live_.erase(id) > 0;
+  Live* const live = find_live(id);
+  if (live == nullptr) return false;
+  const std::uint32_t idx = live->entry;
+  live->id = 0;
+  --live_count_;
+  release_entry(idx);
+  return true;
 }
 
 void TimerWheel::advance(util::TimePoint now) {
@@ -43,43 +114,35 @@ void TimerWheel::advance(util::TimePoint now) {
   const std::uint64_t target =
       static_cast<std::uint64_t>(t) / static_cast<std::uint64_t>(tick_.raw_nanos());
   while (cursor_ <= target) {
-    if (live_.empty()) {  // nothing armed: jump the cursor over the gap
+    if (live_count_ == 0) {  // nothing armed: jump the cursor over the gap
       cursor_ = target + 1;
       break;
     }
     const std::uint64_t tick = cursor_++;
-    std::vector<Entry>& slot = slots_[tick % slots_.size()];
-    // Partition in place: due entries move to `due`, future rounds stay,
-    // tombstones vanish. Callbacks run only after the slot is consistent —
+    // Move this tick's due entries, in slot order, to the firing list;
+    // later rounds stay. Callbacks run only after the slot is consistent —
     // they may re-enter schedule_at()/cancel() on this same wheel.
-    std::vector<Entry> due;
-    std::size_t keep = 0;
-    for (Entry& entry : slot) {
-      if (live_.find(entry.id) == live_.end()) continue;  // tombstone
-      if (entry.due_tick <= tick) {
-        due.push_back(std::move(entry));
-      } else {
-        slot[keep++] = std::move(entry);
+    const auto slot = static_cast<std::uint32_t>(tick % slots_.size());
+    for (std::uint32_t idx = slots_[slot].head; idx != kNone;) {
+      const std::uint32_t next = entries_[idx].next;
+      if (entries_[idx].due_tick <= tick) {
+        unlink(idx);
+        link_tail(kFiring, idx);
       }
+      idx = next;
     }
-    slot.resize(keep);
-    for (Entry& entry : due) {
-      // A callback earlier in this batch may have cancelled a later one.
-      if (live_.erase(entry.id) == 0) continue;
-      entry.cb();
+    // A callback may cancel an entry still waiting here: cancel() unlinks
+    // it from this list like from any other.
+    while (firing_.head != kNone) {
+      const std::uint32_t idx = firing_.head;
+      Live* const live = find_live(entries_[idx].id);
+      live->id = 0;
+      --live_count_;
+      std::function<void()> cb = std::move(entries_[idx].cb);
+      release_entry(idx);
+      cb();
     }
   }
-  // A jump skips slots, so their tombstones would stay until the cursor
-  // walks them with some timer live, which may never happen.
-  if (live_.empty()) drop_tombstones();
-}
-
-void TimerWheel::drop_tombstones() {
-  for (const std::size_t slot : listed_) {
-    slots_[slot].clear();
-    slot_listed_[slot] = false;
-  }
-  listed_.clear();
 }
 
 }  // namespace dmps::transport

@@ -83,7 +83,7 @@ TEST_F(ServiceFixture, DegradedRegimeSuspendsLowestPriorityFirst) {
 
   const auto d = service.request(req(chair, 0.50));
   EXPECT_EQ(d.outcome, Outcome::kGrantedDegraded);
-  EXPECT_EQ(d.suspended, (std::vector<Holder>{{low1, group}, {low2, group}}));
+  EXPECT_EQ(d.suspended, (HolderList{{low1, group}, {low2, group}}));
   EXPECT_EQ(service.suspended_grants(), 2u);
 }
 
@@ -92,7 +92,7 @@ TEST_F(ServiceFixture, AvailabilityExactlyBetaIsDegradedNotAbort) {
   ASSERT_EQ(service.host_manager().availability(), 0.0625);  // == beta
   const auto d = service.request(req(chair, 0.3));
   EXPECT_EQ(d.outcome, Outcome::kGrantedDegraded);
-  EXPECT_EQ(d.suspended, (std::vector<Holder>{{low1, group}}));
+  EXPECT_EQ(d.suspended, (HolderList{{low1, group}}));
 }
 
 TEST_F(ServiceFixture, BelowBetaAbortsRegardlessOfPriority) {
@@ -110,7 +110,7 @@ TEST_F(ServiceFixture, EqualPriorityIsNeverSuspended) {
   // (low1) may be suspended; that frees 0.35, enough for 0.4.
   const auto d1 = service.request(req(mid, 0.4));
   EXPECT_EQ(d1.outcome, Outcome::kGrantedDegraded);
-  EXPECT_EQ(d1.suspended, (std::vector<Holder>{{low1, group}}));
+  EXPECT_EQ(d1.suspended, (HolderList{{low1, group}}));
   // Now only equal-priority holders remain: a further oversized request is
   // denied, and the tentative state rolls back (nothing newly suspended).
   const auto d2 = service.request(req(mid, 0.5));
@@ -123,13 +123,13 @@ TEST_F(ServiceFixture, ReleaseTriggersMediaResume) {
   ASSERT_EQ(service.request(req(mid, 0.4)).outcome, Outcome::kGranted);
   const auto d = service.request(req(chair, 0.5));
   ASSERT_EQ(d.outcome, Outcome::kGrantedDegraded);
-  ASSERT_EQ(d.suspended, (std::vector<Holder>{{low1, group}}));
+  ASSERT_EQ(d.suspended, (HolderList{{low1, group}}));
   ASSERT_EQ(service.active_grants(), 2u);
 
   // The chair leaves: low1's suspended feed fits again and resumes.
   const auto rel = service.release(chair, group);
   EXPECT_TRUE(rel.released);
-  EXPECT_EQ(rel.resumed, (std::vector<Holder>{{low1, group}}));  // Media-Resume reported
+  EXPECT_EQ(rel.resumed, (HolderList{{low1, group}}));  // Media-Resume reported
   EXPECT_EQ(service.suspended_grants(), 0u);
   EXPECT_EQ(service.active_grants(), 2u);
   EXPECT_NEAR(service.host_manager().availability(), 0.1, 1e-12);
@@ -270,7 +270,7 @@ TEST_F(QueueingFixture, PromotionMayItselfMediaSuspend) {
   EXPECT_EQ(rel.promoted[0].holder, (Holder{chair, group}));
   EXPECT_EQ(rel.promoted[0].decision.outcome, Outcome::kGrantedDegraded);
   EXPECT_EQ(rel.promoted[0].decision.suspended,
-            (std::vector<Holder>{{low2, group}}));
+            (HolderList{{low2, group}}));
   EXPECT_EQ(service.suspended_grants(), 1u);
 }
 
@@ -281,7 +281,7 @@ TEST_F(QueueingFixture, ReleasingMemberAbandonsItsParkedRequests) {
   // dequeued without a grant and a later release promotes nobody.
   const auto rel = service.release(low1, group);
   EXPECT_FALSE(rel.released);  // it held no actual grant
-  EXPECT_EQ(rel.dequeued, (std::vector<Holder>{{low1, group}}));
+  EXPECT_EQ(rel.dequeued, (HolderList{{low1, group}}));
   EXPECT_EQ(service.queued_requests(group), 0u);
   const auto rel2 = service.release(mid, group);
   EXPECT_TRUE(rel2.released);
@@ -347,11 +347,11 @@ TEST_F(QueueingFixture, SuspendChainPromotionsReachAFixpoint) {
   EXPECT_EQ(rel.promoted[0].holder, (Holder{low3, group}));
   EXPECT_EQ(rel.promoted[1].holder, (Holder{mid, group}));
   EXPECT_EQ(rel.promoted[1].decision.suspended,
-            (std::vector<Holder>{{low1, group}}));
+            (HolderList{{low1, group}}));
   EXPECT_EQ(rel.promoted[2].holder, (Holder{chair, group}));
   EXPECT_EQ(rel.promoted[2].decision.suspended,
-            (std::vector<Holder>{{low3, group}, {mid, group}}));
-  EXPECT_EQ(rel.resumed, (std::vector<Holder>{{low3, group}}));  // pass 2
+            (HolderList{{low3, group}, {mid, group}}));
+  EXPECT_EQ(rel.resumed, (HolderList{{low3, group}}));  // pass 2
   EXPECT_EQ(service.queued_requests(group), 0u);
   EXPECT_EQ(service.active_grants(), 2u);     // chair 0.55 + low3 0.1
   EXPECT_EQ(service.suspended_grants(), 2u);  // low1 0.55, mid 0.8
@@ -367,7 +367,7 @@ TEST_F(QueueingFixture, SuspendChainPromotionsReachAFixpoint) {
 
   // The chair's release finally refits low1.
   const auto rel2 = service.release(chair, group);
-  EXPECT_EQ(rel2.resumed, (std::vector<Holder>{{low1, group}}));
+  EXPECT_EQ(rel2.resumed, (HolderList{{low1, group}}));
   EXPECT_EQ(service.suspended_grants(), 0u);
 }
 
@@ -383,7 +383,7 @@ TEST_F(QueueingFixture, DequeuedBlockerUnparksFittingEntriesBehindIt) {
   // The blocker leaves via release (it holds no grant).
   const auto rel = service.release(low1, group);
   EXPECT_FALSE(rel.released);
-  EXPECT_EQ(rel.dequeued, (std::vector<Holder>{{low1, group}}));
+  EXPECT_EQ(rel.dequeued, (HolderList{{low1, group}}));
   ASSERT_EQ(rel.promoted.size(), 1u);
   EXPECT_EQ(rel.promoted[0].holder, (Holder{low2, group}));
   EXPECT_EQ(service.queued_requests(group), 0u);
@@ -480,7 +480,7 @@ struct StreamHash {
   }
   void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
   void real(double v) { bytes(&v, sizeof(v)); }
-  void holders(const std::vector<Holder>& list) {
+  void holders(const HolderList& list) {
     u64(list.size());
     for (const Holder& h : list) {
       u64(h.member.value());

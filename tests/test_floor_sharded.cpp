@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,6 +66,14 @@ TEST_F(ShardedFixture, RequestsRouteToTheirHostShard) {
   EXPECT_EQ(d.outcome, Outcome::kDenied);
   EXPECT_EQ(d.reason, Reason::kUnknownHost);
   EXPECT_EQ(service.shard(HostId{99}), nullptr);
+  EXPECT_EQ(service.shard(HostId::invalid()), nullptr);
+  // Host ids index the shard vector: the invalid id is refused, and a
+  // request naming it is refused at the router like any unknown host.
+  EXPECT_THROW(service.add_host(HostId::invalid(), Resource{1.0, 1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_EQ(service.request(req(a1, HostId::invalid(), 0.1)).reason,
+            Reason::kUnknownHost);
+  EXPECT_EQ(service.shard_count(), 2u);
 }
 
 TEST_F(ShardedFixture, HostsArbitrateIndependently) {
@@ -73,7 +82,7 @@ TEST_F(ShardedFixture, HostsArbitrateIndependently) {
   ASSERT_EQ(service.request(req(a1, hostA, 0.9)).outcome, Outcome::kGranted);
   const auto on_a = service.request(req(a2, hostA, 0.3));
   EXPECT_EQ(on_a.outcome, Outcome::kGrantedDegraded);  // had to Media-Suspend
-  EXPECT_EQ(on_a.suspended, (std::vector<Holder>{{a1, group}}));
+  EXPECT_EQ(on_a.suspended, (HolderList{{a1, group}}));
   const auto on_b = service.request(req(b1, hostB, 0.3));
   EXPECT_EQ(on_b.outcome, Outcome::kGranted);  // unaffected shard
   EXPECT_TRUE(on_b.suspended.empty());
@@ -81,7 +90,7 @@ TEST_F(ShardedFixture, HostsArbitrateIndependently) {
   // The senior's release through the facade undoes its Media-Suspend.
   const auto rel = service.release(a2, group);
   EXPECT_TRUE(rel.released);
-  EXPECT_EQ(rel.resumed, (std::vector<Holder>{{a1, group}}));
+  EXPECT_EQ(rel.resumed, (HolderList{{a1, group}}));
   EXPECT_EQ(service.suspended_grants(), 0u);
   EXPECT_EQ(service.active_grants(), 2u);  // a1 on A, b1 on B
 }
@@ -119,7 +128,7 @@ TEST_F(ShardedFixture, ReleaseRoutesToTheShardsTheMemberUsed) {
   const auto all = service.release(chair, group);
   EXPECT_TRUE(all.released);
   EXPECT_EQ(all.resumed,
-            (std::vector<Holder>{{b1, group}, {c1, group}, {a1, group}}));
+            (HolderList{{b1, group}, {c1, group}, {a1, group}}));
   EXPECT_EQ(service.suspended_grants(), 0u);
   EXPECT_EQ(service.active_grants(), 3u);
   for (const HostId host : {hostA, hostB, hostC}) {
@@ -167,7 +176,7 @@ TEST_F(ShardedQueueingFixture, CancelDropsParkedStateOnTheRightShard) {
   // a1 holds nothing, only a parked request: releasing it drops just that.
   const auto dropped = service.release(a1, group);
   EXPECT_FALSE(dropped.released);
-  EXPECT_EQ(dropped.dequeued, (std::vector<Holder>{{a1, group}}));
+  EXPECT_EQ(dropped.dequeued, (HolderList{{a1, group}}));
   EXPECT_EQ(service.queued_requests(), 1u);  // b1 still parked on its shard
   // a1 abandoned its spot: a2's release promotes nobody on host A.
   EXPECT_TRUE(service.release(a2, group).promoted.empty());
@@ -239,34 +248,6 @@ TEST_F(ShardedFixture, RouterRefusalsCountLikeShardRefusals) {
   const auto unknown = service.request(req(a1, HostId{99}, 0.1));
   EXPECT_EQ(unknown.reason, Reason::kUnknownHost);
   EXPECT_EQ(counts(), std::make_pair(std::int64_t{1}, std::int64_t{1}));
-}
-
-TEST(MergeReleaseResults, EmptyAccumulatorTakesTheShardsBuffers) {
-  // A release routed to one shard hands its lists over without a copy.
-  ReleaseResult shard;
-  shard.released = true;
-  shard.resumed.push_back(Holder{MemberId{1}, GroupId{1}});
-  shard.promoted.push_back(Promotion{Holder{MemberId{2}, GroupId{1}}, {}});
-  shard.dequeued.push_back(Holder{MemberId{3}, GroupId{1}});
-  const Holder* resumed = shard.resumed.data();
-  const Promotion* promoted = shard.promoted.data();
-  const Holder* dequeued = shard.dequeued.data();
-
-  ReleaseResult merged;
-  merge_release_results(merged, std::move(shard));
-  EXPECT_TRUE(merged.released);
-  EXPECT_EQ(merged.resumed.data(), resumed);
-  EXPECT_EQ(merged.promoted.data(), promoted);
-  EXPECT_EQ(merged.dequeued.data(), dequeued);
-
-  // A second shard's lists append behind the first's, in route order.
-  ReleaseResult second;
-  second.promoted.push_back(Promotion{Holder{MemberId{4}, GroupId{1}}, {}});
-  merge_release_results(merged, std::move(second));
-  ASSERT_EQ(merged.promoted.size(), 2u);
-  EXPECT_EQ(merged.promoted[0].holder, (Holder{MemberId{2}, GroupId{1}}));
-  EXPECT_EQ(merged.promoted[1].holder, (Holder{MemberId{4}, GroupId{1}}));
-  EXPECT_EQ(merged.resumed.size(), 1u);
 }
 
 }  // namespace

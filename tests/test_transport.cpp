@@ -266,6 +266,44 @@ TEST(TimerWheel, CancelledTimersNeverFire) {
   EXPECT_TRUE(wheel.empty());
 }
 
+TEST(TimerWheel, StaleIdsNeverMatchANewerTimer) {
+  // Ids select their live-table slot by their low bits: an id that fired
+  // or was cancelled must not match the newer timer holding its slot now,
+  // ids only grow, and the table doubling under many armed timers keeps
+  // every armed id.
+  transport::TimerWheel wheel(Duration::millis(1), 16);
+  TimePoint now = TimePoint::zero();
+  int fired = 0;
+  std::uint64_t last = 0;
+  std::vector<std::uint64_t> stale;
+  for (int i = 0; i < 1'000; ++i) {  // each fires at once
+    const auto id = wheel.schedule_at(now, [&] { ++fired; });
+    EXPECT_GT(id, last);
+    last = id;
+    stale.push_back(id);
+    wheel.advance(now);
+    now = now + Duration::millis(1);
+  }
+  EXPECT_EQ(fired, 1'000);
+  std::vector<std::uint64_t> armed;
+  for (int i = 0; i < 500; ++i) {
+    const auto id = wheel.schedule_at(now + Duration::millis(5), [&] { ++fired; });
+    EXPECT_GT(id, last);
+    last = id;
+    armed.push_back(id);
+  }
+  for (const auto id : stale) EXPECT_FALSE(wheel.cancel(id)) << id;
+  EXPECT_EQ(wheel.pending(), 500u);
+  for (std::size_t i = 0; i < armed.size(); i += 2) {
+    EXPECT_TRUE(wheel.cancel(armed[i]));
+  }
+  EXPECT_EQ(wheel.pending(), 250u);
+  wheel.advance(now + Duration::millis(10));
+  EXPECT_EQ(fired, 1'250);
+  for (const auto id : armed) EXPECT_FALSE(wheel.cancel(id)) << id;
+  EXPECT_TRUE(wheel.empty());
+}
+
 TEST(TimerWheel, CallbacksMayRescheduleAndPastDeadlinesFire) {
   transport::TimerWheel wheel(Duration::millis(1), 16);
   int chain = 0;

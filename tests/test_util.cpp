@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <unordered_map>
 #include <vector>
@@ -128,6 +129,49 @@ TEST(SmallVec, AtBoundsChecksAndClearKeepsStorage) {
   EXPECT_EQ(v.capacity(), cap);
 }
 
+TEST(SmallVec, OwningElementsAreBuiltMovedAndDestroyedInPlace) {
+  // Elements that own heap memory (a result list's promotions carry
+  // decisions): growth, copy, both kinds of move, pop_back and clear must
+  // each build or destroy every element exactly once, which the sanitizer
+  // build checks.
+  using Strings = SmallVec<std::string, 2>;
+  const auto text = [](int i) {
+    return "an owning element too long for SSO #" + std::to_string(i);
+  };
+  Strings v;
+  v.push_back(text(0));
+  v.push_back(text(1));
+  v.push_back(v[0]);  // an element of its own, across the spill it triggers
+  EXPECT_FALSE(v.inline_storage());
+  ASSERT_EQ(v.size(), 3u);
+  EXPECT_EQ(v[2], text(0));
+  EXPECT_EQ(v.back(), text(0));
+
+  const Strings copy = v;
+  EXPECT_EQ(copy, v);
+  Strings stolen = std::move(v);  // steals the heap block
+  EXPECT_EQ(stolen, copy);
+  EXPECT_TRUE(v.empty());
+
+  Strings small{text(5), text(6)};  // inline: moved element by element
+  Strings moved = std::move(small);
+  EXPECT_TRUE(moved.inline_storage());
+  EXPECT_EQ(moved, (Strings{text(5), text(6)}));
+  EXPECT_TRUE(small.empty());
+  moved = copy;  // copy-assign over inline elements
+  EXPECT_EQ(moved, copy);
+  moved = std::move(stolen);
+  EXPECT_EQ(moved, copy);
+
+  moved.pop_back();
+  EXPECT_EQ(moved.size(), 2u);
+  EXPECT_EQ(moved.back(), text(1));
+  moved.clear();
+  EXPECT_TRUE(moved.empty());
+  moved.push_back(text(7));
+  EXPECT_EQ(moved[0], text(7));
+}
+
 TEST(FlatMap, GrowthKeepsEveryKeyAndItsKeptEmptyValue) {
   using Slots = dmps::util::SmallVec<std::uint32_t, 2>;
   dmps::util::FlatMap<Slots> map;
@@ -183,6 +227,49 @@ TEST(FlatMap, ProbeForAMissingKeyEndsAtAnEmptySlot) {
   }
   map[128] = 8;  // the ninth key grows the table before it would pass half
   EXPECT_EQ(map.slot_count(), 32u);
+}
+
+TEST(FlatMap, EraseKeepsEveryOtherKeyReachable) {
+  // Erase shifts the rest of the probe run back instead of leaving a
+  // tombstone. Random inserts and erases over a small key range keep the
+  // table small, so runs cluster and wrap past its end; after every step
+  // each key must be found exactly when a reference map holds it.
+  dmps::util::FlatMap<std::uint64_t> map;
+  std::unordered_map<std::uint64_t, std::uint64_t> reference;
+  Rng rng(41);
+  for (int step = 0; step < 20'000; ++step) {
+    const std::uint64_t key = rng.index(40);
+    if (rng.chance(0.5)) {
+      map[key] = static_cast<std::uint64_t>(step);
+      reference[key] = static_cast<std::uint64_t>(step);
+    } else {
+      EXPECT_EQ(map.erase(key), reference.erase(key) == 1) << step;
+    }
+    ASSERT_EQ(map.size(), reference.size()) << step;
+    for (std::uint64_t k = 0; k < 40; ++k) {
+      const std::uint64_t* found = map.find(k);
+      const auto it = reference.find(k);
+      if (it == reference.end()) {
+        ASSERT_EQ(found, nullptr) << "step " << step << " key " << k;
+      } else {
+        ASSERT_NE(found, nullptr) << "step " << step << " key " << k;
+        ASSERT_EQ(*found, it->second) << "step " << step << " key " << k;
+      }
+    }
+  }
+  EXPECT_FALSE(map.erase(dmps::util::FlatMap<std::uint64_t>::kEmptyKey));
+
+  // Keys that never return, like notify ids, with at most eight live:
+  // the table stays sized by that population, not by the keys seen.
+  dmps::util::FlatMap<int> ids;
+  for (std::uint64_t id = 1; id <= 100'000; ++id) {
+    ids[id] = 1;
+    if (id > 8) {
+      ASSERT_TRUE(ids.erase(id - 8)) << id;
+    }
+  }
+  EXPECT_EQ(ids.size(), 8u);
+  EXPECT_LE(ids.slot_count(), 32u);
 }
 
 TEST(FlatMap, RefusesTheReservedKey) {
