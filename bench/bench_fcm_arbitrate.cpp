@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <new>
 #include <string>
 
 #include "bench_common.hpp"
@@ -34,52 +33,6 @@
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
 #include "util/sanitizers.hpp"
-
-#if !defined(DMPS_SANITIZED)
-// Allocation-counting operator new: every heap allocation in this binary
-// bumps the thread-local probe the million-member sweep brackets, which is
-// how that sweep PROVES its zero-steady-state-allocation claim instead of
-// asserting it in a comment. Frees are not counted (recycling buffers is
-// the design). Disabled under sanitizers — their interposed allocators
-// must keep full ownership of malloc.
-//
-// The compiler cannot see that these replacements pair new->malloc with
-// delete->free program-wide, so silence its default-new/free mismatch
-// heuristic here.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  dmps::util::alloc_probe_bump();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  dmps::util::alloc_probe_bump();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  dmps::util::alloc_probe_bump();
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  dmps::util::alloc_probe_bump();
-  return std::malloc(size ? size : 1);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-#endif  // !DMPS_SANITIZED
 
 namespace {
 

@@ -56,7 +56,6 @@ class DocpnEngine {
 
   bool paused() const { return paused_; }
   bool finished() const { return finished_; }
-  std::uint64_t transitions_fired() const { return engine_.fired(); }
 
  private:
   void drive();

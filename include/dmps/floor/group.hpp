@@ -79,7 +79,6 @@ class GroupRegistry {
            ((bits[word] >> (member.value() % 64)) & 1u) != 0;
   }
   std::size_t member_count() const { return members_.size(); }
-  std::size_t group_count() const { return groups_.size(); }
 
  private:
   std::vector<Member> members_;

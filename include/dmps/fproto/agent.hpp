@@ -112,7 +112,6 @@ class FloorAgent {
   bool leave();
 
   AgentState state() const { return state_; }
-  std::uint64_t current_request() const { return current_request_id_; }
   floorctl::MemberId member() const { return member_; }
 
   /// No client-driven operation is still in flight: the agent is parked in

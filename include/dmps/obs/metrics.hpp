@@ -1,23 +1,24 @@
 #pragma once
-// dmps::obs metric instruments: Counter, Gauge, Histogram.
+// dmps::obs metric instruments: Counter and Histogram.
 //
 // Design constraints (DESIGN.md §7): the instrumented hot paths — floor
 // arbitration inside the alloc-probed million sweep, the daemon's loop,
-// perf's load threads — must stay steady-state allocation-free and nearly
-// contention-free. So every instrument here is a fixed-size block of
-// atomics:
+// perf's load threads — must stay steady-state allocation-free. So every
+// instrument here is a fixed-size block of relaxed atomics with ONE writer
+// thread at a time: an update is a relaxed load and a relaxed store, no
+// locked read-modify-write. The atomics keep a read from another thread
+// (a value() or a snapshot) well-defined; they do not make two writers
+// safe. Components on different threads take different instrument packs
+// (registry.hpp), as perf's load threads do.
 //
-//   Counter / Gauge — 16 exclusive cache-line-padded int64 stripes plus
-//     one shared cell. The first 16 threads that ask for a lane each own a
-//     stripe and bump it with a relaxed load and store (no locked
-//     instruction: nobody else writes it); every later thread bumps the
-//     shared cell with fetch_add. Either way no update is lost. value()
-//     sums the cells (exact once writers quiesce, approximate while they
-//     run).
-//   Histogram — 121 log-linear buckets plus sum and count, all relaxed
-//     atomics. Exact under concurrency (fetch_add loses nothing); callers
-//     that need to bound the per-op cost sample before recording (the
+//   Counter   — one int64 cell.
+//   Histogram — 121 log-linear buckets plus sum and count. Callers that
+//     need to bound the per-op cost sample before recording (the
 //     FloorService decide path records 1-in-64).
+//
+// Levels (queue depth, grant occupancy) are not instruments: they live in
+// component state and reach the snapshot through the registry's callback
+// gauges (MetricsRegistry::gauge_callback).
 //
 // Instruments never allocate after construction and are neither copyable
 // nor movable — a MetricsRegistry owns them at stable addresses and hands
@@ -32,104 +33,34 @@
 namespace dmps::obs {
 
 namespace detail {
-inline constexpr std::size_t kNoLane = ~std::size_t{0};
-/// The calling thread's lane, kNoLane until it first asks. Constant-
-/// initialized, so reading it is one thread-local load.
-inline thread_local std::size_t t_lane = kNoLane;
-/// The next lane nobody has taken yet.
-std::size_t next_thread_lane();
-}  // namespace detail
-
-/// Small dense id for the calling thread (assigned on first use, never
-/// reused within the process). Lanes below kExclusiveLanes own a stripe of
-/// every Counter and Gauge.
-inline std::size_t thread_lane() {
-  if (detail::t_lane == detail::kNoLane) {
-    detail::t_lane = detail::next_thread_lane();
-  }
-  return detail::t_lane;
+/// The single writer's update: no other thread writes `cell`, so a plain
+/// add cannot lose an update, and the atomic store keeps concurrent reads
+/// well-defined.
+inline void bump(std::atomic<std::int64_t>& cell, std::int64_t n) {
+  cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
 }
-
-namespace detail {
-struct alignas(64) PaddedAtomic {
-  std::atomic<std::int64_t> v{0};
-};
-
-/// The cells behind Counter and Gauge: one exclusive stripe per lane below
-/// kExclusiveLanes, each written by its one thread only, and a shared cell
-/// every other thread adds to atomically.
-class StripedSum {
- public:
-  static constexpr std::size_t kExclusiveLanes = 16;
-
-  void add(std::int64_t n) {
-    const std::size_t lane = thread_lane();
-    if (lane < kExclusiveLanes) {
-      // The single writer of this stripe: a plain add cannot race another
-      // write, and the atomic store keeps value()'s concurrent reads
-      // well-defined.
-      std::atomic<std::int64_t>& cell = stripes_[lane].v;
-      cell.store(cell.load(std::memory_order_relaxed) + n,
-                 std::memory_order_relaxed);
-    } else {
-      shared_.v.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-
-  std::int64_t value() const {
-    std::int64_t sum = shared_.v.load(std::memory_order_relaxed);
-    for (const auto& stripe : stripes_) {
-      sum += stripe.v.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
- private:
-  std::array<PaddedAtomic, kExclusiveLanes> stripes_;
-  PaddedAtomic shared_;
-};
 }  // namespace detail
 
-/// Monotonic event count. add() bumps the calling thread's stripe (or the
-/// shared cell); value() sums the cells (exact once writers quiesce).
+/// Monotonic event count.
 class Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void add(std::int64_t n = 1) { cells_.add(n); }
-  std::int64_t value() const { return cells_.value(); }
+  void add(std::int64_t n = 1) { detail::bump(value_, n); }
+  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  detail::StripedSum cells_;
-};
-
-/// A level that moves both ways through deltas (queue depth, in-flight
-/// count). Absolute levels that live in component state (GrantStore
-/// occupancy) are better served by a registry callback gauge — see
-/// MetricsRegistry::gauge_callback — read at snapshot time instead of
-/// being pushed on every transition.
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void add(std::int64_t delta) { cells_.add(delta); }
-  void sub(std::int64_t delta) { add(-delta); }
-  std::int64_t value() const { return cells_.value(); }
-
- private:
-  detail::StripedSum cells_;
+  std::atomic<std::int64_t> value_{0};
 };
 
 /// Fixed log-linear histogram for non-negative integer samples (latencies
 /// in ns/us, drain sizes). Bucket 0 holds v <= 0 and buckets 1..7 hold 1..7
 /// exactly; from 8 up to 2^31 each power of two [2^k, 2^(k+1)) splits into
 /// 4 equal sub-buckets, and the last bucket absorbs v >= 2^31. Exact count
-/// and sum under concurrent record(). A quantile is the middle of the bucket
-/// holding its rank: exact below 8, within 12.5% of the sample up to 2^31.
+/// and sum. A quantile is the middle of the bucket holding its rank: exact
+/// below 8, within 12.5% of the sample up to 2^31.
 class Histogram {
  public:
   static constexpr std::size_t kExact = 8;  // 0..7 get a bucket each
@@ -141,9 +72,9 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void record(std::int64_t v) {
-    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    detail::bump(buckets_[bucket_index(v)], 1);
+    detail::bump(sum_, v);
+    detail::bump(count_, 1);
   }
 
   std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -162,8 +93,6 @@ class Histogram {
 
   /// Estimate of the q-quantile (q in [0, 1]); 0 when empty.
   std::int64_t quantile(double q) const;
-
-  void reset();
 
   static std::size_t bucket_index(std::int64_t v) {
     if (v < static_cast<std::int64_t>(kExact)) {

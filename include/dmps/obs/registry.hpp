@@ -2,15 +2,16 @@
 // MetricsRegistry: named ownership of obs instruments, plus the one JSON
 // snapshot everything reports through.
 //
-// A registry owns its instruments in deques (stable addresses — the
-// atomics are neither copyable nor movable) and hands out references that
-// stay valid for the registry's lifetime. Registration is idempotent by
-// name: asking for an existing name returns the existing instrument, so
-// several components can share one logical counter by agreeing on its
-// name. Callback gauges register a std::function read at snapshot time —
-// the pull-style instrument for levels that already live in component
-// state (GrantStore occupancy, network totals), costing the hot path
-// nothing.
+// A registry owns its counters and histograms in deques (stable addresses
+// — the atomics are neither copyable nor movable) and hands out
+// references that stay valid for the registry's lifetime. Registration is
+// idempotent by name: asking for an existing name returns the existing
+// instrument, so several components can share one logical counter by
+// agreeing on its name — as long as they run on the same thread, since an
+// instrument has one writer at a time (metrics.hpp). Callback gauges
+// register a std::function read at snapshot time — the instrument for
+// levels, which already live in component state (GrantStore occupancy,
+// network totals), costing the hot path nothing.
 //
 // The pre-registration rule (DESIGN.md §7): register every instrument
 // before the hot path runs, then freeze(). A frozen registry refuses new
@@ -21,7 +22,8 @@
 // Instrument packs (FloorInstruments, WireInstruments) bundle the
 // instruments one layer writes, resolved once at construction so the hot
 // path holds plain references. Components default to the process-global
-// pack; a Presentation builds per-session packs over its own registry.
+// pack; a Presentation builds per-session packs over its own registry,
+// and each of perf's load threads builds its own registry and pack.
 
 #include <cstdint>
 #include <deque>
@@ -45,7 +47,6 @@ class MetricsRegistry {
   /// Find-or-create by name. Throws std::logic_error when frozen and the
   /// name is new.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
   /// Pull-style gauge: `fn` is invoked at snapshot (write_json / value)
   /// time. Re-registering a name replaces its callback.
@@ -55,7 +56,7 @@ class MetricsRegistry {
   void freeze();
   bool frozen() const;
 
-  /// Current value of a counter, gauge or callback gauge by name; 0 for
+  /// Current value of a counter or callback gauge by name; 0 for
   /// unknown names (snapshot readers must not throw mid-report).
   std::int64_t value(std::string_view name) const;
 
@@ -73,10 +74,6 @@ class MetricsRegistry {
     std::string name;
     Counter instrument;
   };
-  struct NamedGauge {
-    std::string name;
-    Gauge instrument;
-  };
   struct NamedHistogram {
     std::string name;
     Histogram instrument;
@@ -93,7 +90,6 @@ class MetricsRegistry {
   mutable util::Mutex mu_;
   bool frozen_ DMPS_GUARDED_BY(mu_) = false;
   std::deque<NamedCounter> counters_ DMPS_GUARDED_BY(mu_);
-  std::deque<NamedGauge> gauges_ DMPS_GUARDED_BY(mu_);
   std::deque<NamedHistogram> histograms_ DMPS_GUARDED_BY(mu_);
   std::vector<CallbackGauge> callbacks_ DMPS_GUARDED_BY(mu_);
 };

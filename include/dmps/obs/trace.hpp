@@ -8,9 +8,9 @@
 // Tracer — one ring plus an online fingerprint accumulator and an optional
 // time source (sim-time for sessions, unset = 0 for pure-throughput
 // benches). emit() is the single hot-path entry: stamp, push, fold. After
-// reserve_actors(), a warm emit() performs zero heap allocations — rings
-// are preallocated and the accumulator is a fixed open-addressing table —
-// so tracing can stay on inside the alloc-probed million sweep. Export is
+// reserve_actors(), a warm emit() performs zero heap allocations — the ring
+// is preallocated and the accumulator's util::FlatMap is pre-sized — so
+// tracing can stay on inside the alloc-probed million sweep. Export is
 // Chrome trace-event JSON ({"traceEvents":[...]}, loadable in
 // chrome://tracing or Perfetto; pid = shard, tid = actor).
 //
@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/flat_map.hpp"
 #include "util/sync.hpp"
 
 namespace dmps::obs {
@@ -86,7 +87,6 @@ class TraceRing {
   const TraceEvent& at(std::size_t i) const {
     return ring_[(head_ + i) % capacity_];
   }
-  void clear();
 
  private:
   // Reserved at construction and appended to until full, so no slot is
@@ -97,30 +97,25 @@ class TraceRing {
   std::uint64_t dropped_ = 0;
 };
 
-/// Open-addressing (shard, actor) -> commutative hash-sum table. Grows only
-/// on insert of a NEW key; reserve() pre-sizes it so a warm workload's
+/// (shard, actor) -> commutative hash-sum table. A station's first event
+/// inserts its key; reserve() pre-sizes the table so a warm workload's
 /// fold() path never allocates.
 class FingerprintAccumulator {
  public:
-  FingerprintAccumulator();
-
   /// Pre-size for at least `keys` distinct (shard, actor) pairs.
-  void reserve(std::size_t keys);
+  void reserve(std::size_t keys) { sums_.reserve(keys); }
   void fold(const TraceEvent& ev);
   /// Canonical combine: per-key sums in sorted-key order through a chained
   /// mix. Snapshot-time only (sorts a copy of the live keys).
   std::uint64_t fingerprint() const;
-  std::size_t key_count() const { return used_; }
-  void clear();
 
  private:
-  void insert(std::uint64_t key, std::uint64_t delta);
-  void grow();
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint64_t> sums_;
-  std::vector<std::uint8_t> occupied_;
-  std::size_t used_ = 0;
+  util::FlatMap<std::uint64_t> sums_;
+  // Shard and actor both ~0u make FlatMap's empty-slot key, which it cannot
+  // store (a default FloorRequest traced by a FloorService emits it). That
+  // one station's sum lives here; it sorts after every other key.
+  std::uint64_t reserved_sum_ = 0;
+  bool reserved_seen_ = false;
 };
 
 class Tracer {
@@ -170,7 +165,6 @@ class Tracer {
   std::uint64_t fingerprint() const;
   /// Chrome trace-event JSON of this tracer's retained ring.
   void write_chrome_trace(std::ostream& out) const;
-  void clear();
 
  private:
   /// The single-writer affinity capability (DESIGN.md §10). Every entry

@@ -84,6 +84,5 @@ class TimePoint {
 };
 
 constexpr TimePoint max_time(TimePoint a, TimePoint b) { return a < b ? b : a; }
-constexpr TimePoint min_time(TimePoint a, TimePoint b) { return b < a ? b : a; }
 
 }  // namespace dmps::util

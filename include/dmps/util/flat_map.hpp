@@ -4,10 +4,11 @@
 // Most per-operation maps in the library only ever find or insert: an
 // entry whose state goes quiet is kept, emptied, so a returning key reuses
 // it (SimNetwork's link overrides, GrantStore's holder index,
-// QueueingPolicy's parked index, UdpEndpoint's peer ids). One flat array
-// serves them all: open addressing with linear probing over a power-of-two
-// slot count kept at most half full, so every probe ends at an empty slot,
-// and a multiplicative hash. A lookup is one multiply, one mask and a short
+// QueueingPolicy's parked index, UdpEndpoint's peer ids, the fingerprint
+// accumulator's per-station sums). One flat array serves them all: open
+// addressing with linear probing over a power-of-two slot count kept at
+// most half full, so every probe ends at an empty slot, and a
+// multiplicative hash. A lookup is one multiply, one mask and a short
 // scan of adjacent slots: no division by a prime, no node to chase. The
 // one map whose keys do not return — FloorServer's pending notifications,
 // keyed by a notify id minted once — erases instead: erase() shifts the
@@ -15,10 +16,12 @@
 // the slot array, sized by the peak population, is kept.
 //
 // kEmptyKey marks an empty slot, so it cannot be stored: operator[] throws
-// std::invalid_argument for it, and find() never finds it. Inserting a new
-// key may grow the table and erasing may shift entries, either of which
-// moves entries: a pointer or reference to a value stays valid only until
-// the next insert of a new key or the next erase.
+// std::invalid_argument for it, and find() never finds it. reserve() sizes
+// the table for a known key count up front, so a warm path's first-contact
+// inserts never allocate. Inserting a new key may grow the table and
+// erasing may shift entries, either of which moves entries: a pointer or
+// reference to a value stays valid only until the next insert of a new key
+// or the next erase.
 
 #include <algorithm>
 #include <cstddef>
@@ -53,7 +56,7 @@ class FlatMap {
     }
     if (2 * (size_ + 1) > slots_.size()) {  // one more key would pass half
       if (V* const value = find(key)) return *value;
-      grow();
+      rehash(std::max(kMinSlots, 2 * slots_.size()));
     }
     Slot& slot = slots_[probe(key)];
     if (slot.key == kEmptyKey) {
@@ -89,10 +92,24 @@ class FlatMap {
     return true;
   }
 
+  /// Size the table so `keys` keys fit without growing: inserts up to that
+  /// count never allocate.
+  void reserve(std::size_t keys) {
+    std::size_t slots = kMinSlots;
+    while (slots < 2 * keys) slots *= 2;
+    if (slots > slots_.size()) rehash(slots);
+  }
+
   /// Call visit(key, value) for every stored entry, in slot order.
   template <typename Visit>
   void for_each(Visit&& visit) {
     for (Slot& slot : slots_) {
+      if (slot.key != kEmptyKey) visit(slot.key, slot.value);
+    }
+  }
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const Slot& slot : slots_) {
       if (slot.key != kEmptyKey) visit(slot.key, slot.value);
     }
   }
@@ -125,9 +142,10 @@ class FlatMap {
     return i;
   }
 
-  void grow() {
+  /// Move every entry into a fresh array of `slots` slots (a power of two).
+  void rehash(std::size_t slots) {
     std::vector<Slot> old = std::move(slots_);
-    slots_ = std::vector<Slot>(std::max(kMinSlots, 2 * old.size()));
+    slots_ = std::vector<Slot>(slots);
     for (Slot& from : old) {
       if (from.key == kEmptyKey) continue;
       Slot& to = slots_[probe(from.key)];

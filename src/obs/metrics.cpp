@@ -2,11 +2,6 @@
 
 namespace dmps::obs {
 
-std::size_t detail::next_thread_lane() {
-  static std::atomic<std::size_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 namespace {
 // The middle of bucket `index`'s range. A sub-bucket is a quarter of its
 // power of two wide, so the middle is within 12.5% of any value in it; the
@@ -32,12 +27,6 @@ std::int64_t Histogram::quantile(double q) const {
     if (seen >= rank) return bucket_middle(b);
   }
   return bucket_middle(kBuckets - 1);
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace dmps::obs

@@ -43,12 +43,6 @@ void TraceRing::push(const TraceEvent& ev) {
   ++dropped_;
 }
 
-void TraceRing::clear() {
-  ring_.clear();  // keeps the reserved storage
-  head_ = 0;
-  dropped_ = 0;
-}
-
 // -------------------------------------------------- FingerprintAccumulator
 
 namespace {
@@ -69,84 +63,40 @@ std::uint64_t station_key(const TraceEvent& ev) {
          static_cast<std::uint64_t>(ev.actor);
 }
 
-constexpr std::size_t kMinSlots = 64;
-
-std::size_t slots_for(std::size_t keys) {
-  // Keep load under ~0.7: probe runs stay short, and a reserve()d table
-  // never grows under the warm workload.
-  std::size_t slots = kMinSlots;
-  while (slots * 7 < keys * 10) slots <<= 1;
-  return slots;
-}
-
 }  // namespace
 
-FingerprintAccumulator::FingerprintAccumulator()
-    : keys_(kMinSlots, 0), sums_(kMinSlots, 0), occupied_(kMinSlots, 0) {}
-
-void FingerprintAccumulator::reserve(std::size_t keys) {
-  const std::size_t slots = slots_for(keys);
-  if (slots <= keys_.size()) return;
-  std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<std::uint64_t> old_sums = std::move(sums_);
-  std::vector<std::uint8_t> old_occupied = std::move(occupied_);
-  keys_.assign(slots, 0);
-  sums_.assign(slots, 0);
-  occupied_.assign(slots, 0);
-  used_ = 0;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_occupied[i]) insert(old_keys[i], old_sums[i]);
-  }
-}
-
-void FingerprintAccumulator::grow() { reserve(keys_.size() * 2); }
-
-void FingerprintAccumulator::insert(std::uint64_t key, std::uint64_t delta) {
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(mix64(key)) & mask;
-  for (;;) {
-    if (!occupied_[slot]) {
-      if (used_ * 10 >= keys_.size() * 7) {
-        grow();
-        insert(key, delta);
-        return;
-      }
-      occupied_[slot] = 1;
-      keys_[slot] = key;
-      sums_[slot] = delta;
-      ++used_;
-      return;
-    }
-    if (keys_[slot] == key) {
-      sums_[slot] += delta;  // commutative mod-2^64 fold
-      return;
-    }
-    slot = (slot + 1) & mask;
-  }
-}
-
+// dmps-lint: hot-begin(trace-fold) — every traced event, inside the
+// alloc-probed million sweep.
 void FingerprintAccumulator::fold(const TraceEvent& ev) {
-  insert(station_key(ev), event_hash(ev));
+  const std::uint64_t key = station_key(ev);
+  if (key == util::FlatMap<std::uint64_t>::kEmptyKey) {
+    reserved_sum_ += event_hash(ev);
+    reserved_seen_ = true;
+    return;
+  }
+  // A station's first event inserts its sum; reserve() sizes the table for
+  // a warm workload's stations, so later events find theirs.
+  // dmps-lint: allow-next(hot-unordered-map)
+  sums_[key] += event_hash(ev);  // commutative mod-2^64 fold
 }
+// dmps-lint: hot-end
 
 std::uint64_t FingerprintAccumulator::fingerprint() const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-  entries.reserve(used_);
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (occupied_[i]) entries.emplace_back(keys_[i], sums_[i]);
-  }
+  entries.reserve(sums_.size() + 1);
+  sums_.for_each([&entries](std::uint64_t key, std::uint64_t sum) {
+    entries.emplace_back(key, sum);
+  });
   std::sort(entries.begin(), entries.end());
+  if (reserved_seen_) {
+    entries.emplace_back(util::FlatMap<std::uint64_t>::kEmptyKey, reserved_sum_);
+  }
   std::uint64_t fp = 0x9e3779b97f4a7c15ull;
   for (const auto& [key, sum] : entries) {
     fp = mix64(fp ^ key);
     fp = mix64(fp ^ sum);
   }
   return fp;
-}
-
-void FingerprintAccumulator::clear() {
-  std::fill(occupied_.begin(), occupied_.end(), 0);
-  used_ = 0;
 }
 
 // ------------------------------------------------------------------ Tracer
@@ -156,12 +106,6 @@ Tracer::Tracer(std::size_t ring_capacity) : ring_(ring_capacity) {}
 std::uint64_t Tracer::fingerprint() const {
   writer_.assert_held();
   return fp_.fingerprint();
-}
-
-void Tracer::clear() {
-  writer_.assert_held();
-  ring_.clear();
-  fp_.clear();
 }
 
 void Tracer::write_chrome_trace(std::ostream& out) const {

@@ -11,8 +11,9 @@
 //               promotions, and leave + rejoin pairs.
 // After a warm-up, every message the server handles and every wheel
 // advance is bracketed by the allocation counter this binary installs
-// (util/alloc_probe.hpp, as bench_fcm_arbitrate does), and the total must
-// be zero. The client's own bookkeeping runs outside the brackets.
+// (src/util/counting_new.cpp, shared with bench_fcm_arbitrate), and the
+// total must be zero. The client's own bookkeeping runs outside the
+// brackets.
 //
 // Replacing operator new would fight a sanitizer's own allocator, so under
 // sanitizers the counter is not installed and the tests skip.
@@ -20,9 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -36,42 +35,6 @@
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
 #include "util/sanitizers.hpp"
-
-#if !defined(DMPS_SANITIZED)
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  dmps::util::alloc_probe_bump();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  dmps::util::alloc_probe_bump();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  dmps::util::alloc_probe_bump();
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  dmps::util::alloc_probe_bump();
-  return std::malloc(size ? size : 1);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-#endif  // !DMPS_SANITIZED
 
 namespace {
 

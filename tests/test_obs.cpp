@@ -1,11 +1,12 @@
 // dmps::obs — instruments, registry, tracing, fingerprints (DESIGN.md §7).
 //
-// The contracts under test, in dependency order: striped counters and
-// histograms merge EXACTLY across concurrent writers; the registry is
-// find-or-create, freezes hard, and snapshots to JSON; the trace ring
-// overwrites oldest-first and counts what it lost; and the scenario
-// fingerprint is order-insensitive per station, sensitive to decisions,
-// and bit-identical across runs of a seeded loss-free session.
+// The contracts under test, in dependency order: an instrument's one
+// writer keeps counts and histograms exact while another thread reads
+// them; the registry is find-or-create, freezes hard, and snapshots to
+// JSON; the trace ring overwrites oldest-first and counts what it lost;
+// and the scenario fingerprint is order-insensitive per station,
+// sensitive to decisions, pinned to a golden value, and bit-identical
+// across runs of a seeded loss-free session.
 
 #include <gtest/gtest.h>
 
@@ -25,78 +26,42 @@ namespace {
 using namespace dmps;
 using util::Duration;
 
-TEST(ObsMetrics, CounterMergesExactlyAcrossFourThreads) {
+TEST(ObsMetrics, SingleWriterIsExactWhileAnotherThreadReads) {
+  // The contract: one writer thread per instrument, readers anywhere. The
+  // reader's view of each cell never goes backwards, and once the writer
+  // is done every value is exact.
   obs::Counter counter;
-  constexpr int kThreads = 4;
-  constexpr int kAdds = 100'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kAdds; ++i) counter.add();
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  // Striping spreads contention; fetch_add loses nothing. The merged value
-  // must be exact, not approximate.
-  EXPECT_EQ(counter.value(), std::int64_t{kThreads} * kAdds);
-}
-
-TEST(ObsMetrics, CounterStaysExactPastTheExclusiveLanes) {
-  // More writers than exclusive stripes: the first 16 threads to take a
-  // lane own one each, and at least 8 of these writers share the fetch_add
-  // cell. They start together, so the shared cell is contended.
-  obs::Counter counter;
-  obs::Gauge gauge;
-  constexpr int kThreads =
-      static_cast<int>(obs::detail::StripedSum::kExclusiveLanes) + 8;
-  constexpr int kAdds = 20'000;
-  std::atomic<int> ready{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) std::this_thread::yield();
-      for (int i = 0; i < kAdds; ++i) {
-        counter.add();
-        gauge.add(3);
-        gauge.sub(1);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(counter.value(), std::int64_t{kThreads} * kAdds);
-  EXPECT_EQ(gauge.value(), std::int64_t{2} * kThreads * kAdds);
-}
-
-TEST(ObsMetrics, GaugeDeltasCancelAcrossThreads) {
-  obs::Gauge gauge;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&gauge] {
-      for (int i = 0; i < 50'000; ++i) {
-        gauge.add(3);
-        gauge.sub(2);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(gauge.value(), 4 * 50'000);
-}
-
-TEST(ObsMetrics, HistogramCountAndSumExactAcrossFourThreads) {
   obs::Histogram histogram;
-  constexpr int kThreads = 4;
-  constexpr int kRecords = 50'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&histogram, t] {
-      for (int i = 0; i < kRecords; ++i) histogram.record(t + 1);
-    });
+  constexpr int kUpdates = 200'000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kUpdates; ++i) {
+      counter.add(2);
+      histogram.record(i % 100 + 1);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::int64_t last_value = 0;
+  std::int64_t last_count = 0;
+  std::int64_t last_sum = 0;
+  int decreases = 0;
+  for (bool finished = false; !finished;) {
+    finished = done.load(std::memory_order_acquire);
+    const std::int64_t value = counter.value();
+    const std::int64_t count = histogram.count();
+    const std::int64_t sum = histogram.sum();
+    if (value < last_value || count < last_count || sum < last_sum) ++decreases;
+    last_value = value;
+    last_count = count;
+    last_sum = sum;
   }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(histogram.count(), std::int64_t{kThreads} * kRecords);
-  // Sum of t+1 for t in 0..3 is 10, times kRecords each.
-  EXPECT_EQ(histogram.sum(), std::int64_t{10} * kRecords);
+  writer.join();
+  EXPECT_EQ(decreases, 0);
+  EXPECT_EQ(counter.value(), std::int64_t{2} * kUpdates);
+  EXPECT_EQ(histogram.count(), kUpdates);
+  // Each block of 100 records sums 1..100 = 5050.
+  EXPECT_EQ(histogram.sum(), std::int64_t{5050} * (kUpdates / 100));
+  EXPECT_EQ(histogram.bucket(1), kUpdates / 100);  // the 1s
 }
 
 TEST(ObsMetrics, HistogramBucketsAreLogLinear) {
@@ -172,17 +137,15 @@ TEST(ObsRegistry, FreezeRefusesNewRegistrationsButAllowsLookups) {
 TEST(ObsRegistry, JsonSnapshotCarriesCountersGaugesAndCallbacks) {
   obs::MetricsRegistry registry;
   registry.counter("c.one").add(7);
-  registry.gauge("g.level").add(3);
   registry.histogram("h.lat").record(5);
   registry.gauge_callback("cb.depth", [] { return std::int64_t{42}; });
   std::ostringstream out;
   registry.write_json(out);
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"c.one\""), std::string::npos);
-  EXPECT_NE(json.find("\"g.level\""), std::string::npos);
-  EXPECT_NE(json.find("\"h.lat\""), std::string::npos);
-  EXPECT_NE(json.find("\"cb.depth\""), std::string::npos);
-  EXPECT_NE(json.find("42"), std::string::npos);
+  EXPECT_NE(json.find("\"c.one\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"h.lat\":{\"count\":1,\"sum\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"gauges\":{\"cb.depth\":42}"), std::string::npos);
+  EXPECT_EQ(registry.value("cb.depth"), 42);
 }
 
 TEST(ObsTrace, RingOverflowKeepsNewestAndCountsDrops) {
@@ -226,6 +189,100 @@ TEST(ObsTrace, FingerprintSeesAChangedOutcome) {
   // A changed decision arg (a different Outcome) changes the fingerprint.
   b.emit(obs::Ev::kDecide, 1, 1, 1);
   EXPECT_NE(a.fingerprint(), b.fingerprint());
+}
+
+// The inverse of obs::mix64: every step of the splitmix64 finalizer is a
+// bijection, so a test can pick the value whose event hash it wants.
+std::uint64_t unxorshift(std::uint64_t y, int shift) {
+  std::uint64_t x = y;
+  for (int i = 0; i <= 64 / shift; ++i) x = y ^ (x >> shift);
+  return x;
+}
+std::uint64_t odd_inverse(std::uint64_t c) {  // Newton's iteration mod 2^64
+  std::uint64_t inv = c;
+  for (int i = 0; i < 5; ++i) inv *= 2 - c * inv;
+  return inv;
+}
+std::uint64_t unmix64(std::uint64_t x) {
+  x = unxorshift(x, 31);
+  x *= odd_inverse(0x94d049bb133111ebull);
+  x = unxorshift(x, 27);
+  x *= odd_inverse(0xbf58476d1ce4e5b9ull);
+  x = unxorshift(x, 30);
+  return x - 0x9e3779b97f4a7c15ull;
+}
+
+obs::TraceEvent trace_event(obs::Ev kind, std::uint32_t shard,
+                            std::uint32_t actor, std::uint8_t arg,
+                            std::int64_t value) {
+  obs::TraceEvent ev;
+  ev.kind = kind;
+  ev.shard = shard;
+  ev.actor = actor;
+  ev.arg = arg;
+  ev.value = value;
+  return ev;
+}
+
+/// DESIGN §7.3's per-event hash, restated: mix in (kind, arg), then the
+/// station, then the value.
+std::uint64_t station_mix(const obs::TraceEvent& ev) {
+  const std::uint64_t kind_arg =
+      (static_cast<std::uint64_t>(ev.kind) << 8) | ev.arg;
+  const std::uint64_t station =
+      (static_cast<std::uint64_t>(ev.actor) << 32) | ev.shard;
+  return obs::mix64(kind_arg ^ station);
+}
+std::uint64_t event_hash(const obs::TraceEvent& ev) {
+  return obs::mix64(station_mix(ev) ^ static_cast<std::uint64_t>(ev.value));
+}
+
+/// An event at `first`'s station whose hash cancels `first`'s: the two
+/// sum to 0 mod 2^64.
+obs::TraceEvent cancelling(const obs::TraceEvent& first, obs::Ev kind) {
+  obs::TraceEvent ev = trace_event(kind, first.shard, first.actor, 0, 0);
+  ev.value = static_cast<std::int64_t>(unmix64(0 - event_hash(first)) ^
+                                       station_mix(ev));
+  return ev;
+}
+
+TEST(ObsTrace, AccumulatorMatchesItsGoldenFingerprint) {
+  const std::uint64_t probe = 0x0123456789abcdefull;
+  ASSERT_EQ(obs::mix64(unmix64(probe)), probe);
+  const obs::TraceEvent zero_first = trace_event(obs::Ev::kDecide, 3, 9, 1, 12345);
+  const obs::TraceEvent zero_second = cancelling(zero_first, obs::Ev::kRelease);
+  ASSERT_EQ(event_hash(zero_first) + event_hash(zero_second), 0u);
+  const std::vector<obs::TraceEvent> events = {
+      trace_event(obs::Ev::kRequest, 0, 1, 0, 1),
+      trace_event(obs::Ev::kDecide, 0, 1, 2, 1),
+      trace_event(obs::Ev::kGrant, 0, 2, 0, 7),
+      trace_event(obs::Ev::kSuspend, 2, 7, 0, 0),
+      trace_event(obs::Ev::kResume, 2, 7, 0, 0),
+      trace_event(obs::Ev::kSend, 2, 7, 4, 3),
+      trace_event(obs::Ev::kSweep, 5, 0, 0, 2),
+      trace_event(obs::Ev::kRetransmit, ~0u, 3, 1, -1),
+      trace_event(obs::Ev::kReplayHit, 1, ~0u, 0, 99),
+      // Shard and actor both ~0u: util::FlatMap's reserved empty-slot key.
+      trace_event(obs::Ev::kRequest, ~0u, ~0u, 0, 0),
+      trace_event(obs::Ev::kRelease, ~0u, ~0u, 0, 5),
+      zero_first,
+      zero_second,
+  };
+  obs::FingerprintAccumulator accumulator;
+  EXPECT_NO_THROW({
+    for (const obs::TraceEvent& ev : events) accumulator.fold(ev);
+  });
+  // Recorded from the accumulator's first, private-table implementation.
+  EXPECT_EQ(accumulator.fingerprint(), 0x71c607ef2dd4ad4full);
+
+  // A station whose sum wraps to 0 still enters the combine by its key.
+  obs::FingerprintAccumulator zero_station;
+  zero_station.fold(zero_first);
+  zero_station.fold(zero_second);
+  const std::uint64_t key = (std::uint64_t{3} << 32) | 9;
+  EXPECT_EQ(zero_station.fingerprint(),
+            obs::mix64(obs::mix64(0x9e3779b97f4a7c15ull ^ key) ^ 0));
+  EXPECT_NE(zero_station.fingerprint(), obs::FingerprintAccumulator().fingerprint());
 }
 
 TEST(ObsTrace, ChromeTraceExportIsWellFormed) {

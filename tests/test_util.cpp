@@ -272,6 +272,46 @@ TEST(FlatMap, EraseKeepsEveryOtherKeyReachable) {
   EXPECT_LE(ids.slot_count(), 32u);
 }
 
+TEST(FlatMap, ReserveFitsItsCountWithoutGrowing) {
+  dmps::util::FlatMap<std::uint64_t> map;
+  constexpr std::uint64_t kKeys = 1000;
+  map.reserve(kKeys);
+  const std::size_t slots = map.slot_count();
+  EXPECT_EQ(slots, 2048u);  // the smallest power of two at least twice 1000
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    map[k << 32 | 7] = k;
+    ASSERT_EQ(map.slot_count(), slots) << k;
+  }
+  map.reserve(kKeys / 2);  // never shrinks
+  EXPECT_EQ(map.slot_count(), slots);
+  map[kKeys << 32 | 7] = kKeys;  // one past the reserved count may grow
+  EXPECT_LE(2 * map.size(), map.slot_count());
+  // Reserving past the population rehashes: every entry stays reachable.
+  map.reserve(4 * kKeys);
+  EXPECT_EQ(map.slot_count(), 8192u);
+  for (std::uint64_t k = 0; k <= kKeys; ++k) {
+    const std::uint64_t* value = map.find(k << 32 | 7);
+    ASSERT_NE(value, nullptr) << k;
+    EXPECT_EQ(*value, k);
+  }
+}
+
+TEST(FlatMap, ConstForEachVisitsEveryEntryOnce) {
+  dmps::util::FlatMap<std::uint64_t> map;
+  for (std::uint64_t k = 1; k <= 100; ++k) map[k * 977] = k;
+  map.erase(977);  // a shifted probe run is still visited whole
+  const dmps::util::FlatMap<std::uint64_t>& view = map;
+  std::uint64_t visits = 0;
+  std::uint64_t value_sum = 0;
+  view.for_each([&](std::uint64_t key, const std::uint64_t& value) {
+    ++visits;
+    value_sum += value;
+    EXPECT_EQ(key, value * 977);
+  });
+  EXPECT_EQ(visits, 99u);
+  EXPECT_EQ(value_sum, 5050u - 1);
+}
+
 TEST(FlatMap, RefusesTheReservedKey) {
   using Map = dmps::util::FlatMap<int>;
   Map map;
