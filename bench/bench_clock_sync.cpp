@@ -47,7 +47,7 @@ void skew_scenario() {
     for (double period_s : {0.25, 1.0, 4.0}) {
       SyncWorld w(13);
       clk::DriftClock local(w.sim, drift, Duration::millis(37));
-      clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+      clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                     {Duration::from_seconds(period_s), 8});
       client.start();
       w.sim.run_until(TimePoint::from_seconds(20.0));  // settle
@@ -86,7 +86,7 @@ void admission_scenario() {
                        Case{"in-sync", 0.0}}) {
     SyncWorld w(21);
     clk::DriftClock local(w.sim, 0.0, Duration::from_seconds(c.phase_ms / 1000.0));
-    clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+    clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                   {Duration::millis(100), 8});
     client.start();
     w.sim.run_until(TimePoint::from_seconds(1.0));
@@ -115,7 +115,7 @@ void admission_scenario() {
 void BM_SyncExchange(benchmark::State& state) {
   SyncWorld w(3);
   clk::DriftClock local(w.sim, 100.0, Duration::zero());
-  clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+  clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                 {Duration::millis(100), 8});
   for (auto _ : state) {
     client.sync_once();
@@ -129,7 +129,7 @@ BENCHMARK(BM_SyncExchange);
 void BM_AdmissionAdmit(benchmark::State& state) {
   SyncWorld w(4);
   clk::DriftClock local(w.sim, 0.0, Duration::zero());
-  clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+  clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                 {Duration::millis(100), 8});
   client.start();
   w.sim.run_until(TimePoint::from_seconds(1.0));

@@ -41,7 +41,7 @@ Result run_case(bool priority_arcs, Duration media_duration) {
   clk::TrueClock server_clock(sim);
   clk::GlobalClockServer clock_server(server_demux, server_clock);
   clk::DriftClock local(sim, 50.0, Duration::zero());
-  clk::GlobalClockClient clock_client(client_demux, sim, local, server_node,
+  clk::GlobalClockClient clock_client(client_demux, local, server_node,
                                       {Duration::millis(100), 8});
   clk::AdmissionController admission(sim, clock_client);
   clock_client.start();

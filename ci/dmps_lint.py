@@ -4,9 +4,11 @@
 Four checks, each enforcing a rule DESIGN.md states in prose (§10):
 
   layer        The include graph between dmps layers must match the DAG
-               declared in DESIGN.md's ```dmps-layers fenced block. An
-               upward or sideways #include is an architecture break even
-               when it compiles.
+               declared in DESIGN.md's ```dmps-layers fenced block
+               exactly. An upward or sideways #include is an
+               architecture break even when it compiles, and a declared
+               edge that no file of its layer includes is a stale
+               claim about the architecture.
   obs-register Instrument creation (MetricsRegistry::counter/gauge/
                histogram/gauge_callback find-or-create calls, and
                FloorInstruments/WireInstruments pack construction) is
@@ -141,7 +143,8 @@ def allowed_on(lines, idx, rule):
 
 def parse_layer_dag(design_path):
     """The ```dmps-layers block: one `layer: dep dep` line per layer.
-    Returns {layer: set(deps)} or None when the block is missing."""
+    Returns ({layer: set(deps)}, {layer: DESIGN.md line number}) or None
+    when the block is missing."""
     try:
         text = design_path.read_text()
     except OSError:
@@ -149,27 +152,32 @@ def parse_layer_dag(design_path):
     m = re.search(r"```dmps-layers\n(.*?)```", text, re.S)
     if not m:
         return None
+    first_line = text.count("\n", 0, m.start(1)) + 1
     dag = {}
-    for raw in m.group(1).splitlines():
+    lines = {}
+    for offset, raw in enumerate(m.group(1).splitlines()):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         name, _, deps = line.partition(":")
         dag[name.strip()] = set(deps.split())
-    return dag
+        lines[name.strip()] = first_line + offset
+    return dag, lines
 
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([a-z_0-9]+)/[^"]+"')
 
 
 def check_layers(root, violations, config_errors):
-    dag = parse_layer_dag(root / "DESIGN.md")
-    if dag is None:
+    parsed = parse_layer_dag(root / "DESIGN.md")
+    if parsed is None:
         config_errors.append(
             "DESIGN.md: no ```dmps-layers fenced block found — the layer "
             "check needs the DAG declared there (see §10)")
         return
+    dag, dag_lines = parsed
     layers = set(dag)
+    used = set()
     for path in iter_cxx_files(root, LAYER_DIRS):
         rel = path.relative_to(root)
         parts = rel.parts
@@ -187,6 +195,7 @@ def check_layers(root, violations, config_errors):
             target = m.group(1)
             if target not in layers or target == layer:
                 continue
+            used.add((layer, target))
             if target not in dag[layer]:
                 violations.append(Violation(
                     rel, lineno, "layer",
@@ -195,6 +204,14 @@ def check_layers(root, violations, config_errors):
                     f"{{{', '.join(sorted(dag[layer])) or 'nothing'}}} — "
                     "either the include is an architecture break or the "
                     "DAG in DESIGN.md §10 needs a deliberate update"))
+    for layer in sorted(dag):
+        for target in sorted(dag[layer]):
+            if (layer, target) not in used:
+                violations.append(Violation(
+                    "DESIGN.md", dag_lines[layer], "layer",
+                    f"declared edge {layer} -> {target} is unused: no "
+                    f"{layer} file includes any {target}/ header — drop it "
+                    "from the dmps-layers block"))
 
 
 # ------------------------------------------------------------- obs-register

@@ -21,8 +21,8 @@ DESIGN_WITH_DAG = """# design
 util:
 obs: util
 floor: util obs
-transport: util
-fproto: util obs floor
+transport:
+fproto:
 ```
 ```dmps-hot-regions
 drain
@@ -120,7 +120,8 @@ def make_repo(root):
     write(root, "DESIGN.md", DESIGN_WITH_DAG)
     write(root, "include/dmps/util/a.hpp", "#pragma once\n")
     write(root, "include/dmps/obs/b.hpp", '#include "util/a.hpp"\n')
-    write(root, "include/dmps/floor/c.hpp", '#include "obs/b.hpp"\n')
+    write(root, "include/dmps/floor/c.hpp",
+          '#include "obs/b.hpp"\n#include "util/a.hpp"\n')
     write(root, "include/dmps/fproto/codec.hpp", CODEC_HPP)
     write(root, "src/fproto/codec.cpp", CODEC_CPP)
     write(root, "include/dmps/transport/frame.hpp", FRAME_HPP)
@@ -166,6 +167,19 @@ class LayerDag(LintCase):
 
     def test_declared_edge_passes(self):
         write(self.root, "src/floor/ok.cpp", '#include "util/a.hpp"\n')
+        status, out, err = self.run_lint(self.root, ["layer"])
+        self.assertEqual(status, 0, msg=out + err)
+
+    def test_declared_but_unused_edge_fails_with_edge_named(self):
+        # No transport file includes a util header.
+        write(self.root, "DESIGN.md",
+              DESIGN_WITH_DAG.replace("transport:\n", "transport: util\n"))
+        status, out, _ = self.run_lint(self.root, ["layer"])
+        self.assertEqual(status, 1)
+        self.assertIn("declared edge transport -> util is unused", out)
+        self.assertIn("DESIGN.md:7:", out)
+
+    def test_clean_fixture_declares_exactly_its_edges(self):
         status, out, err = self.run_lint(self.root, ["layer"])
         self.assertEqual(status, 0, msg=out + err)
 

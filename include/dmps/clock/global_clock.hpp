@@ -5,7 +5,10 @@
 // reading. A GlobalClockClient sends a burst of N probes per sync round
 // (Cristian-style), keeps the minimum-RTT sample of the round — the one
 // least distorted by jitter — and maintains `offset` such that
-// global ≈ local + offset between rounds.
+// global ≈ local + offset between rounds. Both speak through their
+// station's net::Demux and the client takes its round timer from it. They
+// hold the Demux itself, not a net::Endpoint: probes and replies are most
+// of a session's messages, and Demux is final, so every call is direct.
 //
 // AdmissionController is the paper's firing rule verbatim: "if the clock in
 // client side is faster than global clock, the current transition will not
@@ -46,8 +49,8 @@ struct SyncConfig {
 
 class GlobalClockClient {
  public:
-  GlobalClockClient(net::Demux& demux, sim::Simulator& sim, Clock& local,
-                    net::NodeId server, SyncConfig config);
+  GlobalClockClient(net::Demux& demux, Clock& local, net::NodeId server,
+                    SyncConfig config);
   ~GlobalClockClient();
   GlobalClockClient(const GlobalClockClient&) = delete;
   GlobalClockClient& operator=(const GlobalClockClient&) = delete;
@@ -77,12 +80,11 @@ class GlobalClockClient {
   void handle_reply(const net::Message& msg);
 
   net::Demux& demux_;
-  sim::Simulator& sim_;
   Clock& local_;
   net::NodeId server_;
   SyncConfig config_;
   bool running_ = false;
-  sim::EventId pending_tick_ = 0;
+  net::TimerId pending_tick_ = 0;
 
   std::uint64_t round_ = 0;  // also the probe cookie's high word
   util::Duration offset_ = util::Duration::zero();

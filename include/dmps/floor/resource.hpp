@@ -56,12 +56,11 @@ class HostResourceManager {
       : capacity_(capacity), availability_(compute_availability()) {}
 
   const Resource& capacity() const { return capacity_; }
-  const Resource& in_use() const { return in_use_; }
   Resource free() const { return capacity_ - in_use_; }
 
   /// Free fraction of the tightest dimension, in [0, 1]. Dimensions with
   /// zero capacity are ignored (a host that advertises no memory pool
-  /// shouldn't read as starved). Computed when in_use() changes, so a query
+  /// shouldn't read as starved). Computed when in_use_ changes, so a query
   /// costs a load: arbitration reads it more often than it reserves.
   double availability() const { return availability_; }
 

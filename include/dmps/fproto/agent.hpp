@@ -27,8 +27,8 @@
 // refreshes the retry budget, which also resets the backoff to its base:
 // a parked agent polls at the base cadence, not at the cap.
 //
-// The agent talks to the wire through the transport seam only
-// (transport::Endpoint — SimTransport in scenarios, UdpEndpoint on a real
+// The agent talks to the wire through the endpoint seam only
+// (net::Endpoint — a net::Demux in scenarios, a UdpEndpoint on a real
 // network): it owns the fp.* client-side message types on its endpoint,
 // one outstanding operation at a time, all calls on the endpoint's loop
 // thread.
@@ -37,10 +37,9 @@
 #include <functional>
 
 #include "fproto/codec.hpp"
-#include "net/sim_network.hpp"
+#include "net/endpoint.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "transport/endpoint.hpp"
 
 namespace dmps::fproto {
 
@@ -89,7 +88,7 @@ struct AgentEvents {
 
 class FloorAgent {
  public:
-  FloorAgent(transport::Endpoint& endpoint, net::NodeId server,
+  FloorAgent(net::Endpoint& endpoint, net::NodeId server,
              floorctl::MemberId member, floorctl::GroupId group,
              floorctl::HostId host, AgentConfig config, AgentEvents events);
   ~FloorAgent();
@@ -149,7 +148,7 @@ class FloorAgent {
   void handle_suspend(const net::Message& msg);
   void handle_resume(const net::Message& msg);
 
-  transport::Endpoint& ep_;
+  net::Endpoint& ep_;
   net::NodeId server_;
   floorctl::MemberId member_;
   floorctl::GroupId group_;
@@ -170,7 +169,7 @@ class FloorAgent {
   net::MsgType outbound_type_;
   net::Payload outbound_ints_;
   int tries_ = 0;
-  transport::TimerId retry_timer_ = 0;
+  net::TimerId retry_timer_ = 0;
 
   std::uint64_t sends_ = 0;
   std::uint64_t retransmits_ = 0;

@@ -24,7 +24,7 @@
 
 #include "floor/types.hpp"
 #include "media/media.hpp"
-#include "net/sim_network.hpp"
+#include "net/endpoint.hpp"
 #include "transport/frame.hpp"
 
 namespace dmps::fproto {

@@ -1,8 +1,8 @@
 #pragma once
 // Moderating floor server: the fproto endpoint that owns arbitration.
 //
-// Registers the client->server message types on its transport endpoint
-// (SimTransport in scenarios, UdpEndpoint behind dmps_floord), runs
+// Registers the client->server message types on its net::Endpoint (a
+// net::Demux in scenarios, a UdpEndpoint behind dmps_floord), runs
 // every FloorRequest through the floorctl::FloorControl seam — a
 // ShardedFloorService (dmps_floord's one server), or one shard's
 // FloorService (session::Presentation binds a server to each shard via
@@ -51,17 +51,15 @@
 #include "floor/group.hpp"
 #include "floor/service.hpp"
 #include "fproto/codec.hpp"
-#include "net/sim_network.hpp"
+#include "net/endpoint.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "transport/endpoint.hpp"
 #include "util/flat_map.hpp"
 
 namespace dmps::fproto {
 
 struct ServerConfig {
   util::Duration notify_retry = util::Duration::millis(250);
-  int notify_max_tries = 200;  // then the notification is abandoned
   /// Wire instrument pack; nullptr = the process-global pack.
   obs::WireInstruments* obs = nullptr;
   /// Optional event tracer (nullptr = no event stream). Must outlive the
@@ -71,7 +69,7 @@ struct ServerConfig {
 
 class FloorServer {
  public:
-  FloorServer(transport::Endpoint& endpoint, floorctl::GroupRegistry& registry,
+  FloorServer(net::Endpoint& endpoint, floorctl::GroupRegistry& registry,
               floorctl::FloorControl& service, ServerConfig config);
   ~FloorServer();
   FloorServer(const FloorServer&) = delete;
@@ -82,7 +80,6 @@ class FloorServer {
   std::uint64_t messages_sent() const { return sends_; }
   std::uint64_t requests_arbitrated() const { return arbitrated_; }
   std::uint64_t duplicate_requests() const { return duplicate_requests_; }
-  std::uint64_t duplicate_releases() const { return duplicate_releases_; }
   std::uint64_t grants_sent() const { return grants_sent_; }
   std::uint64_t denies_sent() const { return denies_sent_; }
   std::uint64_t queued_sent() const { return queued_sent_; }
@@ -90,7 +87,6 @@ class FloorServer {
   std::uint64_t suspends_sent() const { return suspends_sent_; }
   std::uint64_t resumes_sent() const { return resumes_sent_; }
   std::uint64_t notify_retransmits() const { return notify_retransmits_; }
-  std::uint64_t notifies_abandoned() const { return notifies_abandoned_; }
   std::size_t notifies_pending() const { return pending_notifies_.size(); }
   /// Member records: one per member this server heard from (created at
   /// its Join, or at a first Request/Release), each holding only the
@@ -121,7 +117,7 @@ class FloorServer {
   /// (notify id, request id) at every (re)transmission.
   struct Notify {
     std::uint64_t request_id = 0;
-    transport::TimerId retry_timer = 0;
+    net::TimerId retry_timer = 0;
     net::NodeId node;
     MsgKind kind = MsgKind::kSuspend;
     int tries = 1;
@@ -160,7 +156,7 @@ class FloorServer {
   void notify_ack(std::uint64_t notify_id);
   void send_notify(std::uint64_t notify_id, const Notify& pending);
 
-  transport::Endpoint& ep_;
+  net::Endpoint& ep_;
   floorctl::GroupRegistry& registry_;
   floorctl::FloorControl& service_;
   ServerConfig config_;
@@ -180,7 +176,6 @@ class FloorServer {
   std::uint64_t sends_ = 0;
   std::uint64_t arbitrated_ = 0;
   std::uint64_t duplicate_requests_ = 0;
-  std::uint64_t duplicate_releases_ = 0;
   std::uint64_t grants_sent_ = 0;
   std::uint64_t denies_sent_ = 0;
   std::uint64_t queued_sent_ = 0;
@@ -188,7 +183,6 @@ class FloorServer {
   std::uint64_t suspends_sent_ = 0;
   std::uint64_t resumes_sent_ = 0;
   std::uint64_t notify_retransmits_ = 0;
-  std::uint64_t notifies_abandoned_ = 0;
 
   obs::WireInstruments* wire_;  // resolved once at construction
   obs::Tracer* tracer_;

@@ -4,42 +4,24 @@
 // One SimNetwork carries every message in a scenario. Each link applies a
 // LinkQuality model — fixed latency, uniform jitter, independent loss — so
 // the clock-sync layer above sees realistic asymmetric delays. A Demux is a
-// node's receive side: components (clock server, clock client, floor
-// protocol endpoints) register per-message-type handlers on it.
-//
-// Message types are *interned*: a protocol interns its type names once
-// (msg_type("clk.req") -> dense MsgType id) and every send/dispatch after
-// that moves small ints only. Dispatch is a vector index per delivery — no
-// per-delivery string hashing — which matters once the floor protocol
-// multiplies delivery volume.
+// node's receive side and the endpoint seam's simulated backend
+// (net/endpoint.hpp): components (clock server, clock client, floor
+// protocol endpoints) register per-message-type handlers on it, send from
+// it, and take their timers from its network's Simulator.
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "net/endpoint.hpp"
 #include "sim/simulator.hpp"
 #include "util/duration.hpp"
 #include "util/flat_map.hpp"
-#include "util/ids.hpp"
 #include "util/rng.hpp"
-#include "util/small_vec.hpp"
 
 namespace dmps::net {
-
-using NodeId = util::StrongId<struct NodeTag>;
-
-/// Interned message-type id, dense from 0. Compare/copy like an int.
-using MsgType = util::StrongId<struct MsgTypeTag, std::uint16_t>;
-
-/// Intern `name` into the process-wide type table (idempotent: the same
-/// name always returns the same id). Call once at component setup, not per
-/// send.
-MsgType msg_type(std::string_view name);
-
-/// Reverse lookup, for logs and tests. Throws on an id never interned.
-const std::string& msg_type_name(MsgType type);
 
 /// Per-link delay/loss model: delivery delay = latency + U(0, jitter),
 /// independently per message and per direction; each message is dropped
@@ -48,23 +30,6 @@ struct LinkQuality {
   util::Duration latency = util::Duration::millis(1);
   util::Duration jitter = util::Duration::zero();
   double loss = 0.0;
-};
-
-/// Wire payload: int64 lanes with inline storage. Every control-plane kind
-/// this library models fits the inline capacity (clock sync uses <= 3
-/// lanes, the largest of the 14 fproto kinds — fp.request — uses 8), so a
-/// delivery on the hot path allocates nothing; bigger payloads spill to the
-/// heap transparently.
-inline constexpr std::size_t kInlinePayloadLanes = 8;
-using Payload = util::SmallVec<std::int64_t, kInlinePayloadLanes>;
-
-/// A datagram. `ints` is the wire payload — enough for the control-plane
-/// protocols this library models (clock sync, floor signalling).
-struct Message {
-  NodeId from;
-  NodeId to;
-  MsgType type;
-  Payload ints;
 };
 
 class Demux;
@@ -121,31 +86,38 @@ class SimNetwork final : private sim::Simulator::Target {
   std::uint64_t delivered_ = 0;
 };
 
-/// A node's receive-side dispatcher. Handlers are a flat vector indexed by
-/// the interned Message::type — one bounds check per delivery.
-class Demux {
+/// A node's receive-side dispatcher and the endpoint seam's simulated
+/// backend. Handlers are a flat vector indexed by the interned
+/// Message::type — one bounds check per delivery. Timers are events on the
+/// network's Simulator. `final`, so a caller holding a Demux& (the clock
+/// protocol) calls it directly, not through the vtable.
+class Demux final : public Endpoint {
  public:
   Demux(SimNetwork& network, NodeId node);
-  ~Demux();
+  ~Demux() override;
   Demux(const Demux&) = delete;
   Demux& operator=(const Demux&) = delete;
 
   NodeId node() const { return node_; }
-  SimNetwork& network() { return network_; }
-  sim::Simulator& sim() { return network_.sim(); }
 
   /// Register the handler for a message type. Each type has one owner:
   /// returns false (and registers nothing) if the type is already taken,
   /// so two components can't silently clobber each other's protocol.
-  [[nodiscard]] bool on(MsgType type, std::function<void(const Message&)> handler);
+  [[nodiscard]] bool on(MsgType type, Handler handler) override;
 
   /// Drop the handler for a message type. Components that registered a
   /// handler capturing `this` must call this before they are destroyed —
   /// in-flight messages may still be delivered afterwards.
-  void off(MsgType type);
+  void off(MsgType type) override;
 
-  /// Convenience: send from this node.
-  void send(NodeId to, MsgType type, Payload ints);
+  /// Send from this node.
+  void send(NodeId to, MsgType type, Payload ints) override;
+
+  TimerId schedule_in(util::Duration delay, std::function<void()> cb) override {
+    return network_.sim().schedule_in(delay, std::move(cb));
+  }
+  bool cancel(TimerId id) override { return network_.sim().cancel(id); }
+  util::TimePoint now() const override { return network_.sim().now(); }
 
  private:
   friend class SimNetwork;
@@ -153,7 +125,7 @@ class Demux {
 
   SimNetwork& network_;
   NodeId node_;
-  std::vector<std::function<void(const Message&)>> handlers_;  // by type id
+  std::vector<Handler> handlers_;  // by type id
 };
 
 }  // namespace dmps::net

@@ -60,7 +60,6 @@ class TimedEngine {
 
   util::TimePoint now() const { return now_; }
   std::size_t tokens(PlaceId p) const { return tokens_.at(p.value()).size(); }
-  std::uint64_t fired() const { return fired_; }
 
   // Observation hooks (all optional).
   std::function<void(TransitionId, util::TimePoint)> on_fire;
@@ -90,7 +89,6 @@ class TimedEngine {
 
   const Net& net_;
   util::TimePoint now_ = util::TimePoint::zero();
-  std::uint64_t fired_ = 0;
   std::vector<std::deque<Token>> tokens_;   // by place, sorted by maturity
   std::vector<std::uint64_t> stamps_;       // by transition
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>>

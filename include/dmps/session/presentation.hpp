@@ -11,8 +11,9 @@
 // home shard's endpoint; clock sync always runs against the main server
 // station. Each client station gets its own drifting local clock, a
 // GlobalClockClient + AdmissionController, a DocpnEngine playing a small
-// intro/body/outro presentation, and a FloorAgent. Links are asymmetric
-// per station and direction (different uplink/downlink latency, shared
+// intro/body/outro presentation, and a FloorAgent; the clock client and
+// the agent share the station's one net::Demux. Links are asymmetric per
+// station and direction (different uplink/downlink latency, shared
 // jitter/loss).
 //
 // The scripted behavior per station: join the group, request the floor at a
@@ -38,7 +39,6 @@
 #include "net/sim_network.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "transport/sim_transport.hpp"
 
 namespace dmps::session {
 
@@ -50,24 +50,16 @@ struct SessionConfig {
   /// on host 1 + i % hosts).
   int hosts = 1;
 
-  // Server-side arbitration.
-  resource::Resource host_capacity{1.0, 1.0, 1.0};
-  resource::Thresholds thresholds{0.25, 0.05};
   /// The session group's discipline: kThreeRegime bounces refused requests
   /// back to the stations' retry script; kQueueing parks them server-side
   /// and grants them as playbacks release the floor.
   floorctl::PolicyKind policy = floorctl::PolicyKind::kThreeRegime;
 
-  // Per-link model: uplink/downlink latency differ per station (asymmetry),
-  // jitter and loss apply to every link.
-  util::Duration up_latency = util::Duration::millis(4);
-  util::Duration down_latency = util::Duration::millis(9);
-  util::Duration per_station_skew = util::Duration::millis(1);  // * index
-  util::Duration jitter = util::Duration::millis(2);
+  /// Loss on every link. Latency, jitter, host capacity, thresholds, clock
+  /// sync and the agents' and servers' tuning are fixed (presentation.cpp).
   double loss = 0.0;
 
   // Client behavior.
-  clk::SyncConfig sync{util::Duration::millis(250), 8};
   media::QosRequirement qos{0.22, 0.22, 0.22};  // per station feed
   util::Duration media_len = util::Duration::seconds(5);  // body duration
   util::Duration request_stagger = util::Duration::millis(700);
@@ -77,11 +69,6 @@ struct SessionConfig {
   /// playback starts (the user-skip workload). A skip that lands while the
   /// playout is suspended or already finished is refused by the engine.
   util::Duration skip_after = util::Duration::zero();
-  /// Agent/server tuning. Their obs/tracer pointers are honored when set;
-  /// left null, the session wires in its own registry-backed packs and
-  /// session tracer.
-  fproto::AgentConfig agent;
-  fproto::ServerConfig server;
 };
 
 /// Aggregate counters after run().
@@ -176,7 +163,6 @@ class Presentation {
     floorctl::HostId host;
     net::NodeId node;
     std::unique_ptr<net::Demux> demux;
-    std::unique_ptr<transport::SimTransport> transport;
     std::unique_ptr<fproto::FloorServer> server;
   };
 
@@ -200,7 +186,6 @@ class Presentation {
   // Server station (clock sync + endpoint 0).
   net::NodeId server_node_;
   std::unique_ptr<net::Demux> server_demux_;
-  std::unique_ptr<transport::SimTransport> server_transport_;
   clk::TrueClock server_clock_;
   std::unique_ptr<clk::GlobalClockServer> clock_server_;
   floorctl::GroupRegistry registry_;

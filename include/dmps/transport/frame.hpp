@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/sim_network.hpp"
+#include "net/endpoint.hpp"
 
 namespace dmps::transport {
 

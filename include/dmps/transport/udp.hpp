@@ -1,5 +1,5 @@
 #pragma once
-// UdpEndpoint/UdpLoop: the transport seam on real sockets (Linux).
+// UdpEndpoint/UdpLoop: the net::Endpoint seam on real sockets (Linux).
 //
 // A UdpLoop owns an epoll instance, a steady-clock timeline (now() is
 // nanoseconds since the loop was built) and a hashed TimerWheel. Any
@@ -57,11 +57,16 @@
 #include "util/flat_map.hpp"
 #include "util/sync.hpp"
 #include "obs/registry.hpp"
-#include "transport/endpoint.hpp"
+#include "net/endpoint.hpp"
 #include "transport/frame.hpp"
 #include "transport/timer_wheel.hpp"
 
 namespace dmps::transport {
+
+/// perf/ subclasses the seam by these names; they go with its next change
+/// (ROADMAP item 5).
+using Endpoint = net::Endpoint;
+using TimerId = net::TimerId;
 
 class UdpEndpoint;
 
@@ -142,7 +147,7 @@ class LoopClock final : public clk::Clock {
   const UdpLoop& loop_;
 };
 
-class UdpEndpoint final : public Endpoint {
+class UdpEndpoint final : public net::Endpoint {
  public:
   /// Datagrams moved per syscall, both directions. Receive drains up to
   /// kRxBatch datagrams per recvmmsg; send fills up to kTxBatch datagrams
@@ -188,8 +193,8 @@ class UdpEndpoint final : public Endpoint {
   [[nodiscard]] bool on(net::MsgType type, Handler handler) override;
   void off(net::MsgType type) override;
   void send(net::NodeId to, net::MsgType type, net::Payload ints) override;
-  TimerId schedule_in(util::Duration delay, std::function<void()> cb) override;
-  bool cancel(TimerId id) override;
+  net::TimerId schedule_in(util::Duration delay, std::function<void()> cb) override;
+  bool cancel(net::TimerId id) override;
   util::TimePoint now() const override { return loop_.now(); }
 
  private:

@@ -32,10 +32,9 @@ GlobalClockServer::GlobalClockServer(net::Demux& demux, Clock& authority)
 
 GlobalClockServer::~GlobalClockServer() { demux_.off(req_type()); }
 
-GlobalClockClient::GlobalClockClient(net::Demux& demux, sim::Simulator& sim,
-                                     Clock& local, net::NodeId server,
-                                     SyncConfig config)
-    : demux_(demux), sim_(sim), local_(local), server_(server), config_(config) {
+GlobalClockClient::GlobalClockClient(net::Demux& demux, Clock& local,
+                                     net::NodeId server, SyncConfig config)
+    : demux_(demux), local_(local), server_(server), config_(config) {
   const bool owned =
       demux_.on(rsp_type(), [this](const net::Message& msg) { handle_reply(msg); });
   if (!owned) throw std::logic_error("clk.rsp already handled on this node");
@@ -56,7 +55,7 @@ void GlobalClockClient::start() {
     GlobalClockClient* self;
     void operator()() const {
       self->sync_once();
-      self->pending_tick_ = self->sim_.schedule_in(self->config_.period, Rearm{self});
+      self->pending_tick_ = self->demux_.schedule_in(self->config_.period, Rearm{self});
     }
   };
   Rearm{this}();
@@ -66,7 +65,7 @@ void GlobalClockClient::stop() {
   if (!running_) return;
   running_ = false;
   if (pending_tick_ != 0) {
-    sim_.cancel(pending_tick_);
+    demux_.cancel(pending_tick_);
     pending_tick_ = 0;
   }
 }

@@ -21,7 +21,7 @@ std::string_view to_string(AgentState state) {
   return "unknown";
 }
 
-FloorAgent::FloorAgent(transport::Endpoint& endpoint, net::NodeId server,
+FloorAgent::FloorAgent(net::Endpoint& endpoint, net::NodeId server,
                        floorctl::MemberId member, floorctl::GroupId group,
                        floorctl::HostId host, AgentConfig config,
                        AgentEvents events)

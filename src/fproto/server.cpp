@@ -6,6 +6,9 @@
 namespace dmps::fproto {
 
 namespace {
+/// Transmissions of one Media-Suspend/Resume before it is abandoned.
+constexpr int kNotifyMaxTries = 200;
+
 /// Request ids pack (member << 32 | per-member seq): the top half must name
 /// the member the frame speaks for.
 bool id_names(std::uint64_t request_id, floorctl::MemberId member) {
@@ -13,7 +16,7 @@ bool id_names(std::uint64_t request_id, floorctl::MemberId member) {
 }
 }  // namespace
 
-FloorServer::FloorServer(transport::Endpoint& endpoint, floorctl::GroupRegistry& registry,
+FloorServer::FloorServer(net::Endpoint& endpoint, floorctl::GroupRegistry& registry,
                          floorctl::FloorControl& service, ServerConfig config)
     : ep_(endpoint),
       registry_(registry),
@@ -247,12 +250,11 @@ void FloorServer::handle_release(const net::Message& msg) {
                       release->request_id == record->request_id;
   if (latest && release->group != record->group) return;
 
-  if (latest && record->status == Status::kReleased) {
-    // Retransmitted release after a lost ack. Re-acked below, but not a
-    // replay_hit(): wire.server.replay_hits mirrors duplicate_requests()
-    // exactly (the double-entry pair counters_consistent() checks).
-    ++duplicate_releases_;
-  } else if (latest) {
+  // A retransmitted release after a lost ack (the record is already
+  // kReleased) is only re-acked below, and is not a replay_hit():
+  // wire.server.replay_hits mirrors duplicate_requests() exactly (the
+  // double-entry pair counters_consistent() checks).
+  if (latest && record->status != Status::kReleased) {
     release_holder(release->member, release->group);
   }
   // A release of something never granted is acked all the same, so the
@@ -348,8 +350,7 @@ void FloorServer::notify_tick(std::uint64_t notify_id) {
   Notify* const pending = pending_notifies_.find(notify_id);
   if (pending == nullptr) return;  // acked in the meantime
   pending->retry_timer = 0;
-  if (pending->tries >= config_.notify_max_tries) {
-    ++notifies_abandoned_;
+  if (pending->tries >= kNotifyMaxTries) {
     pending_notifies_.erase(notify_id);
     return;
   }

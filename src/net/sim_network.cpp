@@ -120,7 +120,7 @@ Demux::Demux(SimNetwork& network, NodeId node) : network_(network), node_(node) 
 
 Demux::~Demux() { network_.detach(node_, this); }
 
-bool Demux::on(MsgType type, std::function<void(const Message&)> handler) {
+bool Demux::on(MsgType type, Handler handler) {
   if (type.value() >= handlers_.size()) handlers_.resize(type.value() + 1);
   if (handlers_[type.value()]) return false;
   handlers_[type.value()] = std::move(handler);

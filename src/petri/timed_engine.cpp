@@ -74,7 +74,6 @@ bool TimedEngine::fire_next() {
 
 void TimedEngine::fire(TransitionId t, util::TimePoint when) {
   now_ = util::max_time(now_, when);
-  ++fired_;
   for (const Arc& arc : net_.inputs(t)) {
     auto& deque = tokens_.at(arc.place.value());
     deque.erase(deque.begin(), deque.begin() + arc.weight);

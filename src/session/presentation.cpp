@@ -9,13 +9,24 @@ namespace dmps::session {
 using util::Duration;
 using util::TimePoint;
 
+namespace {
+// The fixed scenario around SessionConfig: every host's capacity, the
+// FCM-Arbitrate thresholds, the link model and the clock-sync cadence.
+constexpr resource::Resource kHostCapacity{1.0, 1.0, 1.0};
+constexpr resource::Thresholds kThresholds{0.25, 0.05};
+constexpr Duration kUpLatency = Duration::millis(4);
+constexpr Duration kDownLatency = Duration::millis(9);
+constexpr Duration kPerStationSkew = Duration::millis(1);   // * station index
+constexpr Duration kJitter = Duration::millis(2);           // on every link
+constexpr clk::SyncConfig kSync{Duration::millis(250), 8};  // 8 probes a round
+}  // namespace
+
 struct Presentation::Station {
   int index = 0;
   floorctl::MemberId member;
   floorctl::HostId home;  // the host shard this station is homed to
   net::NodeId node;
   std::unique_ptr<net::Demux> demux;
-  std::unique_ptr<transport::SimTransport> transport;
   std::unique_ptr<clk::DriftClock> local_clock;
   std::unique_ptr<clk::GlobalClockClient> clock_client;
   std::unique_ptr<clk::AdmissionController> admission;
@@ -37,8 +48,7 @@ struct Presentation::Station {
 
 Presentation::Presentation(SessionConfig config)
     : config_(std::move(config)),
-      network_(sim_, config_.seed,
-               net::LinkQuality{config_.up_latency, config_.jitter, config_.loss}),
+      network_(sim_, config_.seed, net::LinkQuality{kUpLatency, kJitter, config_.loss}),
       floor_obs_(metrics_),
       wire_obs_(metrics_),
       // A deep ring so a whole federation scenario exports (overflow only
@@ -46,24 +56,23 @@ Presentation::Presentation(SessionConfig config)
       tracer_(65536),
       server_node_(network_.add_node("server")),
       server_demux_(std::make_unique<net::Demux>(network_, server_node_)),
-      server_transport_(
-          std::make_unique<transport::SimTransport>(*server_demux_)),
       server_clock_(sim_) {
   config_.hosts = std::max(1, config_.hosts);
   // Trace timestamps are SIM time: deterministic, and the exported Chrome
   // trace lines events up on the scenario's own clock.
   tracer_.set_time_source([this] { return sim_.now().raw_nanos() / 1000; });
-  // The session owns its observability: agents and servers get the
-  // registry-backed packs and the session tracer unless the caller wired
-  // its own into the configs.
-  if (config_.agent.obs == nullptr) config_.agent.obs = &wire_obs_;
-  if (config_.agent.tracer == nullptr) config_.agent.tracer = &tracer_;
-  if (config_.server.obs == nullptr) config_.server.obs = &wire_obs_;
-  if (config_.server.tracer == nullptr) config_.server.tracer = &tracer_;
+  // The session owns its observability: agents and servers write the
+  // registry-backed packs and the session tracer.
+  fproto::AgentConfig agent_config;
+  agent_config.obs = &wire_obs_;
+  agent_config.tracer = &tracer_;
+  fproto::ServerConfig server_config;
+  server_config.obs = &wire_obs_;
+  server_config.tracer = &tracer_;
   clock_server_ =
       std::make_unique<clk::GlobalClockServer>(*server_demux_, server_clock_);
   arbitration_ = std::make_unique<floorctl::ShardedFloorService>(
-      registry_, server_clock_, config_.thresholds);
+      registry_, server_clock_, kThresholds);
   arbitration_->set_observability(&floor_obs_, &tracer_);
   // Occupancy levels are pulled at snapshot time, not pushed per op.
   // dmps-lint: obs-register-begin — session construction is the init
@@ -93,14 +102,12 @@ Presentation::Presentation(SessionConfig config)
   for (int h = 0; h < config_.hosts; ++h) {
     Endpoint endpoint;
     endpoint.host = floorctl::HostId{static_cast<std::uint32_t>(1 + h)};
-    arbitration_->add_host(endpoint.host, config_.host_capacity);
+    arbitration_->add_host(endpoint.host, kHostCapacity);
     if (h == 0) {
       endpoint.node = server_node_;
     } else {
       endpoint.node = network_.add_node("floor" + std::to_string(h));
       endpoint.demux = std::make_unique<net::Demux>(network_, endpoint.node);
-      endpoint.transport =
-          std::make_unique<transport::SimTransport>(*endpoint.demux);
     }
     endpoints_.push_back(std::move(endpoint));
   }
@@ -114,11 +121,9 @@ Presentation::Presentation(SessionConfig config)
   // Federated moderation: one FloorServer per shard, all over the same
   // GroupRegistry — one conference, arbitration partitioned by host.
   for (Endpoint& endpoint : endpoints_) {
-    transport::SimTransport& transport =
-        endpoint.transport ? *endpoint.transport : *server_transport_;
+    net::Demux& demux = endpoint.demux ? *endpoint.demux : *server_demux_;
     endpoint.server = std::make_unique<fproto::FloorServer>(
-        transport, registry_, *arbitration_->shard(endpoint.host),
-        config_.server);
+        demux, registry_, *arbitration_->shard(endpoint.host), server_config);
   }
 
   for (int i = 0; i < config_.stations; ++i) {
@@ -136,11 +141,9 @@ Presentation::Presentation(SessionConfig config)
 
     // Asymmetric links: uplink and downlink latency differ, and each
     // station sits a little further from the server than the previous one.
-    const Duration skew = config_.per_station_skew * static_cast<double>(i);
-    const net::LinkQuality up{config_.up_latency + skew, config_.jitter,
-                              config_.loss};
-    const net::LinkQuality down{config_.down_latency + skew, config_.jitter,
-                                config_.loss};
+    const Duration skew = kPerStationSkew * static_cast<double>(i);
+    const net::LinkQuality up{kUpLatency + skew, kJitter, config_.loss};
+    const net::LinkQuality down{kDownLatency + skew, kJitter, config_.loss};
     network_.set_link(s.node, server_node_, up);
     network_.set_link(server_node_, s.node, down);
     if (endpoint.node != server_node_) {
@@ -151,13 +154,12 @@ Presentation::Presentation(SessionConfig config)
     }
 
     s.demux = std::make_unique<net::Demux>(network_, s.node);
-    s.transport = std::make_unique<transport::SimTransport>(*s.demux);
     // Workstation oscillators: deterministic spread of drift and phase.
     const double drift_ppm = ((i * 83) % 400) - 200.0;
     const Duration phase = Duration::millis((i % 9) * 10 - 40);
     s.local_clock = std::make_unique<clk::DriftClock>(sim_, drift_ppm, phase);
     s.clock_client = std::make_unique<clk::GlobalClockClient>(
-        *s.demux, sim_, *s.local_clock, server_node_, config_.sync);
+        *s.demux, *s.local_clock, server_node_, kSync);
     s.admission =
         std::make_unique<clk::AdmissionController>(sim_, *s.clock_client);
     s.clock_client->start();
@@ -238,8 +240,7 @@ Presentation::Presentation(SessionConfig config)
     };
     events.on_released = [&s](std::uint64_t) { ++s.releases; };
     s.agent = std::make_unique<fproto::FloorAgent>(
-        *s.transport, endpoint.node, s.member, group_, s.home, config_.agent,
-        events);
+        *s.demux, endpoint.node, s.member, group_, s.home, agent_config, events);
 
     // Scripted entrances: stations trickle in, then request staggered.
     sim_.schedule_in(Duration::millis(100 + 30 * i), [this, &s] { script_join(s); });
@@ -301,33 +302,18 @@ SessionStats Presentation::stats() const {
   for (const Endpoint& endpoint : endpoints_) {
     out.notifies_pending += endpoint.server->notifies_pending();
   }
-  if (config_.agent.obs == &wire_obs_ && config_.server.obs == &wire_obs_) {
-    // Single-entry bookkeeping: the wire counters come straight from the
-    // registry instead of re-summing per-agent/per-endpoint members
-    // (counters_consistent() proves the two agree).
-    const auto value = [this](const char* name) {
-      return static_cast<std::uint64_t>(metrics_.value(name));
-    };
-    out.client_retransmits = value("wire.agent.retransmits");
-    out.duplicates_suppressed = value("wire.agent.dup_drops");
-    out.server_arbitrations = value("wire.server.arbitrations");
-    out.server_duplicate_requests = value("wire.server.replay_hits");
-    out.notify_retransmits = value("wire.server.notify_retransmits");
-    out.floor_messages = value("wire.agent.sends") + value("wire.server.sends");
-  } else {
-    // The caller supplied its own packs; fall back to per-object members.
-    for (const auto& station : stations_) {
-      out.client_retransmits += station->agent->retransmits();
-      out.duplicates_suppressed += station->agent->duplicates_suppressed();
-      out.floor_messages += station->agent->messages_sent();
-    }
-    for (const Endpoint& endpoint : endpoints_) {
-      out.floor_messages += endpoint.server->messages_sent();
-      out.server_arbitrations += endpoint.server->requests_arbitrated();
-      out.server_duplicate_requests += endpoint.server->duplicate_requests();
-      out.notify_retransmits += endpoint.server->notify_retransmits();
-    }
-  }
+  // Single-entry bookkeeping: the wire counters come straight from the
+  // registry instead of re-summing per-agent/per-endpoint members
+  // (counters_consistent() proves the two agree).
+  const auto value = [this](const char* name) {
+    return static_cast<std::uint64_t>(metrics_.value(name));
+  };
+  out.client_retransmits = value("wire.agent.retransmits");
+  out.duplicates_suppressed = value("wire.agent.dup_drops");
+  out.server_arbitrations = value("wire.server.arbitrations");
+  out.server_duplicate_requests = value("wire.server.replay_hits");
+  out.notify_retransmits = value("wire.server.notify_retransmits");
+  out.floor_messages = value("wire.agent.sends") + value("wire.server.sends");
   out.messages_sent = network_.sent();
   out.messages_dropped = network_.dropped();
   out.messages_delivered = network_.delivered();
@@ -335,9 +321,6 @@ SessionStats Presentation::stats() const {
 }
 
 bool Presentation::counters_consistent() const {
-  if (config_.agent.obs != &wire_obs_ || config_.server.obs != &wire_obs_) {
-    return true;  // foreign packs: there is no double entry to cross-check
-  }
   std::uint64_t retransmits = 0, dup_drops = 0, acks = 0, agent_sends = 0;
   for (const auto& station : stations_) {
     retransmits += station->agent->retransmits();

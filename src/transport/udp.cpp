@@ -289,12 +289,11 @@ void UdpEndpoint::flush() {
 }
 // dmps-lint: hot-end
 
-transport::TimerId UdpEndpoint::schedule_in(util::Duration delay,
-                                            std::function<void()> cb) {
+net::TimerId UdpEndpoint::schedule_in(util::Duration delay, std::function<void()> cb) {
   return loop_.wheel().schedule_at(loop_.now() + delay, std::move(cb));
 }
 
-bool UdpEndpoint::cancel(TimerId id) { return loop_.wheel().cancel(id); }
+bool UdpEndpoint::cancel(net::TimerId id) { return loop_.wheel().cancel(id); }
 
 // dmps-lint: hot-begin(udp-rx) — the per-datagram receive path; decode,
 // route and dispatch must stay allocation- and rehash-free.

@@ -1,7 +1,7 @@
 // The daemon's request, release and notify path allocates nothing once warm.
 //
 // One fproto::FloorServer in front of a ShardedFloorService, as dmps_floord
-// runs them, behind a loopback transport::Endpoint whose timers are a real
+// runs them, behind a loopback net::Endpoint whose timers are a real
 // TimerWheel. A seeded client drives it with op streams shaped like the
 // benchmark's wire workloads:
 //   light     — plain grants on hosts far from full;
@@ -29,8 +29,8 @@
 #include "floor/sharded_service.hpp"
 #include "fproto/codec.hpp"
 #include "fproto/server.hpp"
+#include "net/endpoint.hpp"
 #include "sim/simulator.hpp"
-#include "transport/endpoint.hpp"
 #include "transport/timer_wheel.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
@@ -48,7 +48,7 @@ using fproto::MsgKind;
 /// replies into a preallocated outbox, timers on a real TimerWheel driven
 /// by a manual clock. Every call into the server goes through deliver() or
 /// advance(), which count the allocations made inside them.
-class LoopbackEndpoint final : public transport::Endpoint {
+class LoopbackEndpoint final : public net::Endpoint {
  public:
   static constexpr net::NodeId kServer{0};
 
@@ -69,11 +69,10 @@ class LoopbackEndpoint final : public transport::Endpoint {
   void send(net::NodeId to, net::MsgType type, net::Payload ints) override {
     outbox_.push_back(net::Message{kServer, to, type, std::move(ints)});
   }
-  transport::TimerId schedule_in(util::Duration delay,
-                                 std::function<void()> cb) override {
+  net::TimerId schedule_in(util::Duration delay, std::function<void()> cb) override {
     return wheel_.schedule_at(now_ + delay, std::move(cb));
   }
-  bool cancel(transport::TimerId id) override { return wheel_.cancel(id); }
+  bool cancel(net::TimerId id) override { return wheel_.cancel(id); }
   util::TimePoint now() const override { return now_; }
 
   /// Hand one client message to the server's handler.

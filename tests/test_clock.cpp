@@ -34,7 +34,7 @@ TEST(DriftClock, AppliesPhaseAndRate) {
 TEST(GlobalClockClient, OffsetConvergesDespiteDriftAndPhase) {
   ClockWorld w;
   clk::DriftClock local(w.sim, 200.0, Duration::millis(37));
-  clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+  clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                 {Duration::millis(250), 8});
   // Before any sync the estimate is just the local clock: ~37 ms off.
   w.sim.run_until(TimePoint::from_seconds(0.0));
@@ -59,7 +59,7 @@ TEST(GlobalClockClient, OffsetConvergesDespiteDriftAndPhase) {
 TEST(AdmissionController, FastClockWaitsForGlobalDeadline) {
   ClockWorld w;
   clk::DriftClock local(w.sim, 0.0, Duration::millis(80));  // reads 80 ms ahead
-  clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+  clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                 {Duration::millis(100), 8});
   client.start();
   w.sim.run_until(TimePoint::from_seconds(1.0));
@@ -86,7 +86,7 @@ TEST(AdmissionController, FastClockWaitsForGlobalDeadline) {
 TEST(GlobalClockClient, StopCancelsPeriodicRounds) {
   ClockWorld w;
   clk::DriftClock local(w.sim, 0.0, Duration::zero());
-  clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+  clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                 {Duration::millis(100), 4});
   client.start();
   w.sim.run_until(TimePoint::from_seconds(1.0));
@@ -111,7 +111,7 @@ TEST(GlobalClockServer, IgnoresMalformedProbes) {
 TEST(AdmissionController, CountersClassifyEachAdmitOnce) {
   ClockWorld w;
   clk::DriftClock local(w.sim, 0.0, Duration::zero());
-  clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+  clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                 {Duration::millis(100), 8});
   client.start();
   w.sim.run_until(TimePoint::from_seconds(1.0));
@@ -130,7 +130,7 @@ TEST(AdmissionController, CountersClassifyEachAdmitOnce) {
 TEST(AdmissionController, SlowClockFiresWithoutDelay) {
   ClockWorld w;
   clk::DriftClock local(w.sim, 0.0, Duration::millis(-80));  // reads behind
-  clk::GlobalClockClient client(w.client_demux, w.sim, local, w.server_node,
+  clk::GlobalClockClient client(w.client_demux, local, w.server_node,
                                 {Duration::millis(100), 8});
   client.start();
   w.sim.run_until(TimePoint::from_seconds(1.0));

@@ -25,8 +25,8 @@ struct SkipWorld {
   clk::TrueClock server_clock{sim};
   clk::GlobalClockServer clock_server{server_demux, server_clock};
   clk::DriftClock local{sim, 50.0, Duration::zero()};
-  clk::GlobalClockClient clock_client{client_demux, sim,     local,
-                                      server_node,  {Duration::millis(100), 8}};
+  clk::GlobalClockClient clock_client{client_demux, local, server_node,
+                                      {Duration::millis(100), 8}};
   clk::AdmissionController admission{sim, clock_client};
 
   media::MediaLibrary lib;

@@ -6,7 +6,7 @@
 #include "fproto/agent.hpp"
 #include "fproto/codec.hpp"
 #include "fproto/server.hpp"
-#include "transport/sim_transport.hpp"
+#include "net/sim_network.hpp"
 
 namespace {
 
@@ -154,7 +154,6 @@ struct ProtoWorld {
   net::SimNetwork network;
   net::NodeId server_node;
   net::Demux server_demux;
-  transport::SimTransport server_transport;
   GroupRegistry registry;
   HostId host{1};
   FloorService service;
@@ -165,7 +164,6 @@ struct ProtoWorld {
   struct Station {
     net::NodeId node;
     std::unique_ptr<net::Demux> demux;
-    std::unique_ptr<transport::SimTransport> transport;
     std::unique_ptr<fproto::FloorAgent> agent;
     // Latest observed callbacks.
     int granted = 0, denied = 0, queued = 0, suspended = 0, resumed = 0,
@@ -182,9 +180,8 @@ struct ProtoWorld {
                 net::LinkQuality{Duration::millis(5), Duration::millis(2), loss}),
         server_node(network.add_node("server")),
         server_demux(network, server_node),
-        server_transport(server_demux),
         service(registry, Thresholds{0.25, 0.05}, host, capacity),
-        server(server_transport, registry, service, {Duration::millis(120), 200}) {
+        server(server_demux, registry, service, {Duration::millis(120)}) {
     chair = registry.add_member("chair", 100, host);
     group = registry.create_group("g", mode, chair, policy);
   }
@@ -201,7 +198,6 @@ struct ProtoWorld {
         as.valid() ? as : registry.add_member(name, priority, host);
     s.node = network.add_node(name);
     s.demux = std::make_unique<net::Demux>(network, s.node);
-    s.transport = std::make_unique<transport::SimTransport>(*s.demux);
     fproto::AgentEvents events;
     events.on_joined = [&s] { ++s.joined; };
     events.on_granted = [&s](std::uint64_t, bool) { ++s.granted; };
@@ -212,7 +208,7 @@ struct ProtoWorld {
     events.on_released = [&s](std::uint64_t) { ++s.released; };
     events.on_failed = [&s](AgentState) { ++s.failed; };
     s.agent = std::make_unique<fproto::FloorAgent>(
-        *s.transport, server_node, member, group, host, config, events);
+        *s.demux, server_node, member, group, host, config, events);
     return s;
   }
 

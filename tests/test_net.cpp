@@ -146,6 +146,45 @@ TEST_F(NetFixture, MessageTypesHaveOneOwner) {
   EXPECT_EQ(second, 1);
 }
 
+TEST_F(NetFixture, DemuxServesTheEndpointContract) {
+  net::Demux demux_a(network, a);
+  net::Demux demux_b(network, b);
+  // Driven through the seam, as FloorAgent and FloorServer drive it.
+  net::Endpoint& ea = demux_a;
+  net::Endpoint& eb = demux_b;
+
+  int got = 0;
+  net::NodeId got_from = net::NodeId::invalid();
+  ASSERT_TRUE(eb.on(ping, [&](const net::Message& msg) {
+    ++got;
+    got_from = msg.from;
+  }));
+  ea.send(b, ping, {1, 2, 3});
+  sim.run_until(sim.now() + Duration::millis(10));
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(got_from, a);  // from is a valid reply target
+
+  // now() is the simulation clock; timers are simulator events and cancel
+  // by id.
+  EXPECT_EQ(ea.now(), sim.now());
+  const TimePoint start = sim.now();
+  TimePoint fired_at;
+  int ticks = 0;
+  const net::TimerId keep = ea.schedule_in(Duration::millis(5), [&] {
+    ++ticks;
+    fired_at = sim.now();
+  });
+  const net::TimerId drop = ea.schedule_in(Duration::millis(5), [&] { ++ticks; });
+  EXPECT_NE(keep, 0u);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_TRUE(ea.cancel(drop));
+  EXPECT_FALSE(ea.cancel(drop));
+  sim.run_until(sim.now() + Duration::millis(10));
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(fired_at, start + Duration::millis(5));
+  EXPECT_FALSE(ea.cancel(keep));  // already fired
+}
+
 TEST_F(NetFixture, NodeNames) {
   EXPECT_EQ(network.node_name(a), "a");
   EXPECT_EQ(network.node_name(b), "b");

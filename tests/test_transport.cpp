@@ -1,5 +1,5 @@
-// The transport layer: wire frame, timer wheel, the SimTransport seam, and
-// (on Linux) the UDP/epoll backend end to end over real loopback sockets.
+// The transport layer: wire frame, timer wheel, and (on Linux) the UDP/epoll
+// backend end to end over real loopback sockets.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +14,9 @@
 #include "fproto/agent.hpp"
 #include "fproto/codec.hpp"
 #include "fproto/server.hpp"
-#include "net/sim_network.hpp"
+#include "net/endpoint.hpp"
 #include "obs/registry.hpp"
-#include "sim/simulator.hpp"
 #include "transport/frame.hpp"
-#include "transport/sim_transport.hpp"
 #include "transport/timer_wheel.hpp"
 #include "util/rng.hpp"
 
@@ -344,50 +342,6 @@ TEST(TimerWheel, CancelledTimersAreDroppedOnceNothingIsArmed) {
   }
   EXPECT_EQ(wheel.pending(), 0u);
   EXPECT_EQ(token.use_count(), 1);
-}
-
-// ------------------------------------------------------- SimTransport seam
-
-TEST(SimTransport, ForwardsTheEndpointContract) {
-  sim::Simulator sim;
-  net::SimNetwork network(sim, 7, net::LinkQuality{Duration::millis(1)});
-  const net::NodeId a = network.add_node("a");
-  const net::NodeId b = network.add_node("b");
-  net::Demux demux_a(network, a);
-  net::Demux demux_b(network, b);
-  transport::SimTransport ta(demux_a);
-  transport::SimTransport tb(demux_b);
-  const net::MsgType type = net::msg_type("seam.ping");
-
-  // on() takes ownership of the type; a second owner is refused — exactly
-  // Demux's single-owner rule surfaced through the seam.
-  int got = 0;
-  net::NodeId got_from = net::NodeId::invalid();
-  ASSERT_TRUE(tb.on(type, [&](const net::Message& msg) {
-    ++got;
-    got_from = msg.from;
-  }));
-  EXPECT_FALSE(tb.on(type, [](const net::Message&) {}));
-
-  ta.send(b, type, {1, 2, 3});
-  sim.run_until(sim.now() + Duration::millis(10));
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(got_from, a);  // from is a valid reply target
-
-  // off() releases the type for a new owner.
-  tb.off(type);
-  ASSERT_TRUE(tb.on(type, [&](const net::Message&) { ++got; }));
-
-  // now() is the simulation clock; timers run on it and cancel by id.
-  EXPECT_EQ(ta.now(), sim.now());
-  int ticks = 0;
-  const auto keep = ta.schedule_in(Duration::millis(5), [&] { ++ticks; });
-  const auto drop = ta.schedule_in(Duration::millis(5), [&] { ++ticks; });
-  EXPECT_NE(keep, 0u);
-  EXPECT_TRUE(ta.cancel(drop));
-  EXPECT_FALSE(ta.cancel(drop));
-  sim.run_until(sim.now() + Duration::millis(10));
-  EXPECT_EQ(ticks, 1);
 }
 
 // ------------------------------------------------------- UDP/epoll backend
