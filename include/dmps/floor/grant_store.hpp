@@ -25,12 +25,12 @@
 //
 // Policies never touch grant slots directly: they move grants through
 // exactly the operations the disciplines are written in (can_fit /
-// suspend_to_fit / commit_grant / resume_suspended). Released slots are
-// recycled through a free list, so slot count is bounded by peak
-// concurrency, not request volume. The holder index (a util::FlatMap)
-// keeps its (emptied) entries and their inline SmallVec storage across
-// release/re-request cycles — so once a population has been seen, the
-// grant+release hot loop allocates nothing.
+// suspend_to_fit / commit_grant / resume_suspended). The slots and the
+// lists are a util::SlotPool, so a released slot is recycled and slot
+// count is bounded by peak concurrency, not request volume. The holder
+// index (a util::FlatMap) keeps its (emptied) entries and their inline
+// SmallVec storage across release/re-request cycles — so once a population
+// has been seen, the grant+release hot loop allocates nothing.
 
 #include <cstdint>
 #include <vector>
@@ -38,6 +38,7 @@
 #include "floor/resource.hpp"
 #include "floor/types.hpp"
 #include "util/flat_map.hpp"
+#include "util/slot_pool.hpp"
 #include "util/small_vec.hpp"
 
 namespace dmps::floorctl {
@@ -84,51 +85,39 @@ class GrantStore {
 
   std::size_t active_grants() const { return active_count_; }
   std::size_t suspended_grants() const { return suspended_count_; }
-  /// Allocated grant slots (recycled via a free list; stays bounded by the
+  /// Allocated grant slots (recycled by the pool; stays bounded by the
   /// peak number of simultaneously live grants, not total request volume).
-  std::size_t grant_slots() const { return grants_.size(); }
+  std::size_t grant_slots() const { return grants_.slots(); }
 
  private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
   struct Grant {
     MemberId member;
     GroupId group;
     resource::Resource amount;
     std::uint64_t seq = 0;  // grant order; older = smaller
     std::uint32_t bucket = 0;  // index into buckets_: the grant's priority
-    // Neighbours in the bucket's active or suspended list (kNone at an end).
-    std::uint32_t prev = kNone;
-    std::uint32_t next = kNone;
     bool suspended = false;
-    bool released = false;
   };
-
-  /// A list of grant slots threaded through Grant::prev/next, seq ascending.
-  struct List {
-    std::uint32_t head = kNone;
-    std::uint32_t tail = kNone;
-  };
+  /// Grant slots; each live grant sits in its bucket's active or suspended
+  /// list, seq ascending.
+  using Pool = util::SlotPool<Grant>;
   struct Bucket {
     int priority = 0;
-    List active;
-    List suspended;
+    Pool::List active;
+    Pool::List suspended;
   };
 
-  std::uint32_t alloc_slot(const Grant& grant);
   /// The bucket of `priority`, created at its first grant.
   std::uint32_t bucket_of(int priority);
-  List& list_of(const Grant& grant) {
+  Pool::List& list_of(const Grant& grant) {
     Bucket& bucket = buckets_[grant.bucket];
     return grant.suspended ? bucket.suspended : bucket.active;
   }
-  void unlink(List& list, std::uint32_t idx);
   /// Link `idx` into `list` at its seq's place.
-  void link_in_order(List& list, std::uint32_t idx);
+  void link_in_order(Pool::List& list, std::uint32_t idx);
 
   resource::HostResourceManager manager_;
-  std::vector<Grant> grants_;
-  std::vector<std::uint32_t> free_slots_;  // released grant indices, reusable
+  Pool grants_;
   // One bucket per distinct priority, in creation order (grants name them
   // by index), and the same indexes sorted by ascending priority: the
   // suspend walk reads it forwards, the resume walk backwards.

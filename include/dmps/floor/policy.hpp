@@ -27,11 +27,10 @@
 //
 // Each FloorService owns one ThreeRegimePolicy and one QueueingPolicy that
 // borrows it; the queues are the only state, shared by every group. Every
-// parked request sits in one slot array (released slots are recycled
-// through a free list), and each group's queue is a FIFO threaded through
-// those slots, held in a vector by group id. A per-(member, group) index
-// names the slot a holder has parked, so a re-request and a cancel find it
-// without scanning the queue.
+// parked request sits in one util::SlotPool, and each group's queue is a
+// FIFO threaded through its slots, held in a vector by group id. A
+// per-(member, group) index names the slot a holder has parked, so a
+// re-request and a cancel find it without scanning the queue.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,6 +40,7 @@
 #include "floor/grant_store.hpp"
 #include "floor/types.hpp"
 #include "util/flat_map.hpp"
+#include "util/slot_pool.hpp"
 
 namespace dmps::floorctl {
 
@@ -98,19 +98,14 @@ class QueueingPolicy {
   std::size_t total_queued() const { return total_queued_; }
 
  private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
   struct Parked {
     FloorRequest request;
     int priority = 0;
-    // Neighbours in the group's FIFO (kNone at an end).
-    std::uint32_t prev = kNone;
-    std::uint32_t next = kNone;
   };
+  using Pool = util::SlotPool<Parked>;
   /// One group's FIFO, threaded through parked_: head is the oldest entry.
   struct Queue {
-    std::uint32_t head = kNone;
-    std::uint32_t tail = kNone;
+    Pool::List fifo;
     std::size_t size = 0;
   };
 
@@ -124,8 +119,7 @@ class QueueingPolicy {
   void drop(std::uint32_t idx);
 
   const ThreeRegimePolicy& rule_;  // the resource rule queueing is layered on
-  std::vector<Parked> parked_;
-  std::vector<std::uint32_t> free_parked_;  // recycled parked_ slots
+  Pool parked_;
   // By group id, so promotion sweeps visit groups in ascending id order;
   // grown to a group's id when it first parks.
   std::vector<Queue> queues_;

@@ -6,7 +6,7 @@
 // and lets a 180-second presentation simulate in microseconds.
 //
 // The event store is a calendar queue (DESIGN §6.3). Callbacks live in a
-// slot vector with a free list; an EventId names a slot and its generation.
+// util::SlotPool, and an EventId is the pool id of the callback's slot.
 // Queue entries sit in one of four places by time bucket (2^20 ns): the
 // current bucket's run, sorted once when the bucket became current; a
 // (time, seq) side heap for entries scheduled into or behind it since; a
@@ -22,11 +22,13 @@
 #include <vector>
 
 #include "util/duration.hpp"
+#include "util/slot_pool.hpp"
 
 namespace dmps::sim {
 
-/// `generation << 32 | (slot + 1)`: never 0, and an id whose event fired or
-/// was cancelled never matches again (until its slot is reused 2^32 times).
+/// A callback's util::SlotPool id, `generation << 32 | (slot + 1)`: never
+/// 0, and an id whose event fired or was cancelled never matches again
+/// (until its slot is reused 2^32 times).
 using EventId = std::uint64_t;
 
 class Simulator {
@@ -80,40 +82,32 @@ class Simulator {
   static constexpr int kBucketShift = 20;  // 2^20 ns ~ 1.05 ms per bucket
   static constexpr std::int64_t kRingBuckets = 512;
 
-  // Tags Entry::slot as a target id. Callback slots stay below it: 2^31
-  // pending callbacks would take ~80 GB of slots.
+  // Tags an entry's low word as a target id. Callback slots stay below it:
+  // 2^31 pending callbacks would take ~100 GB of slots.
   static constexpr std::uint32_t kTargetBit = std::uint32_t{1} << 31;
 
-  struct Slot {
-    Callback cb;
-    std::uint32_t gen = 0;  // bumped each time the slot's event ends
-    bool live = false;
-  };
-
-  // A queued event: a callback slot and its generation, or kTargetBit | a
-  // target id and the target's argument. Cancelling leaves a callback
-  // entry behind; it is skipped when its generation no longer matches the
-  // slot's.
+  // A queued event: a callback's EventId, or the target's argument << 32 |
+  // kTargetBit | a target id. Cancelling leaves a callback entry behind; it
+  // is skipped when its id no longer finds a live slot.
   struct Entry {
     std::int64_t at;
     std::uint64_t seq;  // insertion order breaks ties deterministically
-    std::uint32_t slot;
-    std::uint32_t gen;
+    std::uint64_t event;
     bool operator>(const Entry& o) const {
       return at != o.at ? at > o.at : seq > o.seq;
     }
   };
 
+  using Pool = util::SlotPool<Callback>;
+
   static std::int64_t bucket_of(std::int64_t at) { return at >> kBucketShift; }
   void place(const Entry& entry);
   bool advance();
-  void release(std::uint32_t slot);
 
   util::TimePoint now_ = util::TimePoint::zero();
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;
+  Pool callbacks_;
   std::vector<Target*> targets_;
   // Invariant: run_ holds what bucket cur_ held when it became current,
   // sorted latest first so the earliest is at the back; heap_ every entry

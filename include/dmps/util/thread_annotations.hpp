@@ -15,12 +15,8 @@
 //   DMPS_SCOPED_CAPABILITY  — RAII type that acquires in its constructor
 //                             and releases in its destructor.
 //   DMPS_GUARDED_BY(mu)     — field access requires holding mu.
-//   DMPS_PT_GUARDED_BY(mu)  — pointee access requires holding mu.
 //   DMPS_REQUIRES(mu)       — caller must hold mu (and still does after).
 //   DMPS_ACQUIRE/RELEASE    — function takes / drops the capability.
-//   DMPS_TRY_ACQUIRE(b, mu) — acquires mu only when returning b.
-//   DMPS_EXCLUDES(mu)       — caller must NOT hold mu (non-reentrant entry
-//                             points; the analysis' negative form).
 //   DMPS_ASSERT_CAPABILITY  — runtime no-op telling the analysis the
 //                             capability is held from here on. This is how
 //                             single-threaded affinity contracts are
@@ -45,18 +41,11 @@
 #define DMPS_CAPABILITY(x) DMPS_THREAD_ANNOTATION(capability(x))
 #define DMPS_SCOPED_CAPABILITY DMPS_THREAD_ANNOTATION(scoped_lockable)
 #define DMPS_GUARDED_BY(x) DMPS_THREAD_ANNOTATION(guarded_by(x))
-#define DMPS_PT_GUARDED_BY(x) DMPS_THREAD_ANNOTATION(pt_guarded_by(x))
 #define DMPS_REQUIRES(...) \
   DMPS_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define DMPS_REQUIRES_SHARED(...) \
-  DMPS_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define DMPS_ACQUIRE(...) \
   DMPS_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define DMPS_RELEASE(...) \
   DMPS_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define DMPS_TRY_ACQUIRE(...) \
-  DMPS_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define DMPS_EXCLUDES(...) DMPS_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define DMPS_ASSERT_CAPABILITY(x) \
   DMPS_THREAD_ANNOTATION(assert_capability(x))
-#define DMPS_RETURN_CAPABILITY(x) DMPS_THREAD_ANNOTATION(lock_returned(x))

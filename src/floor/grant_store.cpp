@@ -9,11 +9,10 @@ void GrantStore::set_capacity(resource::Resource capacity) {
   // buckets and the holder index keep their emptied entries, as a release
   // does.
   manager_ = resource::HostResourceManager(capacity);
-  grants_.clear();
-  free_slots_.clear();
+  grants_ = Pool{};
   for (Bucket& bucket : buckets_) {
-    bucket.active = List{};
-    bucket.suspended = List{};
+    bucket.active = Pool::List{};
+    bucket.suspended = Pool::List{};
   }
   active_count_ = 0;
   suspended_count_ = 0;
@@ -21,29 +20,15 @@ void GrantStore::set_capacity(resource::Resource capacity) {
 }
 
 // dmps-lint: hot-begin(grant-store-mutate) — every grant mutation path
-// below runs inside the million sweep's alloc-probe bracket: slot reuse,
+// below runs inside the million sweep's alloc-probe bracket: pooled slots,
 // kept buckets and kept-empty index entries keep it off the heap.
-std::uint32_t GrantStore::alloc_slot(const Grant& grant) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t idx = free_slots_.back();
-    free_slots_.pop_back();
-    grants_[idx] = grant;
-    return idx;
-  }
-  grants_.push_back(grant);
-  // The free list can come to hold every slot: size it with the pool, so
-  // it never grows once the pool has stopped growing.
-  free_slots_.reserve(grants_.capacity());
-  return static_cast<std::uint32_t>(grants_.size() - 1);
-}
-
 std::uint32_t GrantStore::bucket_of(int priority) {
   for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
     if (buckets_[b].priority == priority) return b;
   }
   // The first grant at this priority: a new bucket, kept from now on.
   const auto b = static_cast<std::uint32_t>(buckets_.size());
-  buckets_.push_back(Bucket{priority, List{}, List{}});
+  buckets_.push_back(Bucket{priority, {}, {}});
   const auto at = std::lower_bound(
       by_priority_.begin(), by_priority_.end(), priority,
       [this](std::uint32_t i, int p) { return buckets_[i].priority < p; });
@@ -51,47 +36,20 @@ std::uint32_t GrantStore::bucket_of(int priority) {
   return b;
 }
 
-void GrantStore::unlink(List& list, std::uint32_t idx) {
-  Grant& grant = grants_[idx];
-  if (grant.prev != kNone) {
-    grants_[grant.prev].next = grant.next;
-  } else {
-    list.head = grant.next;
-  }
-  if (grant.next != kNone) {
-    grants_[grant.next].prev = grant.prev;
-  } else {
-    list.tail = grant.prev;
-  }
-  grant.prev = kNone;
-  grant.next = kNone;
-}
-
-void GrantStore::link_in_order(List& list, std::uint32_t idx) {
-  Grant& grant = grants_[idx];
+void GrantStore::link_in_order(Pool::List& list, std::uint32_t idx) {
   // The grant goes after the last one older than it: found by walking back
   // from the tail, except that a grant older than the whole list goes
   // straight to the head (a resumed grant usually is).
+  const std::uint64_t seq = grants_[idx].seq;
   std::uint32_t after = list.tail;
-  if (after != kNone && grants_[list.head].seq > grant.seq) {
-    after = kNone;
+  if (after != Pool::kNone && grants_[list.head].seq > seq) {
+    after = Pool::kNone;
   } else {
-    while (after != kNone && grants_[after].seq > grant.seq) {
-      after = grants_[after].prev;
+    while (after != Pool::kNone && grants_[after].seq > seq) {
+      after = grants_.prev(after);
     }
   }
-  grant.prev = after;
-  grant.next = after == kNone ? list.head : grants_[after].next;
-  if (grant.next != kNone) {
-    grants_[grant.next].prev = idx;
-  } else {
-    list.tail = idx;
-  }
-  if (after != kNone) {
-    grants_[after].next = idx;
-  } else {
-    list.head = idx;
-  }
+  grants_.insert_after(list, after, idx);
 }
 
 GrantStore::HolderRelease GrantStore::release_holder(MemberId member,
@@ -106,20 +64,17 @@ GrantStore::HolderRelease GrantStore::release_holder(MemberId member,
   // loop body never touches holder_index_, and the kept storage is what
   // keeps a steady-state request/release cycle off the heap.
   for (const std::uint32_t idx : *slots) {
-    Grant& grant = grants_[idx];
-    if (grant.released) continue;
-    grant.released = true;
-    unlink(list_of(grant), idx);
+    const Grant& grant = grants_[idx];
+    grants_.unlink(list_of(grant), idx);
     if (grant.suspended) {
       // A suspended grant holds no capacity: nothing is freed by dropping it.
-      grant.suspended = false;
       --suspended_count_;
     } else {
       manager_.release(grant.amount);
       --active_count_;
       result.freed = true;
     }
-    free_slots_.push_back(idx);
+    grants_.release(idx);
   }
   slots->clear();
   return result;
@@ -136,7 +91,7 @@ bool GrantStore::suspend_to_fit(const resource::Resource& need, int priority,
     const Bucket& bucket = buckets_[b];
     if (manager_.can_fit(need) || bucket.priority >= priority) break;
     for (std::uint32_t idx = bucket.active.head;
-         idx != kNone && !manager_.can_fit(need); idx = grants_[idx].next) {
+         idx != Pool::kNone && !manager_.can_fit(need); idx = grants_.next(idx)) {
       manager_.release(grants_[idx].amount);
       taken.push_back(idx);
     }
@@ -151,7 +106,7 @@ bool GrantStore::suspend_to_fit(const resource::Resource& need, int priority,
   for (const std::uint32_t idx : taken) {
     Grant& grant = grants_[idx];
     Bucket& bucket = buckets_[grant.bucket];
-    unlink(bucket.active, idx);
+    grants_.unlink(bucket.active, idx);
     grant.suspended = true;
     link_in_order(bucket.suspended, idx);
     suspended.push_back(Holder{grant.member, grant.group});
@@ -164,22 +119,11 @@ bool GrantStore::suspend_to_fit(const resource::Resource& need, int priority,
 void GrantStore::commit_grant(MemberId member, GroupId group,
                               const resource::Resource& need, int priority) {
   manager_.reserve(need);
-  Grant grant;
-  grant.member = member;
-  grant.group = group;
-  grant.amount = need;
-  grant.seq = next_seq_++;
-  grant.bucket = bucket_of(priority);
-  const std::uint32_t idx = alloc_slot(grant);
+  const std::uint32_t bucket = bucket_of(priority);
+  const std::uint32_t idx = grants_.acquire();
+  grants_[idx] = Grant{member, group, need, next_seq_++, bucket};
   // The newest grant: its seq is the largest, so it appends.
-  List& active = buckets_[grant.bucket].active;
-  grants_[idx].prev = active.tail;
-  if (active.tail != kNone) {
-    grants_[active.tail].next = idx;
-  } else {
-    active.head = idx;
-  }
-  active.tail = idx;
+  grants_.push_back(buckets_[bucket].active, idx);
   ++active_count_;
   // A holder's first grant inserts its index entry; release_holder() keeps
   // the emptied entry, so the steady request/release cycle reuses it.
@@ -193,11 +137,11 @@ void GrantStore::resume_suspended(HolderList& resumed) {
   // a holder that does not fit stays suspended and the walk continues.
   for (auto b = by_priority_.rbegin(); b != by_priority_.rend(); ++b) {
     Bucket& bucket = buckets_[*b];
-    for (std::uint32_t idx = bucket.suspended.head; idx != kNone;) {
+    for (std::uint32_t idx = bucket.suspended.head; idx != Pool::kNone;) {
       Grant& grant = grants_[idx];
-      const std::uint32_t next = grant.next;
+      const std::uint32_t next = grants_.next(idx);
       if (manager_.reserve(grant.amount)) {
-        unlink(bucket.suspended, idx);
+        grants_.unlink(bucket.suspended, idx);
         grant.suspended = false;
         link_in_order(bucket.active, idx);
         --suspended_count_;

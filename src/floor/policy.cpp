@@ -136,7 +136,7 @@ Decision QueueingPolicy::park_behind(const FloorRequest& request,
   // attempt after its station recovered) keeps its queue position.
   const std::uint32_t* const slot =
       parked_index_.find(holder_key(request.member, request.group));
-  if (slot != nullptr && *slot != kNone) {
+  if (slot != nullptr && *slot != Pool::kNone) {
     Parked& parked = parked_[*slot];
     parked.request = request;
     parked.priority = priority;
@@ -153,25 +153,12 @@ Decision QueueingPolicy::park_behind(const FloorRequest& request,
 }
 
 void QueueingPolicy::park(const FloorRequest& request, int priority) {
-  std::uint32_t idx;
-  if (!free_parked_.empty()) {
-    idx = free_parked_.back();
-    free_parked_.pop_back();
-  } else {
-    idx = static_cast<std::uint32_t>(parked_.size());
-    parked_.emplace_back();
-    free_parked_.reserve(parked_.capacity());  // it never outgrows the pool
-  }
+  const std::uint32_t idx = parked_.acquire();
+  parked_[idx] = Parked{request, priority};
   const std::size_t g = request.group.value();
   if (g >= queues_.size()) queues_.resize(g + 1);  // the group's first park
   Queue& queue = queues_[g];
-  parked_[idx] = Parked{request, priority, queue.tail, kNone};
-  if (queue.tail != kNone) {
-    parked_[queue.tail].next = idx;
-  } else {
-    queue.head = idx;
-  }
-  queue.tail = idx;
+  parked_.push_back(queue.fifo, idx);
   ++queue.size;
   ++total_queued_;
   // A holder's first park inserts its index entry; later parks find the
@@ -181,23 +168,13 @@ void QueueingPolicy::park(const FloorRequest& request, int priority) {
 }
 
 void QueueingPolicy::drop(std::uint32_t idx) {
-  Parked& parked = parked_[idx];
-  Queue& queue = queues_[parked.request.group.value()];
-  if (parked.prev != kNone) {
-    parked_[parked.prev].next = parked.next;
-  } else {
-    queue.head = parked.next;
-  }
-  if (parked.next != kNone) {
-    parked_[parked.next].prev = parked.prev;
-  } else {
-    queue.tail = parked.prev;
-  }
+  const FloorRequest& request = parked_[idx].request;
+  Queue& queue = queues_[request.group.value()];
+  parked_.unlink(queue.fifo, idx);
   --queue.size;
   --total_queued_;
-  *parked_index_.find(holder_key(parked.request.member, parked.request.group)) =
-      kNone;
-  free_parked_.push_back(idx);
+  *parked_index_.find(holder_key(request.member, request.group)) = Pool::kNone;
+  parked_.release(idx);
 }
 
 void QueueingPolicy::promote(GrantStore& store, ReleaseResult& out) {
@@ -212,9 +189,9 @@ void QueueingPolicy::promote(GrantStore& store, ReleaseResult& out) {
   const double beta = rule_.thresholds().beta;
   if (total_queued_ == 0 || store.availability() < beta) return;
   for (const Queue& queue : queues_) {
-    for (std::uint32_t idx = queue.head; idx != kNone;) {
+    for (std::uint32_t idx = queue.fifo.head; idx != Pool::kNone;) {
       const Parked& parked = parked_[idx];
-      const std::uint32_t next = parked.next;
+      const std::uint32_t next = parked_.next(idx);
       Decision decision = rule_.decide(parked.request, parked.priority, store);
       if (decision.outcome == Outcome::kGranted ||
           decision.outcome == Outcome::kGrantedDegraded) {
@@ -234,7 +211,7 @@ bool QueueingPolicy::cancel(MemberId member, GroupId group,
   if (total_queued_ == 0) return false;
   const std::uint32_t* const slot =
       parked_index_.find(holder_key(member, group));
-  if (slot == nullptr || *slot == kNone) return false;
+  if (slot == nullptr || *slot == Pool::kNone) return false;
   out.dequeued.push_back(Holder{member, group});
   drop(*slot);
   return true;

@@ -6,26 +6,14 @@
 
 namespace dmps::sim {
 
-namespace {
-constexpr std::uint64_t kSlotMask = 0xffffffffu;
-}  // namespace
-
 EventId Simulator::schedule_at(util::TimePoint at, Callback cb) {
   if (at < now_) at = now_;
-  std::uint32_t slot = 0;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-  }
-  Slot& s = slots_[slot];
-  s.cb = std::move(cb);
-  s.live = true;
+  const std::uint32_t slot = callbacks_.acquire();
+  callbacks_[slot] = std::move(cb);
   ++live_;
-  place(Entry{at.raw_nanos(), next_seq_++, slot, s.gen});
-  return (EventId{s.gen} << 32) | (EventId{slot} + 1);
+  const EventId id = callbacks_.id(slot);
+  place(Entry{at.raw_nanos(), next_seq_++, id});
+  return id;
 }
 
 EventId Simulator::schedule_in(util::Duration delay, Callback cb) {
@@ -43,28 +31,19 @@ void Simulator::post_in(util::Duration delay, TargetId target, std::uint32_t arg
   assert(target < targets_.size());
   if (delay < util::Duration::zero()) delay = util::Duration::zero();
   ++live_;
-  place(Entry{(now_ + delay).raw_nanos(), next_seq_++, kTargetBit | target, arg});
+  place(Entry{(now_ + delay).raw_nanos(), next_seq_++,
+              std::uint64_t{arg} << 32 | kTargetBit | target});
 }
 // dmps-lint: hot-end
 
 bool Simulator::cancel(EventId id) {
-  // Slot 0 is id low word 1, so a low word of 0 wraps out of range. The
-  // queue entry stays behind; its generation no longer matches the slot's.
-  const std::uint64_t index = (id & kSlotMask) - 1;
-  if (index >= slots_.size()) return false;
-  const Slot& s = slots_[index];
-  if (!s.live || s.gen != static_cast<std::uint32_t>(id >> 32)) return false;
-  release(static_cast<std::uint32_t>(index));
-  return true;
-}
-
-void Simulator::release(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.cb = nullptr;
-  s.live = false;
-  ++s.gen;
+  // The queue entry stays behind; its id no longer finds a live slot.
+  const std::uint32_t slot = callbacks_.find(id);
+  if (slot == Pool::kNone) return false;
+  callbacks_[slot] = nullptr;
+  callbacks_.release(slot);
   --live_;
-  free_.push_back(slot);
+  return true;
 }
 
 // dmps-lint: hot-begin(sim-deliver)
@@ -131,17 +110,20 @@ void Simulator::run_until(util::TimePoint until) {
       heap_.pop_back();
     }
     // Every queued entry is at or after now_, so time never moves back.
-    if ((top.slot & kTargetBit) != 0) {
+    const auto low = static_cast<std::uint32_t>(top.event);
+    if ((low & kTargetBit) != 0) {
       now_ = util::TimePoint::from_nanos(top.at);
       --live_;
-      targets_[top.slot & ~kTargetBit]->fire(top.gen);
+      targets_[low & ~kTargetBit]->fire(static_cast<std::uint32_t>(top.event >> 32));
       continue;
     }
-    Slot& s = slots_[top.slot];
-    if (s.gen != top.gen) continue;  // cancelled
+    const std::uint32_t slot = callbacks_.find(top.event);
+    if (slot == Pool::kNone) continue;  // cancelled
     now_ = util::TimePoint::from_nanos(top.at);
-    Callback cb = std::move(s.cb);
-    release(top.slot);
+    Callback cb = std::move(callbacks_[slot]);
+    callbacks_[slot] = nullptr;
+    callbacks_.release(slot);
+    --live_;
     cb();
   }
   now_ = util::max_time(now_, until);

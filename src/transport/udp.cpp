@@ -73,10 +73,8 @@ void UdpLoop::poll(util::Duration max_wait) {
   // late by more than the tick resolution.
   std::int64_t wait_ms = max_wait.raw_nanos() / 1'000'000;
   if (wait_ms < 0) wait_ms = 0;
-  if (!wheel_.empty()) {
-    const std::int64_t tick_ms = wheel_.tick().raw_nanos() / 1'000'000;
-    if (tick_ms < wait_ms) wait_ms = tick_ms < 1 ? 1 : tick_ms;
-  }
+  constexpr std::int64_t kTickMs = TimerWheel::kTick.raw_nanos() / 1'000'000;
+  if (!wheel_.empty() && kTickMs < wait_ms) wait_ms = kTickMs;
 
   epoll_event events[64];
   const int n = epoll_wait(epoll_fd_, events, 64, static_cast<int>(wait_ms));

@@ -35,6 +35,7 @@
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
 #include "util/sanitizers.hpp"
+#include "util/slot_pool.hpp"
 
 namespace {
 
@@ -419,6 +420,59 @@ TEST(DaemonAllocations, ChurnQueueingAndRejoinsAllocateNothingAfterWarmUp) {
   EXPECT_GT(t.promotions, 5'000u);
   EXPECT_GT(t.leaves, 500u);
   EXPECT_EQ(allocs, 0u) << "over " << t.arbitrations << " arbitrations";
+}
+
+TEST(SlotPoolAllocations, WarmAcquireLinkUnlinkReleaseAllocatesNothing) {
+  DMPS_SKIP_UNDER_SANITIZERS();
+  // Up to 64 nodes live at once, linked at the head, the tail or after a
+  // random live node, then unlinked and released in random order: the
+  // cycle every pooled structure runs.
+  using Pool = util::SlotPool<std::uint64_t>;
+  Pool pool;
+  Pool::List list;
+  std::vector<std::uint32_t> held;
+  held.reserve(64);
+  util::Rng rng(30);
+  std::uint64_t released = 0;
+  std::uint64_t found = 0;  // released nodes whose id still found them
+  const auto cycle = [&](int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      const std::size_t live = 1 + rng.index(64);
+      while (held.size() < live) {
+        const std::uint32_t slot = pool.acquire();
+        pool[slot] = pool.id(slot);
+        const std::size_t where = rng.index(3);
+        if (where == 0 || held.empty()) {
+          pool.push_back(list, slot);
+        } else if (where == 1) {
+          pool.insert_after(list, Pool::kNone, slot);
+        } else {
+          pool.insert_after(list, held[rng.index(held.size())], slot);
+        }
+        held.push_back(slot);
+      }
+      while (!held.empty()) {
+        const std::size_t i = rng.index(held.size());
+        const std::uint32_t slot = held[i];
+        found += pool.find(pool[slot]) == slot ? 1 : 0;
+        pool.unlink(list, slot);
+        pool.release(slot);
+        ++released;
+        held[i] = held.back();
+        held.pop_back();
+      }
+    }
+  };
+  const std::uint64_t cold = util::alloc_probe_count();
+  cycle(200);  // warm-up: the pool reaches its peak of 64 nodes
+  EXPECT_GT(util::alloc_probe_count() - cold, 0u);  // the counter is live
+  const std::uint64_t before = util::alloc_probe_count();
+  cycle(2'000);
+  EXPECT_EQ(util::alloc_probe_count() - before, 0u);
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.slots(), 64u);
+  EXPECT_EQ(found, released);
 }
 
 }  // namespace

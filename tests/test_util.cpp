@@ -11,6 +11,7 @@
 #include "util/flat_map.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
+#include "util/slot_pool.hpp"
 #include "util/small_vec.hpp"
 
 namespace {
@@ -322,6 +323,107 @@ TEST(FlatMap, RefusesTheReservedKey) {
   EXPECT_EQ(map.find(Map::kEmptyKey), nullptr);
   EXPECT_EQ(map.size(), 1u);
   EXPECT_EQ(*map.find(1), 5);
+}
+
+using Pool = dmps::util::SlotPool<int>;
+
+/// The values along `list`, head to tail, and checked against the walk
+/// back from the tail.
+std::vector<int> walk(const Pool& pool, const Pool::List& list) {
+  std::vector<int> forward;
+  for (std::uint32_t s = list.head; s != Pool::kNone; s = pool.next(s)) {
+    forward.push_back(pool[s]);
+  }
+  std::vector<int> backward;
+  for (std::uint32_t s = list.tail; s != Pool::kNone; s = pool.prev(s)) {
+    backward.insert(backward.begin(), pool[s]);
+  }
+  EXPECT_EQ(forward, backward);
+  return forward;
+}
+
+TEST(SlotPool, LinksAndUnlinksAtTheHeadTheMiddleAndTheTail) {
+  Pool pool;
+  Pool::List list;
+  std::uint32_t slot[6];
+  for (int i = 0; i < 6; ++i) {
+    slot[i] = pool.acquire();
+    pool[slot[i]] = i;
+  }
+  pool.push_back(list, slot[2]);
+  pool.push_back(list, slot[4]);                 // at the tail
+  pool.insert_after(list, Pool::kNone, slot[0]);  // at the head
+  pool.insert_after(list, slot[2], slot[3]);      // in the middle
+  pool.insert_after(list, slot[0], slot[1]);
+  pool.insert_after(list, slot[4], slot[5]);      // after the tail
+  EXPECT_EQ(walk(pool, list), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+
+  pool.unlink(list, slot[0]);  // the head
+  EXPECT_EQ(walk(pool, list), (std::vector<int>{1, 2, 3, 4, 5}));
+  pool.unlink(list, slot[3]);  // the middle
+  EXPECT_EQ(walk(pool, list), (std::vector<int>{1, 2, 4, 5}));
+  pool.unlink(list, slot[5]);  // the tail
+  EXPECT_EQ(walk(pool, list), (std::vector<int>{1, 2, 4}));
+  pool.push_back(list, slot[0]);  // an unlinked node links again
+  EXPECT_EQ(walk(pool, list), (std::vector<int>{1, 2, 4, 0}));
+  for (const int i : {2, 1, 0, 4}) pool.unlink(list, slot[i]);
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.tail, Pool::kNone);
+}
+
+TEST(SlotPool, ReleasedSlotsAreReusedLastInFirstOut) {
+  Pool pool;
+  for (int i = 0; i < 4; ++i) pool[pool.acquire()] = 10 + i;
+  EXPECT_EQ(pool.size(), 4u);
+  pool.release(1);
+  pool.release(3);
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.slots(), 4u);
+  EXPECT_EQ(pool[3], 13);  // release leaves the value alone
+  EXPECT_EQ(pool.acquire(), 3u);
+  EXPECT_EQ(pool.acquire(), 1u);
+  EXPECT_EQ(pool.acquire(), 4u);  // the free list is empty: a new node
+  EXPECT_EQ(pool.size(), 5u);
+  EXPECT_EQ(pool.slots(), 5u);
+}
+
+TEST(SlotPool, ReleasedIdsNeverMatch) {
+  Pool pool;
+  const std::uint32_t slot = pool.acquire();
+  const Pool::Id first = pool.id(slot);
+  EXPECT_EQ(first, 1u);  // generation 0, slot 0: the low word is slot + 1
+  EXPECT_EQ(pool.find(first), slot);
+  pool.release(slot);
+  EXPECT_EQ(pool.find(first), Pool::kNone);
+  std::vector<Pool::Id> stale{first};
+  for (int round = 1; round < 1'000; ++round) {
+    const std::uint32_t s = pool.acquire();
+    ASSERT_EQ(s, slot);  // the same slot every time
+    stale.push_back(pool.id(s));
+    pool.release(s);
+  }
+  const std::uint32_t again = pool.acquire();
+  const Pool::Id live = pool.id(again);
+  EXPECT_EQ(live, Pool::Id{1'000} << 32 | 1);  // a generation per release
+  EXPECT_EQ(pool.find(live), again);
+  for (const Pool::Id id : stale) EXPECT_EQ(pool.find(id), Pool::kNone) << id;
+}
+
+TEST(SlotPool, ZeroOutOfRangeAndUnmintedIdsFindNothing) {
+  Pool pool;
+  EXPECT_EQ(pool.find(0), Pool::kNone);
+  EXPECT_EQ(pool.find(1), Pool::kNone);  // no node yet
+  const std::uint32_t a = pool.acquire();
+  const std::uint32_t b = pool.acquire();
+  EXPECT_EQ(pool.find(0), Pool::kNone);
+  EXPECT_EQ(pool.find(Pool::Id{0} << 32 | 3), Pool::kNone);  // slot 2
+  EXPECT_EQ(pool.find(~Pool::Id{0}), Pool::kNone);
+  const Pool::Id next_of_b = Pool::Id{1} << 32 | (b + 1);
+  EXPECT_EQ(pool.find(next_of_b), Pool::kNone);  // b's generation is 0
+  pool.release(b);
+  // b's next generation is not minted until b is acquired again.
+  EXPECT_EQ(pool.find(next_of_b), Pool::kNone);
+  EXPECT_EQ(pool.find(pool.id(a)), a);
 }
 
 }  // namespace
